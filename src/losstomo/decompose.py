@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .topology import Link, Topology, UnsupportedTopologyError, toposort
+from .topology import Link, Topology, UnsupportedTopologyError
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,6 @@ class DTreePlan:
         links.extend(l for frag in self.fragments for l in frag.links)
         return tuple(sorted(links, key=lambda l: l.link_ids))
 
-    @cached_property
-    def intersection_of(self) -> dict[int, int]:
-        """Maps every intersection node (joint included) to its joint node."""
-        owner = {}
-        for mt in self.msource_trees:
-            for n in mt.nodes:
-                owner[n] = mt.joint
-        return owner
-
     def msource_tree(self, joint: int) -> MultiSourceTree:
         for mt in self.msource_trees:
             if mt.joint == joint:
@@ -97,11 +88,11 @@ class DTreePlan:
 
 def _collapse(t: Topology) -> tuple[dict[int, tuple[LogicalLink, ...]], set[int]]:
     """Merge serial chains; returns children map over surviving nodes."""
+    ends = set(t.sources) | set(t.receivers)
     keep = {
         n
         for n in t.nodes
-        if n in t.sources
-        or n in t.receivers
+        if n in ends
         or len(t.in_links[n]) >= 2
         or len(t.out_links[n]) >= 2
     }
@@ -166,8 +157,8 @@ def decompose(t: Topology) -> DTreePlan:
         )
 
     joint_set = set(joints)
-    order = toposort(t)
-    depth_rank = {n: k for k, n in enumerate(order)}
+    recv = set(t.receivers)
+    depth_rank = {n: k for k, n in enumerate(t.order)}
     fragments = []
     for s in t.sources:
         members = t.tree_nodes[s]
@@ -184,7 +175,7 @@ def decompose(t: Topology) -> DTreePlan:
         internal = [
             n
             for n in frag_nodes
-            if n not in joint_set and n not in t.receivers and n != s
+            if n not in joint_set and n not in recv and n != s
         ]
         internal.sort(key=lambda n: depth_rank[n], reverse=True)
         fragments.append(

@@ -1,10 +1,12 @@
 """Link-rate estimation over a decomposed topology.
 
-Two complete pipelines are provided: the pooled multi-source MLE, which
-solves each intersection from the combined counts of all its sources and
-then walks the upstream fragments with the intersection estimate embedded,
-and the per-tree baseline that treats every multicast tree independently
-and therefore produces one estimate per covering source for shared links.
+Estimators read only the OR-rule pass counts n_i(s), the sufficient
+statistic.  Two complete pipelines are provided: the pooled multi-source
+MLE, which solves each intersection from the combined counts of all its
+sources and then walks the upstream fragments with the intersection
+estimate embedded, and the per-tree baseline that treats every multicast
+tree independently and therefore produces one estimate per covering source
+for shared links.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .decompose import DTreePlan, LogicalLink, MultiSourceTree
-from .probes import ObservationSet, PooledCounts, count_pass, gamma_hat
+from .probes import PooledCounts, gamma_hat
 from .solvers import (
     EstimationError,
     NoDataError,
@@ -192,7 +194,6 @@ def _extract_intersection_links(est: EstimateSet, counts, mt, betas, kids):
 
 def _upstream_solve(counts: PooledCounts, plan: DTreePlan, source: int, joint_paths):
     """Path estimates A-hat(source, f) for every internal fragment node."""
-    t = plan.topology
     frag = next(f for f in plan.fragments if f.source == source)
     kids: dict[int, list[LogicalLink]] = {}
     for l in frag.links:
@@ -315,11 +316,12 @@ def extract_link_rates(plan: DTreePlan, counts: PooledCounts, betas, paths) -> E
     return est
 
 
-def estimate_network(obs: ObservationSet, plan: DTreePlan, method: str) -> EstimateSet:
-    """Run one estimator over one observation set, in estimation order."""
+def estimate_network(counts: PooledCounts, plan: DTreePlan, method: str) -> EstimateSet:
+    """Run one estimator over ``count_pass(obs, plan.topology)``, in estimation order.
+
+    The pass counts are the sufficient statistic, so one count serves every method."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    counts = count_pass(obs, plan.topology)
     if method == "mle":
         est = _mle(counts, plan)
     elif method == "tree-baseline":
@@ -328,5 +330,5 @@ def estimate_network(obs: ObservationSet, plan: DTreePlan, method: str) -> Estim
         from .fusion import fused_estimate
 
         est = fused_estimate(counts, plan, method)
-    est.meta["probes"] = dict(obs.probes)
+    est.meta["probes"] = dict(counts.probes)
     return est

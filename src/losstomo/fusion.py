@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .decompose import DTreePlan, LogicalLink
 from .probes import PooledCounts, gamma_hat
-from .solvers import NoDataError, subtree_root
+from .solvers import EstimationError, NoDataError, subtree_root
 from .estimators import EstimateSet, estimate_source_paths, extract_link_rates
 
 log = logging.getLogger(__name__)
@@ -120,10 +120,6 @@ def _node_per_source(counts, node, children, sources) -> dict[int, float]:
 def _weights_for(scheme, counts, plan, node, per_source) -> tuple[float, ...]:
     sources = sorted(per_source)
     gammas = [gamma_hat(counts, node, s) for s in sources]
-    if scheme == "rbmvwa":
-        return rbmvwa_weights(gammas)
-    if scheme == "mrbmvwa":
-        return mrbmvwa_weights(gammas)
     t = plan.topology
     if scheme == "mvwa-oracle":
         beta = t.subtree_rate[node]
@@ -131,7 +127,7 @@ def _weights_for(scheme, counts, plan, node, per_source) -> tuple[float, ...]:
         for s in sources:
             a = t.path_rate(s, node)
             variances.append(beta * (1.0 - a * beta) / (counts.probes[s] * a))
-    else:  # mvwa-plugin
+    elif scheme == "mvwa-plugin":
         variances = []
         for s, g in zip(sources, gammas):
             b = per_source[s]
@@ -141,8 +137,14 @@ def _weights_for(scheme, counts, plan, node, per_source) -> tuple[float, ...]:
             # miss probability at 1/(n+1) to keep the weight finite
             v = b * max(1.0 - a * b, 1.0 / (n + 1)) / (n * a)
             variances.append(v)
-    fusion = mvwa_combine([per_source[s] for s in sources], variances)
-    return fusion.weights
+    try:
+        if scheme == "rbmvwa":
+            return rbmvwa_weights(gammas)
+        if scheme == "mrbmvwa":
+            return mrbmvwa_weights(gammas)
+        return mvwa_combine([per_source[s] for s in sources], variances).weights
+    except ValueError as exc:
+        raise EstimationError(f"{scheme} weights at node {node}: {exc}") from exc
 
 
 def fuse_node(counts, plan, node, children, sources, scheme) -> WeightedFusion:

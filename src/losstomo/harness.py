@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import empirical_moments, var_upstream
 from .decompose import DTreePlan, decompose
 from .estimators import METHODS, FUSION_METHODS, estimate_network
-from .probes import simulate
+from .probes import count_pass, simulate
 from .solvers import EstimationError
 from .topology import parse_topology
 
@@ -100,7 +100,6 @@ def _expected_keys(plan: DTreePlan, estimator: str):
     """Row keys (link label, source attribution) an estimator must produce."""
     if estimator == "tree-baseline":
         keys = []
-        t = plan.topology
         for frag in plan.fragments:
             keys.extend((l.label, frag.source) for l in frag.links)
         for mt in plan.msource_trees:
@@ -112,22 +111,18 @@ def _expected_keys(plan: DTreePlan, estimator: str):
     return [(l.label, None) for l in plan.logical_links]
 
 
-def _crlb_loss_var(plan: DTreePlan, label: str, probes: int) -> float | None:
-    """Closed-form variance where one exists: a source link into a joint node."""
-    t = plan.topology
-    joint_set = set(plan.joint_nodes)
-    for frag in plan.fragments:
-        for l in frag.links:
-            if l.label == label and l.head == frag.source and l.tail in joint_set:
-                return var_upstream(l.pass_rate, t.subtree_rate[l.tail], probes)
-    return None
-
-
 def run_experiment(cfg: ExperimentConfig, plan: DTreePlan | None = None) -> ReplicationTable:
     cfg.validate()
     if plan is None:
         plan = decompose(parse_topology(cfg.topology_text))
     true_loss = {l.label: l.loss_rate for l in plan.logical_links}
+    # label -> (A, beta) of each link with a closed-form variance: a source link into a joint node
+    joint_set = set(plan.joint_nodes)
+    crlb = {
+        l.label: (l.pass_rate, plan.topology.subtree_rate[l.tail])
+        for frag in plan.fragments for l in frag.links
+        if l.head == frag.source and l.tail in joint_set
+    }
 
     table = ReplicationTable()
     for n in cfg.probe_counts:
@@ -141,9 +136,10 @@ def run_experiment(cfg: ExperimentConfig, plan: DTreePlan | None = None) -> Repl
                 clamped[(e,) + key] = 0
         for rep in range(cfg.reps):
             obs = simulate(plan.topology, n, replication_seed(cfg.seed, rep))
+            counts = count_pass(obs, plan.topology)
             for e in cfg.estimators:
                 try:
-                    est = estimate_network(obs, plan, e)
+                    est = estimate_network(counts, plan, e)
                 except EstimationError as exc:
                     errors[e] += 1
                     table.messages.append(f"probes={n} rep={rep} {e}: {exc}")
@@ -171,7 +167,7 @@ def run_experiment(cfg: ExperimentConfig, plan: DTreePlan | None = None) -> Repl
                     mean_loss=mean,
                     var_loss=var,
                     true_loss=true_loss[label],
-                    crlb_var=_crlb_loss_var(plan, label, n),
+                    crlb_var=var_upstream(*crlb[label], n) if label in crlb else None,
                     clamped=clamped[(e, label, src)],
                     errors=errors[e],
                 )

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .topology import Topology, TopologyError, toposort
+from .topology import Topology, TopologyError
 
 
 def source_stream(seed: int, source: int) -> np.random.Generator:
@@ -91,7 +92,6 @@ def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> Observatio
         if probes.get(s, 0) < 1:
             raise ValueError(f"source {s} needs a positive probe count")
 
-    order = toposort(t)
     receivers = {}
     bits = {}
     for s in t.sources:
@@ -99,7 +99,7 @@ def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> Observatio
         n = probes[s]
         members = t.tree_nodes[s]
         state: dict[int, np.ndarray] = {s: np.ones(n, dtype=bool)}
-        for u in order:
+        for u in t.order:
             if u not in members:
                 continue
             for l in t.out_links[u]:
@@ -112,18 +112,24 @@ def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> Observatio
 
 
 def count_pass(obs: ObservationSet, t: Topology) -> PooledCounts:
-    """Reduce receiver bits to n_i(s) for every node i of every tree T^s."""
+    """Reduce receiver bits to n_i(s) for every node i of every tree T^s.
+
+    Bottom-up OR rule in reverse topological order: a receiver sees its bit
+    row, an internal node the OR of its children's vectors, each dropped once used."""
     counts: dict[tuple[int, int], int] = {}
     for s, recv in obs.receivers.items():
-        mat = obs.bits[s]
-        row = {r: k for k, r in enumerate(recv)}
-        for node in t.tree_nodes[s]:
-            under = [row[r] for r in t.receivers_under(node) if r in row]
-            if not under:
-                counts[(node, s)] = 0
+        row = dict(zip(recv, obs.bits[s]))
+        members = t.tree_nodes[s]
+        seen: dict[int, np.ndarray] = {}
+        for node in reversed(t.order):
+            if node not in members:
                 continue
-            seen = np.any(mat[under], axis=0) if len(under) > 1 else mat[under[0]]
-            counts[(node, s)] = int(np.count_nonzero(seen))
+            kids = [seen.pop(c) for c in t.children(node) if c in seen]
+            if node in row:
+                kids.append(row[node])
+            if kids:
+                seen[node] = reduce(np.logical_or, kids)
+            counts[(node, s)] = int(np.count_nonzero(seen[node])) if kids else 0
     return PooledCounts(probes=dict(obs.probes), counts=counts)
 
 

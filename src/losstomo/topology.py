@@ -9,6 +9,7 @@ the complementary loss rate.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,6 +63,11 @@ class Topology:
         return tuple(l.tail for l in self.out_links[node])
 
     @cached_property
+    def order(self) -> tuple[int, ...]:
+        """Topological order, smallest ready node first; computed once."""
+        return tuple(toposort(self))
+
+    @cached_property
     def tree_nodes(self) -> dict[int, frozenset[int]]:
         """Node set of each source's multicast tree, by reachability."""
         trees = {}
@@ -90,9 +96,8 @@ class Topology:
     @cached_property
     def descendants(self) -> dict[int, frozenset[int]]:
         """All nodes strictly below each node."""
-        order = toposort(self)
         desc: dict[int, set[int]] = {n: set() for n in self.nodes}
-        for u in reversed(order):
+        for u in reversed(self.order):
             for c in self.children(u):
                 desc[u].add(c)
                 desc[u] |= desc[c]
@@ -127,9 +132,8 @@ class Topology:
     @cached_property
     def subtree_rate(self) -> dict[int, float]:
         """True beta of each node: P(at least one receiver below sees a probe at the node)."""
-        order = toposort(self)
         beta: dict[int, float] = {}
-        for u in reversed(order):
+        for u in reversed(self.order):
             kids = self.out_links[u]
             if not kids:
                 beta[u] = 1.0
@@ -143,16 +147,15 @@ class Topology:
 
 def toposort(t: Topology) -> list[int]:
     indeg = {n: len(t.in_links[n]) for n in t.nodes}
-    ready = sorted(n for n, d in indeg.items() if d == 0)
+    ready = sorted(n for n, d in indeg.items() if d == 0)  # a sorted list is a heap
     order = []
     while ready:
-        u = ready.pop(0)
+        u = heapq.heappop(ready)
         order.append(u)
         for l in t.out_links[u]:
             indeg[l.tail] -= 1
             if indeg[l.tail] == 0:
-                ready.append(l.tail)
-        ready.sort()
+                heapq.heappush(ready, l.tail)
     if len(order) != len(t.nodes):
         raise TopologyError("topology contains a cycle")
     return order
@@ -252,7 +255,7 @@ def parse_topology(text: str) -> Topology:
 
 
 def validate(t: Topology) -> None:
-    toposort(t)  # raises on cycles
+    t.order  # raises on cycles
     src_set, recv_set = set(t.sources), set(t.receivers)
     if src_set & recv_set:
         raise TopologyError(f"nodes {sorted(src_set & recv_set)} declared both source and receiver")

@@ -1,3 +1,6 @@
+import csv
+import io
+
 from losstomo.cli import EXIT_CONFIG, EXIT_UNSUPPORTED, main
 from losstomo.harness import SETTINGS
 
@@ -105,3 +108,20 @@ def test_console_script_installed():
     res = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert res.returncode == 0
     assert "run" in res.stdout and "decompose" in res.stdout
+
+
+def test_failing_estimator_keeps_the_other_rows(tmp_path, capsys):
+    # every loss 0: the oracle variances are 0, so mvwa-oracle fails each
+    # replication, which must not cost the mle rows
+    p = tmp_path / "lossless.txt"
+    p.write_text(SETTINGS["2x2-equal"].replace(" 0.01\n", " 0\n"))
+    code, out, err = run_cli(
+        capsys, "run", "--topology", str(p), "--probes", "100", "--reps", "3",
+        "--estimators", "mle,mvwa-oracle",
+    )
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    mle = [r for r in rows if r["estimator"] == "mle"]
+    oracle = [r for r in rows if r["estimator"] == "mvwa-oracle"]
+    assert len(mle) == 4 and all(r["reps"] == "3" and r["errors"] == "0" for r in mle)
+    assert len(oracle) == 2 and all(r["reps"] == "0" and r["errors"] == "3" for r in oracle)

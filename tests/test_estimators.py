@@ -152,7 +152,7 @@ def test_lossless_gives_zero_loss(star22_plan):
     plan = decompose(t)
     obs = simulate(t, 100, seed=1)
     for method in ("mle", "tree-baseline", "rbmvwa", "mrbmvwa"):
-        est = estimate_network(obs, plan, method)
+        est = estimate_network(count_pass(obs, plan.topology), plan, method)
         for le in est.links.values():
             assert le.loss_rate == 0.0
 
@@ -160,8 +160,8 @@ def test_lossless_gives_zero_loss(star22_plan):
 def test_single_source_tree_mle_equals_baseline(single_tree):
     plan = decompose(single_tree)
     obs = simulate(single_tree, 2000, seed=17)
-    mle = estimate_network(obs, plan, "mle")
-    base = estimate_network(obs, plan, "tree-baseline")
+    mle = estimate_network(count_pass(obs, plan.topology), plan, "mle")
+    base = estimate_network(count_pass(obs, plan.topology), plan, "tree-baseline")
     for (label, _), le in base.links.items():
         assert mle.links[(label, None)].pass_rate == pytest.approx(
             le.pass_rate, abs=1e-12
@@ -170,7 +170,7 @@ def test_single_source_tree_mle_equals_baseline(single_tree):
 
 def test_tree_baseline_shared_links_per_source(star22_plan):
     obs = simulate(star22_plan.topology, 500, seed=9)
-    est = estimate_network(obs, star22_plan, "tree-baseline")
+    est = estimate_network(count_pass(obs, star22_plan.topology), star22_plan, "tree-baseline")
     assert ("3", 0) in est.links and ("3", 1) in est.links
     assert ("1", 0) in est.links and ("2", 1) in est.links
 
@@ -182,15 +182,15 @@ def test_sufficiency_shuffling_probes(star22_plan):
     perm_bits = {s: m[:, rng.permutation(m.shape[1])] for s, m in obs.bits.items()}
     shuffled = ObservationSet(probes=obs.probes, receivers=obs.receivers, bits=perm_bits)
     for method in ("mle", "tree-baseline", "rbmvwa", "mrbmvwa", "mvwa-plugin"):
-        a = estimate_network(obs, star22_plan, method)
-        b = estimate_network(shuffled, star22_plan, method)
+        a = estimate_network(count_pass(obs, star22_plan.topology), star22_plan, method)
+        b = estimate_network(count_pass(shuffled, star22_plan.topology), star22_plan, method)
         assert a.links == b.links
         assert a.paths == b.paths
 
 
 def test_big_network_end_to_end(big_plan):
     obs = simulate(big_plan.topology, 5000, seed=33)
-    est = estimate_network(obs, big_plan, "mle")
+    est = estimate_network(count_pass(obs, big_plan.topology), big_plan, "mle")
     assert len(est.links) == len(big_plan.logical_links)
     for le in est.links.values():
         assert abs(le.loss_rate - 0.01) < 0.02
@@ -211,7 +211,7 @@ def test_pooled_beta_unbiased_statistically(star22_plan):
     vals = []
     for rep in range(1000):
         obs = simulate(t, 1000, seed=10_000 + rep)
-        est = estimate_network(obs, star22_plan, "mle")
+        est = estimate_network(count_pass(obs, star22_plan.topology), star22_plan, "mle")
         vals.append(est.betas[2])
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / np.sqrt(len(vals))

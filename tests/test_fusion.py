@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from losstomo.decompose import decompose
 from losstomo.estimators import estimate_network
 from losstomo.fusion import (
     WEIGHT_TAGS,
@@ -11,7 +12,10 @@ from losstomo.fusion import (
     per_tree_estimates,
     rbmvwa_weights,
 )
+from losstomo.harness import SETTINGS
 from losstomo.probes import count_pass, simulate
+from losstomo.solvers import EstimationError
+from losstomo.topology import parse_topology
 
 
 def test_rbmvwa_weight_examples():
@@ -126,7 +130,7 @@ def test_estimate_network_dispatches_fusion(star22_plan):
     obs = simulate(t, 1000, seed=12)
     counts = count_pass(obs, t)
     for scheme in WEIGHT_TAGS:
-        via_network = estimate_network(obs, star22_plan, scheme)
+        via_network = estimate_network(counts, star22_plan, scheme)
         direct = fused_estimate(counts, star22_plan, scheme)
         assert via_network.links == direct.links
 
@@ -136,8 +140,15 @@ def test_fused_close_to_pooled_at_scale(star22_plan):
     # sit well within a percent of the pooled-likelihood estimate
     t = star22_plan.topology
     obs = simulate(t, 5000, seed=44)
-    mle = estimate_network(obs, star22_plan, "mle")
+    mle = estimate_network(count_pass(obs, star22_plan.topology), star22_plan, "mle")
     for scheme in WEIGHT_TAGS:
-        est = estimate_network(obs, star22_plan, scheme)
+        est = estimate_network(count_pass(obs, star22_plan.topology), star22_plan, scheme)
         for key, le in est.links.items():
             assert abs(le.pass_rate - mle.links[key].pass_rate) < 0.01
+
+
+def test_weight_failure_is_an_estimation_error_naming_scheme_and_node():
+    t = parse_topology(SETTINGS["2x2-equal"].replace(" 0.01\n", " 0\n"))
+    counts = count_pass(simulate(t, 100, seed=1), t)
+    with pytest.raises(EstimationError, match="mvwa-oracle weights at node 2"):
+        fused_estimate(counts, decompose(t), "mvwa-oracle")

@@ -1,5 +1,7 @@
 import pytest
 
+from losstomo.analysis import var_upstream
+from losstomo.estimators import METHODS
 from losstomo.harness import (
     SETTINGS,
     ExperimentConfig,
@@ -7,6 +9,7 @@ from losstomo.harness import (
     replication_seed,
     run_experiment,
 )
+from losstomo.probes import count_pass
 from losstomo.topology import parse_topology
 from losstomo.decompose import decompose
 
@@ -137,3 +140,30 @@ def test_failed_replications_are_recorded():
     row = table.rows[0]
     assert row.errors > 0
     assert row.reps + row.errors == 30
+
+
+def test_count_pass_runs_once_per_replication(monkeypatch):
+    from losstomo import harness
+
+    calls = []
+
+    def counting(obs, t):
+        calls.append(obs)
+        return count_pass(obs, t)
+
+    monkeypatch.setattr(harness, "count_pass", counting)
+    run_experiment(cfg(estimators=METHODS, probe_counts=(100, 200), reps=3))
+    assert len(calls) == 2 * 3
+
+
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+def test_crlb_column_is_closed_form_for_source_links_into_joints(setting):
+    t = parse_topology(SETTINGS[setting])
+    joints = {n for n in t.nodes if len(t.in_links[n]) >= 2}
+    into_joint = {str(l.id): l for l in t.links if l.head in t.sources and l.tail in joints}
+    table = run_experiment(cfg(setting, estimators=METHODS, probe_counts=(100, 500), reps=2))
+    assert into_joint and {r.link for r in table.rows if r.crlb_var is not None} == set(into_joint)
+    for r in table.rows:
+        if r.link in into_joint:
+            l = into_joint[r.link]
+            assert r.crlb_var == var_upstream(l.pass_rate, t.subtree_rate[l.tail], r.probes)

@@ -130,3 +130,29 @@ def test_bernoulli_concentration(seed):
             p = t.path_rate(s, r)
             se = math.sqrt(p * (1 - p) / n)
             assert abs(counts.count(r, s) / n - p) <= 4 * se
+
+
+# two sources whose serial chains 0-2-4 and 4-5-6 run into and out of joint 4
+SERIAL_CHAIN = (
+    "node 0\nnode 1\nnode 2\nnode 3\nnode 4\nnode 5\nnode 6\nnode 7\nnode 8\nnode 9\n"
+    "link 1 0 2 0.2\nlink 2 2 4 0.1\nlink 3 1 3 0.2\nlink 4 3 4 0.1\n"
+    "link 5 4 5 0.2\nlink 6 5 6 0.1\nlink 7 6 7 0.3\nlink 8 6 8 0.3\nlink 9 4 9 0.3\n"
+    "source 0\nsource 1\nreceiver 7\nreceiver 8\nreceiver 9\n"
+)
+
+
+@pytest.fixture
+def serial_chain():
+    return parse_topology(SERIAL_CHAIN)
+
+
+@pytest.mark.parametrize("fixture", ["big_topology", "serial_chain"])
+def test_bottom_up_counts_equal_or_over_receivers_under(request, fixture):
+    t = request.getfixturevalue(fixture)
+    obs = simulate(t, 400, seed=13)
+    counts = count_pass(obs, t)
+    for s in t.sources:
+        for node in t.tree_nodes[s]:
+            rows = [obs.receiver_row(s, r) for r in t.receivers_under(node)]
+            assert counts.count(node, s) == int(np.count_nonzero(np.any(rows, axis=0)))
+

@@ -1,7 +1,7 @@
 import pytest
 
 from losstomo.harness import SETTINGS
-from losstomo.topology import TopologyError, ancestors, parse_topology
+from losstomo.topology import TopologyError, ancestors, parse_topology, toposort
 
 
 def test_parse_star_setting():
@@ -116,3 +116,34 @@ def test_true_rates(star22):
     assert star22.subtree_rate[2] == pytest.approx(1 - 0.01**2)
     assert star22.path_rate(0, 2) == pytest.approx(0.99)
     assert star22.path_rate(0, 3) == pytest.approx(0.99 * 0.99)
+
+
+def _order_by_resort(t):
+    """Reference order: pop the smallest ready node, re-sorting after every step."""
+    indeg = {n: len(t.in_links[n]) for n in t.nodes}
+    ready = sorted(n for n, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        u = ready.pop(0)
+        order.append(u)
+        for c in t.children(u):
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                ready.append(c)
+        ready.sort()
+    return order
+
+
+def test_order_is_smallest_ready_first_and_cached(big_topology):
+    assert toposort(big_topology) == _order_by_resort(big_topology)
+    assert big_topology.order == tuple(_order_by_resort(big_topology))
+    assert big_topology.order is big_topology.order
+
+
+def test_cycle_rejected():
+    with pytest.raises(TopologyError, match="cycle"):
+        parse_topology(
+            "node 0\nnode 1\nnode 2\nnode 3\n"
+            "link 1 0 1 0.1\nlink 2 1 2 0.1\nlink 3 2 1 0.1\nlink 4 2 3 0.1\n"
+            "source 0\nreceiver 3\n"
+        )
