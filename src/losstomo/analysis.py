@@ -61,13 +61,16 @@ class InfoRow:
     node: int
     source: int | None  # None for pooled quantities
     quantity: str
-    value: float
+    value: float | None  # None where the quantity is undefined
     provenance: str  # true-parameters | plug-in
 
 
 def info_report(plan: DTreePlan, probes: dict[int, int] | int, provenance="true-parameters",
                 path_rates=None, betas=None) -> list[InfoRow]:
     """Per-joint-node information and variance bounds.
+
+    A quantity undefined at the given rates (information at a lossless
+    subtree, beta = 1) is reported with value None rather than raising.
 
     With the default provenance the simulation ground truth is used; pass
     ``path_rates`` ((source, node) -> A) and ``betas`` (node -> beta) to
@@ -85,12 +88,20 @@ def info_report(plan: DTreePlan, probes: dict[int, int] | int, provenance="true-
             a = path_rates[(s, i)] if path_rates is not None else t.path_rate(s, i)
             n = probes[s]
             pairs.append((a, n))
-            rows.append(InfoRow(i, s, "per_probe_information", fisher_information(a, beta), provenance))
-            rows.append(InfoRow(i, s, "var_path_estimate", var_upstream(a, beta, n), provenance))
-        total = sum(fisher_information(a, beta, n) for a, n in pairs)
+            rows.append(InfoRow(i, s, "per_probe_information", _defined(fisher_information, a, beta), provenance))
+            rows.append(InfoRow(i, s, "var_path_estimate", _defined(var_upstream, a, beta, n), provenance))
+        total = _defined(lambda: sum(fisher_information(a, beta, n) for a, n in pairs))
         rows.append(InfoRow(i, None, "total_information", total, provenance))
-        rows.append(InfoRow(i, None, "crlb_var_beta", 1.0 / total, provenance))
+        rows.append(InfoRow(i, None, "crlb_var_beta", None if total is None else 1.0 / total, provenance))
     return rows
+
+
+def _defined(f, *args) -> float | None:
+    """``f(*args)``, or None where the closed form is undefined (e.g. a lossless subtree)."""
+    try:
+        return f(*args)
+    except ValueError:
+        return None
 
 
 def report_csv(rows) -> str:
@@ -98,5 +109,6 @@ def report_csv(rows) -> str:
     buf.write("node,source,quantity,value,provenance\n")
     for r in rows:
         src = "" if r.source is None else r.source
-        buf.write(f"{r.node},{src},{r.quantity},{r.value!r},{r.provenance}\n")
+        value = "" if r.value is None else repr(r.value)
+        buf.write(f"{r.node},{src},{r.quantity},{value},{r.provenance}\n")
     return buf.getvalue()

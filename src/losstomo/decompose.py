@@ -9,7 +9,7 @@ because a chain rate can only ever be estimated as a product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .topology import Link, Topology, UnsupportedTopologyError
@@ -60,6 +60,8 @@ class DTreePlan:
     joint_nodes: tuple[int, ...]
     msource_trees: tuple[MultiSourceTree, ...]
     fragments: tuple[UpstreamFragment, ...]
+    # collapsed node -> its logical child links, sorted by link ids; read by every estimator
+    children: dict[int, tuple[LogicalLink, ...]] = field(compare=False, repr=False)
 
     @cached_property
     def estimation_order(self) -> tuple[tuple, ...]:
@@ -192,4 +194,5 @@ def decompose(t: Topology) -> DTreePlan:
         joint_nodes=tuple(joints),
         msource_trees=tuple(msource_trees),
         fragments=tuple(fragments),
+        children=children,
     )

@@ -1,20 +1,24 @@
 """Link-rate estimation over a decomposed topology.
 
 Estimators read only the OR-rule pass counts n_i(s), the sufficient
-statistic.  Two complete pipelines are provided: the pooled multi-source
-MLE, which solves each intersection from the combined counts of all its
-sources and then walks the upstream fragments with the intersection
-estimate embedded, and the per-tree baseline that treats every multicast
-tree independently and therefore produces one estimate per covering source
-for shared links.
+statistic, and share two steps.  ``solve_intersection`` sets the subtree
+rate beta at every node of an intersection through a pluggable rule, then
+derives the per-source joint paths and the intersection link rates; the
+pooled MLE plugs in ``solve_multisource_beta`` and the fusion schemes a
+weighted average of per-source estimates.  ``_solve_paths`` is the path MLE
+walk: the pooled MLE runs it over each upstream fragment with the joint
+paths embedded, and the per-tree baseline over each source's whole tree with
+nothing embedded, so it gives one estimate per covering source for shared
+links.
 """
 
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .decompose import DTreePlan, LogicalLink, MultiSourceTree
+from .decompose import DTreePlan, MultiSourceTree
 from .probes import PooledCounts, gamma_hat
 from .solvers import (
     EstimationError,
@@ -28,17 +32,6 @@ log = logging.getLogger(__name__)
 
 METHODS = ("mle", "tree-baseline", "mvwa-oracle", "mvwa-plugin", "rbmvwa", "mrbmvwa")
 FUSION_METHODS = METHODS[2:]
-
-
-@dataclass(frozen=True)
-class BetaEstimate:
-    """Estimate of a subtree pass rate at a joint node, with per-source paths."""
-
-    joint: int
-    beta: float
-    path_rates: dict[int, float]  # source -> A-hat(s, joint), clamped to 1
-    clamped: tuple[int, ...]  # sources whose raw ratio exceeded 1
-    counts: dict[int, int]  # source -> n_i(s) used
 
 
 @dataclass(frozen=True)
@@ -67,19 +60,13 @@ class EstimateSet:
         self.links[(label, source)] = LinkEstimate(label, rate, source, clamped)
 
 
+@contextmanager
 def _step(node, what):
-    """Context wrapper so solver failures name the estimation step."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, EstimationError):
-                raise type(exc)(f"{what} at node {node}: {exc}") from exc
-            return False
-
-    return _Ctx()
+    """Re-raise solver failures with the estimation step that hit them."""
+    try:
+        yield
+    except EstimationError as exc:
+        raise type(exc)(f"{what} at node {node}: {exc}") from exc
 
 
 def solve_multisource_beta(counts: PooledCounts, node: int, children, sources) -> float:
@@ -133,187 +120,64 @@ def estimate_source_paths(beta: float, gammas: dict[int, float]):
     return paths, tuple(clamped)
 
 
-def solve_tree_pass_rate(gamma_parent: float, child_gammas) -> float:
-    """Classic single-source (tree-topology) path MLE."""
-    return path_root(gamma_parent, child_gammas)
+def solve_intersection(est: EstimateSet, counts: PooledCounts, plan: DTreePlan,
+                       mt: MultiSourceTree, beta_rule) -> None:
+    """Solve one intersection into ``est``: betas, joint paths, link rates.
 
-
-def solve_upstream_pass_rate(gamma_parent: float, embedded, ordinary) -> float:
-    """Path MLE with intersection estimates substituted for their raw rates."""
-    terms = list(embedded) + list(ordinary)
-    return path_root(gamma_parent, terms)
-
-
-def _msource_solve(counts: PooledCounts, mt: MultiSourceTree):
-    """Recursive pooled solve of an intersection; returns per-node betas."""
-    kids: dict[int, list[LogicalLink]] = {}
-    for l in mt.links:
-        kids.setdefault(l.head, []).append(l)
+    ``beta_rule(counts, node, children, sources)`` gives the subtree rate at
+    every internal intersection node (pooled MLE or a fused average).  Link
+    rates follow from the ratio identity
+    alpha_c = (n_c / n_parent) * beta_parent / beta_c.
+    """
     betas: dict[int, float] = {}
-
-    def rec(node: int) -> float:
-        links = kids.get(node, [])
-        if not links:
+    for node in mt.nodes:
+        kids = [l.tail for l in plan.children[node]]
+        if not kids:
             betas[node] = 1.0
-            return 1.0
-        for l in links:
-            rec(l.tail)
+            continue
         with _step(node, "multi-source subtree solve"):
-            betas[node] = solve_multisource_beta(
-                counts, node, [l.tail for l in links], mt.sources
-            )
-        return betas[node]
-
-    rec(mt.joint)
-    return betas, kids
-
-
-def joint_estimate(counts: PooledCounts, mt: MultiSourceTree) -> BetaEstimate:
-    """Pooled MLE of the joint node's subtree rate plus per-source paths."""
-    betas, _ = _msource_solve(counts, mt)
+            betas[node] = beta_rule(counts, node, kids, mt.sources)
     gammas = {s: gamma_hat(counts, mt.joint, s) for s in mt.sources}
-    paths, clamped = estimate_source_paths(betas[mt.joint], gammas)
-    return BetaEstimate(
-        joint=mt.joint,
-        beta=betas[mt.joint],
-        path_rates=paths,
-        clamped=clamped,
-        counts={s: counts.count(mt.joint, s) for s in mt.sources},
-    )
-
-
-def _extract_intersection_links(est: EstimateSet, counts, mt, betas, kids):
-    """Ratio identity: alpha_c = (n_c / n_parent) * beta_parent / beta_c."""
-    for head, links in kids.items():
+    with _step(mt.joint, "source path extraction"):
+        paths, clamped = estimate_source_paths(betas[mt.joint], gammas)
+    est.betas.update(betas)
+    for s, a in paths.items():
+        est.paths[(s, mt.joint)] = a
+    for s in clamped:
+        est.meta.setdefault("clamped_paths", []).append((s, mt.joint))
+    for head in mt.nodes:
         n_head = counts.pooled(head, mt.sources)
-        for l in links:
+        for l in plan.children[head]:
             n_c = counts.pooled(l.tail, mt.sources)
-            rate = (n_c / n_head) * betas[head] / betas[l.tail]
-            est.add_link(l.label, rate)
+            est.add_link(l.label, (n_c / n_head) * betas[head] / betas[l.tail])
 
 
-def _upstream_solve(counts: PooledCounts, plan: DTreePlan, source: int, joint_paths):
-    """Path estimates A-hat(source, f) for every internal fragment node."""
-    frag = next(f for f in plan.fragments if f.source == source)
-    kids: dict[int, list[LogicalLink]] = {}
-    for l in frag.links:
-        kids.setdefault(l.head, []).append(l)
-    joint_set = set(plan.joint_nodes)
+def _solve_paths(est: EstimateSet, counts: PooledCounts, plan: DTreePlan, source: int,
+                 order, embedded: dict[int, float], attribution: int | None) -> None:
+    """Path MLE A-hat(source, node) for each node of ``order``, then its link rates.
+
+    ``embedded`` maps intersection joints to their path estimates, which stand
+    in for the raw end-to-end rates and come first among a node's terms.
+    """
     paths: dict[int, float] = {source: 1.0}
 
     def term(child: int) -> float:
-        if child in joint_set:
-            return joint_paths[(source, child)]
+        if child in embedded:
+            return embedded[child]
         return gamma_hat(counts, child, source)
 
-    for node in frag.solve_order:
-        links = kids[node]
-        embedded = [term(l.tail) for l in links if l.tail in joint_set]
-        ordinary = [term(l.tail) for l in links if l.tail not in joint_set]
-        with _step(node, f"upstream path solve for source {source}"):
-            paths[node] = solve_upstream_pass_rate(
-                gamma_hat(counts, node, source), embedded, ordinary
+    for node in order:
+        links = sorted(plan.children[node], key=lambda l: l.tail not in embedded)
+        with _step(node, f"path solve for source {source}"):
+            paths[node] = path_root(
+                gamma_hat(counts, node, source), [term(l.tail) for l in links]
             )
-    return paths, kids, joint_set
-
-
-def _extract_fragment_links(est, counts, plan, source, paths, kids, joint_set):
-    t = plan.topology
-    recv = set(t.receivers)
-    for head, links in kids.items():
-        a_head = paths[head]
-        for l in links:
-            c = l.tail
-            if c in joint_set:
-                top = est.paths[(source, c)]
-            elif c in recv:
-                top = gamma_hat(counts, c, source)
-            else:
-                top = paths[c]
-            est.add_link(l.label, top / a_head)
-
-
-def _mle(counts: PooledCounts, plan: DTreePlan) -> EstimateSet:
-    est = EstimateSet(method="mle")
-    for mt in plan.msource_trees:
-        betas, kids = _msource_solve(counts, mt)
-        gammas = {s: gamma_hat(counts, mt.joint, s) for s in mt.sources}
-        with _step(mt.joint, "source path extraction"):
-            paths, clamped = estimate_source_paths(betas[mt.joint], gammas)
-        est.betas.update(betas)
-        for s, a in paths.items():
-            est.paths[(s, mt.joint)] = a
-        for s in clamped:
-            est.meta.setdefault("clamped_paths", []).append((s, mt.joint))
-        _extract_intersection_links(est, counts, mt, betas, kids)
-    for frag in plan.fragments:
-        paths, kids, joint_set = _upstream_solve(counts, plan, frag.source, est.paths)
-        for node, a in paths.items():
-            if node != frag.source:
-                est.paths[(frag.source, node)] = a
-        _extract_fragment_links(est, counts, plan, frag.source, paths, kids, joint_set)
-    return est
-
-
-def _tree_children(plan: DTreePlan, source: int) -> dict[int, list[LogicalLink]]:
-    """Collapsed child map of one multicast tree, intersections included."""
-    kids: dict[int, list[LogicalLink]] = {}
-    frag = next(f for f in plan.fragments if f.source == source)
-    for l in frag.links:
-        kids.setdefault(l.head, []).append(l)
-    for mt in plan.msource_trees:
-        if source in mt.sources:
-            for l in mt.links:
-                kids.setdefault(l.head, []).append(l)
-    return kids
-
-
-def _tree_baseline(counts: PooledCounts, plan: DTreePlan) -> EstimateSet:
-    est = EstimateSet(method="tree-baseline")
-    t = plan.topology
-    recv = set(t.receivers)
-    for source in t.sources:
-        kids = _tree_children(plan, source)
-        paths: dict[int, float] = {source: 1.0}
-
-        def solve(node: int) -> float:
-            if node in paths:
-                return paths[node]
-            with _step(node, f"tree solve for source {source}"):
-                paths[node] = solve_tree_pass_rate(
-                    gamma_hat(counts, node, source),
-                    [gamma_hat(counts, l.tail, source) for l in kids[node]],
-                )
-            return paths[node]
-
-        for head, links in kids.items():
-            a_head = solve(head) if head != source else 1.0
-            for l in links:
-                c = l.tail
-                top = gamma_hat(counts, c, source) if c in recv or c not in kids else solve(c)
-                est.add_link(l.label, top / a_head, source=source)
-        for node, a in paths.items():
-            if node != source:
-                est.paths[(source, node)] = a
-    return est
-
-
-def extract_link_rates(plan: DTreePlan, counts: PooledCounts, betas, paths) -> EstimateSet:
-    """Assemble per-link rates from already-solved subtree and path estimates.
-
-    ``betas`` maps intersection nodes to subtree rates (fused or pooled);
-    ``paths`` maps (source, node) to path estimates for fragment internals
-    and joints.  Used by the fusion schemes, which only replace the betas.
-    """
-    est = EstimateSet(method="custom")
-    est.betas.update(betas)
-    est.paths.update(paths)
-    for mt in plan.msource_trees:
-        kids: dict[int, list[LogicalLink]] = {}
-        for l in mt.links:
-            kids.setdefault(l.head, []).append(l)
-        _extract_intersection_links(est, counts, mt, betas, kids)
-    return est
+    for head, a_head in paths.items():
+        if head != source:
+            est.paths[(source, head)] = a_head
+        for l in plan.children[head]:
+            rate = paths[l.tail] if l.tail in paths else term(l.tail)
+            est.add_link(l.label, rate / a_head, source=attribution)
 
 
 def estimate_network(counts: PooledCounts, plan: DTreePlan, method: str) -> EstimateSet:
@@ -322,13 +186,26 @@ def estimate_network(counts: PooledCounts, plan: DTreePlan, method: str) -> Esti
     The pass counts are the sufficient statistic, so one count serves every method."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method == "mle":
-        est = _mle(counts, plan)
-    elif method == "tree-baseline":
-        est = _tree_baseline(counts, plan)
-    else:
+    if method in FUSION_METHODS:
         from .fusion import fused_estimate
 
         est = fused_estimate(counts, plan, method)
+    elif method == "mle":
+        est = EstimateSet(method=method)
+        for mt in plan.msource_trees:
+            solve_intersection(est, counts, plan, mt, solve_multisource_beta)
+        for frag in plan.fragments:
+            s = frag.source
+            embedded = {mt.joint: est.paths[(s, mt.joint)]
+                        for mt in plan.msource_trees if s in mt.sources}
+            _solve_paths(est, counts, plan, s, frag.solve_order, embedded, None)
+    else:
+        # tree-baseline: every multicast tree on its own, intersections included
+        est = EstimateSet(method=method)
+        t = plan.topology
+        for s in t.sources:
+            order = [n for n in reversed(t.order)
+                     if n != s and n in t.tree_nodes[s] and plan.children.get(n)]
+            _solve_paths(est, counts, plan, s, order, {}, s)
     est.meta["probes"] = dict(counts.probes)
     return est

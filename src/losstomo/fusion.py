@@ -1,9 +1,12 @@
 """Weighted-average fusion of per-source intersection estimates.
 
-Every scheme produces convex weights over the sources reaching a joint
-node and combines the per-source subtree estimates; they differ only in
-where the weights come from: known variances (oracle), plugged-in variance
-formulas, end-to-end odds, or plain end-to-end proportions.
+Fusion is the pooled MLE's walk with another beta rule: at every internal
+intersection node each source's counts alone give a subtree estimate (the
+pooled solve over that one source), and the rule returns a convex
+combination of them.  The schemes differ only in where the weights come
+from: known variances (oracle), plugged-in variance formulas, end-to-end
+odds, or plain end-to-end proportions.  Joint paths and link rates then
+come from ``estimators.solve_intersection`` exactly as for the pooled MLE.
 """
 
 from __future__ import annotations
@@ -11,10 +14,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .decompose import DTreePlan, LogicalLink
+from .decompose import DTreePlan
 from .probes import PooledCounts, gamma_hat
-from .solvers import EstimationError, NoDataError, subtree_root
-from .estimators import EstimateSet, estimate_source_paths, extract_link_rates
+from .solvers import EstimationError, NoDataError
+from .estimators import EstimateSet, solve_intersection, solve_multisource_beta
 
 log = logging.getLogger(__name__)
 
@@ -33,27 +36,25 @@ class WeightedFusion:
     weights: tuple[float, ...]
     tag: str
 
+    def __post_init__(self):
+        if not self.estimates or len(self.weights) != len(self.estimates):
+            raise ValueError("estimates and weights must be aligned and non-empty")
+
     @property
     def combined(self) -> float:
         return sum(w * b for w, b in zip(self.weights, self.estimates))
 
 
-def mvwa_combine(estimates, variances, tag="oracle-variance") -> WeightedFusion:
-    """Inverse-variance weights; minimizes the combined variance."""
-    if not estimates or len(estimates) != len(variances):
-        raise ValueError("estimates and variances must be aligned and non-empty")
+def mvwa_weights(variances) -> tuple[float, ...]:
+    """Inverse-variance weights; minimize the combined variance."""
+    if not variances:
+        raise ValueError("at least one variance is required")
     for v in variances:
         if v <= 0.0:
             raise ValueError(f"variance must be strictly positive, got {v}")
     inv = [1.0 / v for v in variances]
     total = sum(inv)
-    sources = tuple(range(len(estimates)))
-    return WeightedFusion(
-        sources=sources,
-        estimates=tuple(float(b) for b in estimates),
-        weights=tuple(w / total for w in inv),
-        tag=tag,
-    )
+    return tuple(w / total for w in inv)
 
 
 def rbmvwa_weights(gammas) -> tuple[float, ...]:
@@ -85,33 +86,14 @@ def mrbmvwa_weights(gammas) -> tuple[float, ...]:
     return tuple(v / total for v in g)
 
 
-def _single_source_beta(counts: PooledCounts, node: int, children, source: int) -> float:
-    """Subtree rate from one source's counts alone (beta form of the tree MLE)."""
-    n_i = counts.count(node, source)
-    if n_i == 0:
-        raise NoDataError(f"source {source} observed nothing below node {node}")
-    ratios = []
-    for c in children:
-        n_c = counts.count(c, source)
-        if n_c > 0:
-            ratios.append(n_c / n_i)
-    return subtree_root(ratios)
-
-
-def per_tree_estimates(counts: PooledCounts, plan: DTreePlan, joint: int) -> dict[int, float]:
-    """Per-source subtree estimates beta_i(s) at a joint node."""
-    mt = plan.msource_tree(joint)
-    children = [l.tail for l in mt.links if l.head == joint]
-    return _node_per_source(counts, joint, children, mt.sources)
-
-
-def _node_per_source(counts, node, children, sources) -> dict[int, float]:
+def per_tree_estimates(counts: PooledCounts, node: int, children, sources) -> dict[int, float]:
+    """Per-source subtree estimates beta_i(s): the pooled solve over one source."""
     out = {}
     for s in sources:
         if counts.count(node, s) == 0:
             log.warning("excluding source %s at node %s: zero count", s, node)
             continue
-        out[s] = _single_source_beta(counts, node, children, s)
+        out[s] = solve_multisource_beta(counts, node, children, (s,))
     if not out:
         raise NoDataError(f"no source observed anything below node {node}")
     return out
@@ -142,13 +124,13 @@ def _weights_for(scheme, counts, plan, node, per_source) -> tuple[float, ...]:
             return rbmvwa_weights(gammas)
         if scheme == "mrbmvwa":
             return mrbmvwa_weights(gammas)
-        return mvwa_combine([per_source[s] for s in sources], variances).weights
+        return mvwa_weights(variances)
     except ValueError as exc:
         raise EstimationError(f"{scheme} weights at node {node}: {exc}") from exc
 
 
 def fuse_node(counts, plan, node, children, sources, scheme) -> WeightedFusion:
-    per_source = _node_per_source(counts, node, children, sources)
+    per_source = per_tree_estimates(counts, node, children, sources)
     ordered = sorted(per_source)
     weights = _weights_for(scheme, counts, plan, node, per_source)
     return WeightedFusion(
@@ -163,33 +145,19 @@ def fused_estimate(counts: PooledCounts, plan: DTreePlan, scheme: str) -> Estima
     """Estimate intersection link rates with fused subtree estimates.
 
     Per-source subtree estimates are fused at every internal intersection
-    node; link rates then come from the usual ratio-identity extraction with
-    the fused betas substituted for the pooled ones.
+    node; the fused betas then go through the same intersection solve as the
+    pooled ones.
     """
     if scheme not in WEIGHT_TAGS:
         raise ValueError(f"unknown fusion scheme {scheme!r}")
-    betas: dict[int, float] = {}
-    paths: dict[tuple[int, int], float] = {}
+    est = EstimateSet(method=scheme)
     fusions: dict[int, WeightedFusion] = {}
+
+    def fused_beta(counts, node, children, sources) -> float:
+        fusions[node] = fuse_node(counts, plan, node, children, sources, scheme)
+        return fusions[node].combined
+
     for mt in plan.msource_trees:
-        kids: dict[int, list[LogicalLink]] = {}
-        for l in mt.links:
-            kids.setdefault(l.head, []).append(l)
-        for node in mt.nodes:
-            links = kids.get(node, [])
-            if not links:
-                betas[node] = 1.0
-                continue
-            fusion = fuse_node(
-                counts, plan, node, [l.tail for l in links], mt.sources, scheme
-            )
-            fusions[node] = fusion
-            betas[node] = fusion.combined
-        gammas = {s: gamma_hat(counts, mt.joint, s) for s in mt.sources}
-        joint_paths, _ = estimate_source_paths(betas[mt.joint], gammas)
-        for s, a in joint_paths.items():
-            paths[(s, mt.joint)] = a
-    est = extract_link_rates(plan, counts, betas, paths)
-    est.method = scheme
+        solve_intersection(est, counts, plan, mt, fused_beta)
     est.meta["fusions"] = fusions
     return est

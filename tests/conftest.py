@@ -90,6 +90,13 @@ receiver 4
 receiver 5
 """
 
+# a single source whose first two links form a serial chain, collapsed to "1+2"
+CHAIN_TREE = (
+    "node 0\nnode 1\nnode 2\nnode 3\nnode 4\n"
+    "link 1 0 1 0.1\nlink 2 1 2 0.2\nlink 3 2 3 0.1\nlink 4 2 4 0.1\n"
+    "source 0\nreceiver 3\nreceiver 4\n"
+)
+
 
 @pytest.fixture
 def big_topology():
@@ -114,3 +121,8 @@ def star22_plan(star22):
 @pytest.fixture
 def single_tree():
     return parse_topology(SINGLE_TREE)
+
+
+@pytest.fixture
+def serial_plan():
+    return decompose(parse_topology(CHAIN_TREE))

@@ -14,7 +14,6 @@ from losstomo.estimators import (
     beta_sample_mean,
     estimate_network,
     solve_multisource_beta,
-    solve_tree_pass_rate,
 )
 from losstomo.harness import (
     SETTINGS,
@@ -24,7 +23,7 @@ from losstomo.harness import (
     run_experiment,
 )
 from losstomo.probes import ObservationSet, PooledCounts, count_pass, simulate
-from losstomo.solvers import subtree_root
+from losstomo.solvers import path_root, subtree_root
 from losstomo.topology import parse_topology
 
 
@@ -141,7 +140,7 @@ def test_accept_04_single_source_route_agreement():
         )
         beta = solve_multisource_beta(counts, 1, [10 + j for j in range(k)], [0])
         a_ms = (n_i / n) / beta
-        a_tree = solve_tree_pass_rate(n_i / n, [c / n for c in kids])
+        a_tree = path_root(n_i / n, [c / n for c in kids])
         worst = max(worst, abs(a_ms - a_tree))
         checked += 1
     report(

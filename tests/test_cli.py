@@ -75,6 +75,22 @@ def test_analyze_output(capsys):
     assert "crlb_var_beta" in out
 
 
+def test_analyze_lossless_joint_marks_undefined_rows(tmp_path, capsys):
+    # links 3 and 4 lossless: the joint subtree rate is 1 and the information undefined
+    p = tmp_path / "lossless.txt"
+    p.write_text(SETTINGS["2x2-equal"].replace("link 3 2 3 0.01", "link 3 2 3 0")
+                 .replace("link 4 2 4 0.01", "link 4 2 4 0"))
+    code, out, err = run_cli(capsys, "analyze", "--topology", str(p))
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    values = {(r["source"], r["quantity"]): r["value"] for r in rows}
+    for key in (("0", "per_probe_information"), ("1", "per_probe_information"),
+                ("", "total_information"), ("", "crlb_var_beta")):
+        assert values[key] == ""
+    for s in ("0", "1"):
+        assert float(values[(s, "var_path_estimate")]) > 0.0
+
+
 def test_bad_estimator_is_config_error(capsys):
     code, _, err = run_cli(
         capsys, "run", "--setting", "2x2-equal", "--estimators", "median"

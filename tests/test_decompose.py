@@ -65,13 +65,8 @@ def test_upstream_solve_order_bottom_up(big_plan):
     assert order.index(17) > order.index(18)
 
 
-def test_serial_chain_collapsed():
-    text = (
-        "node 0\nnode 1\nnode 2\nnode 3\nnode 4\n"
-        "link 1 0 1 0.1\nlink 2 1 2 0.2\nlink 3 2 3 0.1\nlink 4 2 4 0.1\n"
-        "source 0\nreceiver 3\nreceiver 4\n"
-    )
-    plan = decompose(parse_topology(text))
+def test_serial_chain_collapsed(serial_plan):
+    plan = serial_plan
     merged = next(l for l in plan.logical_links if l.merged)
     assert merged.link_ids == (1, 2)
     assert merged.pass_rate == pytest.approx(0.9 * 0.8)

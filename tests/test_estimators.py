@@ -4,16 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from losstomo.decompose import decompose
 from losstomo.estimators import (
+    METHODS,
     beta_sample_mean,
     estimate_network,
     estimate_source_paths,
-    joint_estimate,
     solve_multisource_beta,
-    solve_tree_pass_rate,
-    solve_upstream_pass_rate,
 )
+from losstomo.harness import _expected_keys
 from losstomo.probes import ObservationSet, PooledCounts, count_pass, simulate
-from losstomo.solvers import NoDataError, UnidentifiableError
+from losstomo.solvers import NoDataError, UnidentifiableError, path_root
 from losstomo.topology import parse_topology
 
 
@@ -68,22 +67,23 @@ def test_estimate_source_paths():
 
 
 def test_solve_tree_pass_rate_example():
-    assert solve_tree_pass_rate(0.9, [0.84, 0.78]) == pytest.approx(0.91, abs=1e-12)
-    assert solve_tree_pass_rate(0.9, [0.9, 0.5]) == 0.9
+    assert path_root(0.9, [0.84, 0.78]) == pytest.approx(0.91, abs=1e-12)
+    assert path_root(0.9, [0.9, 0.5]) == 0.9
 
 
 def test_upstream_solver_examples():
-    a = solve_upstream_pass_rate(0.93, [0.9], [0.88])
+    # an embedded term (0.9) listed first, then an ordinary one
+    a = path_root(0.93, [0.9, 0.88])
     assert a == pytest.approx(0.792 / 0.85, abs=1e-10)
     # embedding the raw rate itself reduces to the plain tree solve
-    assert solve_upstream_pass_rate(0.9, [0.84], [0.78]) == pytest.approx(
-        solve_tree_pass_rate(0.9, [0.84, 0.78]), abs=1e-15
+    assert path_root(0.9, [0.84, 0.78]) == pytest.approx(
+        path_root(0.9, [0.84, 0.78]), abs=1e-15
     )
 
 
 def test_upstream_two_embedded_matches_bisection_oracle():
     gp, e1, e2 = 0.9, 0.88, 0.86
-    root = solve_upstream_pass_rate(gp, [e1, e2], [])
+    root = path_root(gp, [e1, e2])
     # expanded quadratic in A: A^2 - (e1 + e2 - gp + e1 e2 / A ... solve by
     # brute bisection on the expanded polynomial A(1 - gp/A - prod)
     def h(a):
@@ -125,7 +125,7 @@ def test_single_source_route_reduction(n, data):
     )
     beta = solve_multisource_beta(counts, 1, [10 + j for j in range(k)], [0])
     a_ms = (n_i / n) / beta
-    a_tree = solve_tree_pass_rate(n_i / n, [c / n for c in kids])
+    a_tree = path_root(n_i / n, [c / n for c in kids])
     assert abs(a_ms - a_tree) <= 1e-12
 
 
@@ -135,9 +135,7 @@ def test_extract_leaf_link_from_ratio_identity(star22_plan):
         {(3, 0): 450, (3, 1): 450, (4, 0): 400, (4, 1): 400},
         {0: 520, 1: 520},
     )
-    from losstomo.estimators import _mle
-
-    est = _mle(counts, star22_plan)
+    est = estimate_network(counts, star22_plan, "mle")
     beta = 0.7 / 0.72
     assert est.links[("3", None)].pass_rate == pytest.approx(0.9 * beta, abs=1e-12)
     assert est.links[("4", None)].pass_rate == pytest.approx(0.8 * beta, abs=1e-12)
@@ -222,7 +220,17 @@ def test_joint_estimate_consistency(star22_plan):
     t = star22_plan.topology
     obs = simulate(t, 1000, seed=6)
     counts = count_pass(obs, t)
-    be = joint_estimate(counts, star22_plan.msource_tree(2))
+    be = estimate_network(counts, star22_plan, "mle")
     for s in t.sources:
         gamma = counts.count(2, s) / 1000
-        assert be.path_rates[s] * be.beta == pytest.approx(gamma, abs=1e-12)
+        assert be.paths[(s, 2)] * be.betas[2] == pytest.approx(gamma, abs=1e-12)
+
+
+@pytest.mark.parametrize("plan_fixture", ["star22_plan", "big_plan", "serial_plan"])
+@pytest.mark.parametrize("method", METHODS)
+def test_link_keys_per_method(plan_fixture, method, request):
+    # a key the walk drops would otherwise only show as a reps=0 table row
+    plan = request.getfixturevalue(plan_fixture)
+    counts = count_pass(simulate(plan.topology, 2000, seed=5), plan.topology)
+    est = estimate_network(counts, plan, method)
+    assert set(est.links) == set(_expected_keys(plan, method))

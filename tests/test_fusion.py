@@ -5,10 +5,11 @@ from losstomo.decompose import decompose
 from losstomo.estimators import estimate_network
 from losstomo.fusion import (
     WEIGHT_TAGS,
+    WeightedFusion,
     fuse_node,
     fused_estimate,
     mrbmvwa_weights,
-    mvwa_combine,
+    mvwa_weights,
     per_tree_estimates,
     rbmvwa_weights,
 )
@@ -48,14 +49,18 @@ def test_degenerate_rates_rejected():
         rbmvwa_weights([1.2])
 
 
+def fusion_of(estimates, weights):
+    return WeightedFusion(tuple(range(len(estimates))), tuple(estimates), weights, "oracle-variance")
+
+
 def test_mvwa_combine_inverse_variance():
-    f = mvwa_combine([0.9, 0.8], [1.0, 3.0])
+    f = fusion_of([0.9, 0.8], mvwa_weights([1.0, 3.0]))
     assert f.weights == pytest.approx((0.75, 0.25), abs=1e-12)
     assert f.combined == pytest.approx(0.875, abs=1e-12)
     with pytest.raises(ValueError):
-        mvwa_combine([0.9], [0.0])
+        fusion_of([0.9], mvwa_weights([0.0]))
     with pytest.raises(ValueError):
-        mvwa_combine([0.9, 0.8], [1.0])
+        fusion_of([0.9, 0.8], mvwa_weights([1.0]))
 
 
 def test_rbmvwa_matches_oracle_mvwa_with_equal_samples():
@@ -64,9 +69,9 @@ def test_rbmvwa_matches_oracle_mvwa_with_equal_samples():
     beta, n = 0.95, 700
     gammas = [0.91, 0.84, 0.77]
     variances = [beta * beta * (1.0 - g) / (n * g) for g in gammas]
-    oracle = mvwa_combine(gammas, variances)
+    oracle = mvwa_weights(variances)
     odds = rbmvwa_weights(gammas)
-    for wo, wr in zip(oracle.weights, odds):
+    for wo, wr in zip(oracle, odds):
         assert abs(wo - wr) <= 1e-12
 
 
@@ -89,14 +94,14 @@ def test_combined_estimate_is_convex_mean(estimates, data):
     variances = [
         data.draw(st.floats(1e-6, 1.0)) for _ in estimates
     ]
-    f = mvwa_combine(estimates, variances)
+    f = fusion_of(estimates, mvwa_weights(variances))
     assert min(estimates) - 1e-12 <= f.combined <= max(estimates) + 1e-12
 
 
 def test_fuse_node_star(star22_plan):
     t = star22_plan.topology
     counts = count_pass(simulate(t, 2000, seed=8), t)
-    per_source = per_tree_estimates(counts, star22_plan, 2)
+    per_source = per_tree_estimates(counts, 2, [3, 4], (0, 1))
     assert set(per_source) == {0, 1}
     for scheme in WEIGHT_TAGS:
         f = fuse_node(counts, star22_plan, 2, [3, 4], (0, 1), scheme)
@@ -150,5 +155,8 @@ def test_fused_close_to_pooled_at_scale(star22_plan):
 def test_weight_failure_is_an_estimation_error_naming_scheme_and_node():
     t = parse_topology(SETTINGS["2x2-equal"].replace(" 0.01\n", " 0\n"))
     counts = count_pass(simulate(t, 100, seed=1), t)
-    with pytest.raises(EstimationError, match="mvwa-oracle weights at node 2"):
+    with pytest.raises(
+        EstimationError,
+        match="multi-source subtree solve at node 2: mvwa-oracle weights at node 2",
+    ):
         fused_estimate(counts, decompose(t), "mvwa-oracle")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from losstomo.analysis import var_upstream
@@ -167,3 +169,14 @@ def test_crlb_column_is_closed_form_for_source_links_into_joints(setting):
         if r.link in into_joint:
             l = into_joint[r.link]
             assert r.crlb_var == var_upstream(l.pass_rate, t.subtree_rate[l.tail], r.probes)
+
+
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+def test_golden_csv_matches_desk_stars_reference(setting):
+    # the scripts/run_tables.py config; the reference is the benchmark's, read only
+    reference = Path(__file__).resolve().parents[1] / "bench/reference/desk-stars/seed42"
+    table = run_experiment(ExperimentConfig(
+        topology_text=SETTINGS[setting], probe_counts=(100, 500, 1000), reps=20, seed=42,
+        estimators=METHODS,
+    ))
+    assert emit(table, "csv") == (reference / f"{setting}.csv").read_text()
