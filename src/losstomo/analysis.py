@@ -79,6 +79,8 @@ def info_report(plan: DTreePlan, probes: dict[int, int] | int, provenance="true-
     t = plan.topology
     if isinstance(probes, int):
         probes = {s: probes for s in t.sources}
+    if min(probes.values()) < 1:
+        raise ValueError(f"probe count must be >= 1, got {min(probes.values())}")
     rows: list[InfoRow] = []
     for mt in plan.msource_trees:
         i = mt.joint

@@ -36,9 +36,7 @@ FUSION_METHODS = METHODS[2:]
 
 @dataclass(frozen=True)
 class LinkEstimate:
-    label: str
     pass_rate: float
-    source: int | None  # attribution; None for pooled/fused estimates
     clamped: bool = False
 
     @property
@@ -49,15 +47,15 @@ class LinkEstimate:
 @dataclass
 class EstimateSet:
     method: str
+    # (label, source attribution); the source is None for pooled/fused estimates
     links: dict[tuple[str, int | None], LinkEstimate] = field(default_factory=dict)
     paths: dict[tuple[int, int], float] = field(default_factory=dict)  # (source, node)
     betas: dict[int, float] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
     def add_link(self, label, pass_rate, source=None):
         clamped = pass_rate > 1.0
         rate = min(pass_rate, 1.0)
-        self.links[(label, source)] = LinkEstimate(label, rate, source, clamped)
+        self.links[(label, source)] = LinkEstimate(rate, clamped)
 
 
 @contextmanager
@@ -105,19 +103,11 @@ def beta_sample_mean(counts: PooledCounts, node: int, sources, path_rates) -> fl
     return counts.pooled(node, sources) / n_star
 
 
-def estimate_source_paths(beta: float, gammas: dict[int, float]):
-    """A-hat(s, i) = gamma_i(s) / beta_i, clamped to 1 with a flag."""
+def estimate_source_paths(beta: float, gammas: dict[int, float]) -> dict[int, float]:
+    """A-hat(s, i) = gamma_i(s) / beta_i, clamped to 1."""
     if beta <= 0.0:
         raise EstimationError("subtree pass rate estimate is zero")
-    paths = {}
-    clamped = []
-    for s, g in gammas.items():
-        a = g / beta
-        if a > 1.0:
-            clamped.append(s)
-            a = 1.0
-        paths[s] = a
-    return paths, tuple(clamped)
+    return {s: min(g / beta, 1.0) for s, g in gammas.items()}
 
 
 def solve_intersection(est: EstimateSet, counts: PooledCounts, plan: DTreePlan,
@@ -139,12 +129,10 @@ def solve_intersection(est: EstimateSet, counts: PooledCounts, plan: DTreePlan,
             betas[node] = beta_rule(counts, node, kids, mt.sources)
     gammas = {s: gamma_hat(counts, mt.joint, s) for s in mt.sources}
     with _step(mt.joint, "source path extraction"):
-        paths, clamped = estimate_source_paths(betas[mt.joint], gammas)
+        paths = estimate_source_paths(betas[mt.joint], gammas)
     est.betas.update(betas)
     for s, a in paths.items():
         est.paths[(s, mt.joint)] = a
-    for s in clamped:
-        est.meta.setdefault("clamped_paths", []).append((s, mt.joint))
     for head in mt.nodes:
         n_head = counts.pooled(head, mt.sources)
         for l in plan.children[head]:
@@ -207,5 +195,4 @@ def estimate_network(counts: PooledCounts, plan: DTreePlan, method: str) -> Esti
             order = [n for n in reversed(t.order)
                      if n != s and n in t.tree_nodes[s] and plan.children.get(n)]
             _solve_paths(est, counts, plan, s, order, {}, s)
-    est.meta["probes"] = dict(counts.probes)
     return est

@@ -12,38 +12,13 @@ come from ``estimators.solve_intersection`` exactly as for the pooled MLE.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 from .decompose import DTreePlan
 from .probes import PooledCounts, gamma_hat
 from .solvers import EstimationError, NoDataError
-from .estimators import EstimateSet, solve_intersection, solve_multisource_beta
+from .estimators import FUSION_METHODS, EstimateSet, solve_intersection, solve_multisource_beta
 
 log = logging.getLogger(__name__)
-
-WEIGHT_TAGS = {
-    "mvwa-oracle": "oracle-variance",
-    "mvwa-plugin": "plug-in-variance",
-    "rbmvwa": "odds",
-    "mrbmvwa": "linear",
-}
-
-
-@dataclass(frozen=True)
-class WeightedFusion:
-    sources: tuple[int, ...]
-    estimates: tuple[float, ...]
-    weights: tuple[float, ...]
-    tag: str
-
-    def __post_init__(self):
-        if not self.estimates or len(self.weights) != len(self.estimates):
-            raise ValueError("estimates and weights must be aligned and non-empty")
-
-    @property
-    def combined(self) -> float:
-        return sum(w * b for w, b in zip(self.weights, self.estimates))
-
 
 def mvwa_weights(variances) -> tuple[float, ...]:
     """Inverse-variance weights; minimize the combined variance."""
@@ -129,16 +104,11 @@ def _weights_for(scheme, counts, plan, node, per_source) -> tuple[float, ...]:
         raise EstimationError(f"{scheme} weights at node {node}: {exc}") from exc
 
 
-def fuse_node(counts, plan, node, children, sources, scheme) -> WeightedFusion:
+def fuse_node(counts, plan, node, children, sources, scheme) -> float:
+    """Fused subtree rate at ``node``: the weighted sum of the per-source estimates."""
     per_source = per_tree_estimates(counts, node, children, sources)
-    ordered = sorted(per_source)
     weights = _weights_for(scheme, counts, plan, node, per_source)
-    return WeightedFusion(
-        sources=tuple(ordered),
-        estimates=tuple(per_source[s] for s in ordered),
-        weights=weights,
-        tag=WEIGHT_TAGS[scheme],
-    )
+    return sum(w * b for w, b in zip(weights, (per_source[s] for s in sorted(per_source))))
 
 
 def fused_estimate(counts: PooledCounts, plan: DTreePlan, scheme: str) -> EstimateSet:
@@ -148,16 +118,13 @@ def fused_estimate(counts: PooledCounts, plan: DTreePlan, scheme: str) -> Estima
     node; the fused betas then go through the same intersection solve as the
     pooled ones.
     """
-    if scheme not in WEIGHT_TAGS:
+    if scheme not in FUSION_METHODS:
         raise ValueError(f"unknown fusion scheme {scheme!r}")
     est = EstimateSet(method=scheme)
-    fusions: dict[int, WeightedFusion] = {}
 
     def fused_beta(counts, node, children, sources) -> float:
-        fusions[node] = fuse_node(counts, plan, node, children, sources, scheme)
-        return fusions[node].combined
+        return fuse_node(counts, plan, node, children, sources, scheme)
 
     for mt in plan.msource_trees:
         solve_intersection(est, counts, plan, mt, fused_beta)
-    est.meta["fusions"] = fusions
     return est

@@ -8,7 +8,6 @@ a node, which is what the pass counts are built from.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import reduce
 
@@ -32,38 +31,6 @@ class ObservationSet:
 
     def receiver_row(self, source: int, receiver: int) -> np.ndarray:
         return self.bits[source][self.receivers[source].index(receiver)]
-
-    def to_csv(self) -> str:
-        """Audit dump with columns source,probe,receiver,bit (probes 1-based)."""
-        buf = io.StringIO()
-        buf.write("source,probe,receiver,bit\n")
-        for s in sorted(self.probes):
-            mat = self.bits[s]
-            for o in range(self.probes[s]):
-                for row, r in enumerate(self.receivers[s]):
-                    buf.write(f"{s},{o + 1},{r},{int(mat[row, o])}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ObservationSet":
-        probes: dict[int, int] = {}
-        cells: dict[int, dict[tuple[int, int], int]] = {}
-        lines = text.strip().splitlines()
-        assert lines[0] == "source,probe,receiver,bit"
-        for line in lines[1:]:
-            s, o, r, b = map(int, line.split(","))
-            probes[s] = max(probes.get(s, 0), o)
-            cells.setdefault(s, {})[(r, o - 1)] = b
-        receivers = {}
-        bits = {}
-        for s, entries in cells.items():
-            recv = tuple(sorted({r for r, _ in entries}))
-            mat = np.zeros((len(recv), probes[s]), dtype=bool)
-            for (r, o), b in entries.items():
-                mat[recv.index(r), o] = bool(b)
-            receivers[s] = recv
-            bits[s] = mat
-        return cls(probes=probes, receivers=receivers, bits=bits)
 
 
 @dataclass(frozen=True)

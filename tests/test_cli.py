@@ -91,6 +91,25 @@ def test_analyze_lossless_joint_marks_undefined_rows(tmp_path, capsys):
         assert float(values[(s, "var_path_estimate")]) > 0.0
 
 
+@pytest.mark.parametrize("probes", ["0", "-5"])
+def test_analyze_rejects_non_positive_probes(capsys, probes):
+    code, out, err = run_cli(capsys, "analyze", "--setting", "2x2-equal", "--probes", probes)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"error: probe count must be >= 1, got {probes}\n"
+
+
+def test_repeated_estimator_is_config_error(capsys):
+    # a repeated name would pool each replication twice into one row
+    code, out, err = run_cli(
+        capsys, "run", "--setting", "2x2-equal", "--estimators", "mle,mle",
+        "--reps", "3", "--probes", "200",
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "estimator listed more than once: mle" in err
+
+
 def test_bad_estimator_is_config_error(capsys):
     code, _, err = run_cli(
         capsys, "run", "--setting", "2x2-equal", "--estimators", "median"

@@ -2,10 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from losstomo.decompose import decompose
-from losstomo.estimators import estimate_network
+from losstomo.estimators import FUSION_METHODS, estimate_network
 from losstomo.fusion import (
-    WEIGHT_TAGS,
-    WeightedFusion,
     fuse_node,
     fused_estimate,
     mrbmvwa_weights,
@@ -49,18 +47,14 @@ def test_degenerate_rates_rejected():
         rbmvwa_weights([1.2])
 
 
-def fusion_of(estimates, weights):
-    return WeightedFusion(tuple(range(len(estimates))), tuple(estimates), weights, "oracle-variance")
-
-
 def test_mvwa_combine_inverse_variance():
-    f = fusion_of([0.9, 0.8], mvwa_weights([1.0, 3.0]))
-    assert f.weights == pytest.approx((0.75, 0.25), abs=1e-12)
-    assert f.combined == pytest.approx(0.875, abs=1e-12)
+    w = mvwa_weights([1.0, 3.0])
+    assert w == pytest.approx((0.75, 0.25), abs=1e-12)
+    assert sum(v * b for v, b in zip(w, [0.9, 0.8])) == pytest.approx(0.875, abs=1e-12)
     with pytest.raises(ValueError):
-        fusion_of([0.9], mvwa_weights([0.0]))
+        mvwa_weights([0.0])
     with pytest.raises(ValueError):
-        fusion_of([0.9, 0.8], mvwa_weights([1.0]))
+        mvwa_weights([])
 
 
 def test_rbmvwa_matches_oracle_mvwa_with_equal_samples():
@@ -76,10 +70,13 @@ def test_rbmvwa_matches_oracle_mvwa_with_equal_samples():
 
 
 @settings(max_examples=300, deadline=None)
-@given(gammas=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6))
-def test_weights_are_convex(gammas):
-    for scheme_weights in (rbmvwa_weights, mrbmvwa_weights):
-        w = scheme_weights(gammas)
+@given(
+    gammas=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6),
+    data=st.data(),
+)
+def test_weights_are_convex(gammas, data):
+    variances = [data.draw(st.floats(1e-6, 1.0)) for _ in gammas]
+    for w in (rbmvwa_weights(gammas), mrbmvwa_weights(gammas), mvwa_weights(variances)):
         assert len(w) == len(gammas)
         assert all(0.0 <= v <= 1.0 for v in w)
         assert sum(w) == pytest.approx(1.0, abs=1e-9)
@@ -91,11 +88,12 @@ def test_weights_are_convex(gammas):
     data=st.data(),
 )
 def test_combined_estimate_is_convex_mean(estimates, data):
-    variances = [
-        data.draw(st.floats(1e-6, 1.0)) for _ in estimates
-    ]
-    f = fusion_of(estimates, mvwa_weights(variances))
-    assert min(estimates) - 1e-12 <= f.combined <= max(estimates) + 1e-12
+    # the fused beta is sum(w * b): with convex weights it stays within the estimates' range
+    variances = [data.draw(st.floats(1e-6, 1.0)) for _ in estimates]
+    gammas = [data.draw(st.floats(0.01, 1.0)) for _ in estimates]
+    for w in (rbmvwa_weights(gammas), mrbmvwa_weights(gammas), mvwa_weights(variances)):
+        combined = sum(v * b for v, b in zip(w, estimates))
+        assert min(estimates) - 1e-12 <= combined <= max(estimates) + 1e-12
 
 
 def test_fuse_node_star(star22_plan):
@@ -103,18 +101,17 @@ def test_fuse_node_star(star22_plan):
     counts = count_pass(simulate(t, 2000, seed=8), t)
     per_source = per_tree_estimates(counts, 2, [3, 4], (0, 1))
     assert set(per_source) == {0, 1}
-    for scheme in WEIGHT_TAGS:
-        f = fuse_node(counts, star22_plan, 2, [3, 4], (0, 1), scheme)
-        assert f.tag == WEIGHT_TAGS[scheme]
-        assert sum(f.weights) == pytest.approx(1.0, abs=1e-12)
-        assert f.estimates == tuple(per_source[s] for s in f.sources)
-        assert min(f.estimates) <= f.combined <= max(f.estimates)
+    lo, hi = min(per_source.values()), max(per_source.values())
+    assert lo < hi
+    for scheme in FUSION_METHODS:
+        beta = fuse_node(counts, star22_plan, 2, [3, 4], (0, 1), scheme)
+        assert lo <= beta <= hi
 
 
 def test_fused_estimate_covers_intersection_links(star22_plan):
     t = star22_plan.topology
     counts = count_pass(simulate(t, 1000, seed=3), t)
-    for scheme in WEIGHT_TAGS:
+    for scheme in FUSION_METHODS:
         est = fused_estimate(counts, star22_plan, scheme)
         assert sorted(est.links) == [("3", None), ("4", None)]
         assert sorted(est.paths) == [(0, 2), (1, 2)]
@@ -134,7 +131,7 @@ def test_estimate_network_dispatches_fusion(star22_plan):
     t = star22_plan.topology
     obs = simulate(t, 1000, seed=12)
     counts = count_pass(obs, t)
-    for scheme in WEIGHT_TAGS:
+    for scheme in FUSION_METHODS:
         via_network = estimate_network(counts, star22_plan, scheme)
         direct = fused_estimate(counts, star22_plan, scheme)
         assert via_network.links == direct.links
@@ -146,7 +143,7 @@ def test_fused_close_to_pooled_at_scale(star22_plan):
     t = star22_plan.topology
     obs = simulate(t, 5000, seed=44)
     mle = estimate_network(count_pass(obs, star22_plan.topology), star22_plan, "mle")
-    for scheme in WEIGHT_TAGS:
+    for scheme in FUSION_METHODS:
         est = estimate_network(count_pass(obs, star22_plan.topology), star22_plan, scheme)
         for key, le in est.links.items():
             assert abs(le.pass_rate - mle.links[key].pass_rate) < 0.01

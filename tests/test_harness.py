@@ -45,6 +45,8 @@ def test_config_validation():
         cfg(estimators=("median",)).validate()
     with pytest.raises(ValueError, match="non-empty"):
         cfg(estimators=()).validate()
+    with pytest.raises(ValueError, match="listed more than once: mle"):
+        cfg(estimators=("mle", "rbmvwa", "mle")).validate()
 
 
 def test_run_is_deterministic():

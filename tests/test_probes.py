@@ -108,15 +108,6 @@ def test_gamma_hat_outside_tree(star22):
         gamma_hat(counts, 99, 0)
 
 
-def test_observation_csv_round_trip(star22):
-    obs = simulate(star22, 40, seed=3)
-    back = ObservationSet.from_csv(obs.to_csv())
-    assert back.probes == obs.probes
-    assert back.receivers == obs.receivers
-    for s in obs.probes:
-        assert np.array_equal(back.bits[s], obs.bits[s])
-
-
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32))
 def test_bernoulli_concentration(seed):
