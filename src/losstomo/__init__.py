@@ -1,6 +1,6 @@
 """Loss tomography for multi-source multicast networks."""
 
-from .topology import Topology, TopologyError, UnsupportedTopologyError, ancestors, parse_topology
+from .topology import Topology, TopologyError, UnsupportedTopologyError, parse_topology
 from .decompose import DTreePlan, decompose
 from .probes import ObservationSet, PooledCounts, count_pass, gamma_hat, simulate
 from .estimators import EstimateSet, estimate_network
@@ -10,7 +10,6 @@ __all__ = [
     "Topology",
     "TopologyError",
     "UnsupportedTopologyError",
-    "ancestors",
     "parse_topology",
     "DTreePlan",
     "decompose",

@@ -77,12 +77,6 @@ class DTreePlan:
         links.extend(l for frag in self.fragments for l in frag.links)
         return tuple(sorted(links, key=lambda l: l.link_ids))
 
-    def msource_tree(self, joint: int) -> MultiSourceTree:
-        for mt in self.msource_trees:
-            if mt.joint == joint:
-                return mt
-        raise KeyError(f"no multi-source tree rooted at {joint}")
-
     @cached_property
     def merged_labels(self) -> tuple[str, ...]:
         return tuple(l.label for l in self.logical_links if l.merged)

@@ -70,9 +70,10 @@ class ExperimentConfig:
             raise ValueError("probe counts must be positive")
         if not self.estimators:
             raise ValueError("estimator list must be non-empty")
-        repeated = sorted({e for e in self.estimators if self.estimators.count(e) > 1})
-        if repeated:
-            raise ValueError(f"estimator listed more than once: {', '.join(repeated)}")
+        for what, values in (("probe count", self.probe_counts), ("estimator", self.estimators)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{what} listed more than once: {', '.join(map(str, repeated))}")
         for e in self.estimators:
             if e not in METHODS:
                 raise ValueError(f"unknown estimator {e!r}; expected one of {METHODS}")

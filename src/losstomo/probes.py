@@ -29,9 +29,6 @@ class ObservationSet:
     receivers: dict[int, tuple[int, ...]]  # source -> receivers of T^s, sorted
     bits: dict[int, np.ndarray]  # source -> bool matrix, row order = receivers
 
-    def receiver_row(self, source: int, receiver: int) -> np.ndarray:
-        return self.bits[source][self.receivers[source].index(receiver)]
-
 
 @dataclass(frozen=True)
 class PooledCounts:
@@ -64,15 +61,11 @@ def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> Observatio
     for s in t.sources:
         rng = source_stream(seed, s)
         n = probes[s]
-        members = t.tree_nodes[s]
         state: dict[int, np.ndarray] = {s: np.ones(n, dtype=bool)}
-        for u in t.order:
-            if u not in members:
-                continue
-            for l in t.out_links[u]:
-                passed = rng.random(n) < l.pass_rate
-                state[l.tail] = state[u] & passed
-        recv = tuple(r for r in t.receivers if r in members)
+        for l in t.tree_parent[s].values():  # parents first, in topological order
+            passed = rng.random(n) < l.pass_rate
+            state[l.tail] = state[l.head] & passed
+        recv = tuple(r for r in t.receivers if r in state)
         receivers[s] = recv
         bits[s] = np.vstack([state[r] for r in recv])
     return ObservationSet(probes=dict(probes), receivers=receivers, bits=bits)

@@ -42,10 +42,6 @@ class Topology:
     receivers: tuple[int, ...]
 
     @cached_property
-    def link_by_id(self) -> dict[int, Link]:
-        return {l.id: l for l in self.links}
-
-    @cached_property
     def out_links(self) -> dict[int, tuple[Link, ...]]:
         out: dict[int, list[Link]] = {n: [] for n in self.nodes}
         for l in self.links:
@@ -68,27 +64,33 @@ class Topology:
         return tuple(toposort(self))
 
     @cached_property
-    def tree_nodes(self) -> dict[int, frozenset[int]]:
-        """Node set of each source's multicast tree, by reachability."""
+    def tree_parent(self) -> dict[int, dict[int, Link]]:
+        """Each source's multicast tree: every member node but the source -> its link in.
+
+        Filled in topological order, so each tree's links come out parents first."""
         trees = {}
         for s in self.sources:
-            seen = {s}
-            stack = [s]
-            while stack:
-                u = stack.pop()
+            up: dict[int, Link] = {}
+            for u in self.order:
+                if u != s and u not in up:
+                    continue
                 for l in self.out_links[u]:
-                    if l.tail not in seen:
-                        seen.add(l.tail)
-                        stack.append(l.tail)
-            trees[s] = frozenset(seen)
+                    if l.tail in up:
+                        raise TopologyError(
+                            f"node {l.tail} has more than one parent inside the tree of source {s}"
+                        )
+                    up[l.tail] = l
+            trees[s] = up
         return trees
 
     @cached_property
+    def tree_nodes(self) -> dict[int, frozenset[int]]:
+        """Node set of each source's multicast tree: the source and its tree_parent keys."""
+        return {s: frozenset(up).union((s,)) for s, up in self.tree_parent.items()}
+
+    @cached_property
     def tree_links(self) -> dict[int, frozenset[int]]:
-        return {
-            s: frozenset(l.id for l in self.links if l.head in nodes)
-            for s, nodes in self.tree_nodes.items()
-        }
+        return {s: frozenset(l.id for l in up.values()) for s, up in self.tree_parent.items()}
 
     def sources_reaching(self, node: int) -> tuple[int, ...]:
         return tuple(s for s in self.sources if node in self.tree_nodes[s])
@@ -108,25 +110,16 @@ class Topology:
         below = self.descendants[node] | {node}
         return tuple(r for r in self.receivers if r in below)
 
-    def parent_in_tree(self, node: int, source: int) -> int:
-        """The unique parent of node on the path up to source."""
-        members = self.tree_nodes[source]
-        if node not in members or node == source:
-            raise TopologyError(f"node {node} has no parent in the tree of source {source}")
-        parents = [l.head for l in self.in_links[node] if l.head in members]
-        assert len(parents) == 1, "per-source tree shape was validated at parse time"
-        return parents[0]
-
     def path_rate(self, source: int, node: int) -> float:
         """True pass rate A(source, node) of the path from source down to node."""
+        up = self.tree_parent[source]
+        if node != source and node not in up:
+            raise TopologyError(f"node {node} is not in the tree of source {source}")
         rate = 1.0
-        cur = node
-        members = self.tree_nodes[source]
-        while cur != source:
-            parent = self.parent_in_tree(cur, source)
-            link = next(l for l in self.in_links[cur] if l.head == parent and l.head in members)
+        while node != source:
+            link = up[node]
             rate *= link.pass_rate
-            cur = parent
+            node = link.head
         return rate
 
     @cached_property
@@ -159,18 +152,6 @@ def toposort(t: Topology) -> list[int]:
     if len(order) != len(t.nodes):
         raise TopologyError("topology contains a cycle")
     return order
-
-
-def ancestors(t: Topology, node: int, source: int) -> tuple[int, ...]:
-    """Ordered ancestors of node on the path up to source: (parent, ..., source)."""
-    if node not in t.tree_nodes[source]:
-        raise TopologyError(f"node {node} is not covered by the tree of source {source}")
-    chain = []
-    cur = node
-    while cur != source:
-        cur = t.parent_in_tree(cur, source)
-        chain.append(cur)
-    return tuple(chain)
 
 
 def parse_topology(text: str) -> Topology:
@@ -272,16 +253,4 @@ def validate(t: Topology) -> None:
             raise TopologyError(f"node {n} is a sink but not declared a receiver")
         if not t.in_links[n] and n not in src_set:
             raise TopologyError(f"node {n} is a root but not declared a source")
-    covered = set().union(*t.tree_nodes.values())
-    for r in t.receivers:
-        if r not in covered:
-            raise TopologyError(f"unreachable receiver {r}")
-    # within one multicast tree every node must have a single parent
-    for s in t.sources:
-        members = t.tree_nodes[s]
-        for n in members - {s}:
-            parents = [l for l in t.in_links[n] if l.head in members]
-            if len(parents) != 1:
-                raise TopologyError(
-                    f"node {n} has {len(parents)} parents inside the tree of source {s}"
-                )
+    t.tree_parent  # raises on a node with two parents in one tree

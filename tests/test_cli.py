@@ -110,6 +110,16 @@ def test_repeated_estimator_is_config_error(capsys):
     assert "estimator listed more than once: mle" in err
 
 
+def test_repeated_probe_count_is_config_error(capsys):
+    # a repeated count would write every row of that count twice
+    code, out, err = run_cli(
+        capsys, "run", "--setting", "2x2-equal", "--probes", "100,100", "--reps", "3",
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "probe count listed more than once: 100" in err
+
+
 def test_bad_estimator_is_config_error(capsys):
     code, _, err = run_cli(
         capsys, "run", "--setting", "2x2-equal", "--estimators", "median"

@@ -7,8 +7,8 @@ from losstomo.topology import UnsupportedTopologyError, parse_topology
 def test_big_network_three_dtrees(big_plan):
     plan = big_plan
     assert plan.joint_nodes == (2,)
-    mt = plan.msource_tree(2)
-    assert mt.sources == (0, 16)
+    (mt,) = plan.msource_trees
+    assert (mt.joint, mt.sources) == (2, (0, 16))
     assert set(mt.nodes) == {2, 4, 5, 8, 9, 10, 11}
     assert mt.virtual_links == ((0, 2), (16, 2))
     assert len(plan.fragments) == 2
@@ -49,7 +49,8 @@ def test_shared_receiver_parent():
     )
     plan = decompose(parse_topology(text))
     assert plan.joint_nodes == (2,)
-    assert plan.msource_tree(2).sources == (0, 1)
+    (mt,) = plan.msource_trees
+    assert (mt.joint, mt.sources) == (2, (0, 1))
 
 
 def test_estimation_order_msource_first(big_plan):

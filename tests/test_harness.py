@@ -47,6 +47,8 @@ def test_config_validation():
         cfg(estimators=()).validate()
     with pytest.raises(ValueError, match="listed more than once: mle"):
         cfg(estimators=("mle", "rbmvwa", "mle")).validate()
+    with pytest.raises(ValueError, match="probe count listed more than once: 100, 500"):
+        cfg(probe_counts=(500, 100, 1000, 100, 500)).validate()
 
 
 def test_run_is_deterministic():

@@ -9,6 +9,7 @@ from losstomo.probes import (
     count_pass,
     gamma_hat,
     simulate,
+    source_stream,
 )
 from losstomo.topology import TopologyError, parse_topology
 
@@ -34,8 +35,9 @@ def test_dead_link_blinds_receiver():
     t = lossy(1.0)
     obs = simulate(t, 50, seed=1)
     for s in t.sources:
-        assert not obs.receiver_row(s, 3).any()
-        assert obs.receiver_row(s, 4).all()
+        row = dict(zip(obs.receivers[s], obs.bits[s]))
+        assert not row[3].any()
+        assert row[4].all()
 
 
 def test_determinism():
@@ -46,6 +48,24 @@ def test_determinism():
         assert np.array_equal(a.bits[s], b.bits[s])
     c = simulate(t, 200, seed=100)
     assert any(not np.array_equal(a.bits[s], c.bits[s]) for s in t.sources)
+
+
+def test_simulate_draws_each_tree_in_topological_order(big_topology):
+    # reference draw loop: the tree's members in topological order, each one's out-links by id;
+    # every link's n draws come from the source's one stream, so any other order changes the bits
+    t, n, seed = big_topology, 50, 7
+    obs = simulate(t, n, seed)
+    for s in t.sources:
+        rng = source_stream(seed, s)
+        members = t.tree_nodes[s]
+        state = {s: np.ones(n, dtype=bool)}
+        for u in t.order:
+            if u in members:
+                for l in t.out_links[u]:
+                    state[l.tail] = state[u] & (rng.random(n) < l.pass_rate)
+        recv = tuple(r for r in t.receivers if r in members)
+        assert obs.receivers[s] == recv
+        assert np.array_equal(obs.bits[s], np.vstack([state[r] for r in recv]))
 
 
 def test_positive_probe_count_required(star22):
@@ -69,12 +89,13 @@ def test_counts_match_brute_force_recount(star22):
     obs = simulate(star22, 300, seed=5)
     counts = count_pass(obs, star22)
     for s in star22.sources:
+        row = dict(zip(obs.receivers[s], obs.bits[s]))
         for node in star22.tree_nodes[s]:
             under = star22.receivers_under(node)
             expected = 0
             for o in range(300):
                 expected += any(
-                    obs.receiver_row(s, r)[o] for r in under
+                    row[r][o] for r in under
                 )
             assert counts.count(node, s) == expected
 
@@ -143,7 +164,8 @@ def test_bottom_up_counts_equal_or_over_receivers_under(request, fixture):
     obs = simulate(t, 400, seed=13)
     counts = count_pass(obs, t)
     for s in t.sources:
+        row = dict(zip(obs.receivers[s], obs.bits[s]))
         for node in t.tree_nodes[s]:
-            rows = [obs.receiver_row(s, r) for r in t.receivers_under(node)]
+            rows = [row[r] for r in t.receivers_under(node)]
             assert counts.count(node, s) == int(np.count_nonzero(np.any(rows, axis=0)))
 

@@ -1,7 +1,7 @@
 import pytest
 
 from losstomo.harness import SETTINGS
-from losstomo.topology import TopologyError, ancestors, parse_topology, toposort
+from losstomo.topology import TopologyError, parse_topology, toposort
 
 
 def test_parse_star_setting():
@@ -20,9 +20,10 @@ def test_parse_stores_pass_rate():
         "link 1 0 2 0.25\nlink 2 2 1 0.0\nlink 3 2 3 0\n"
         "source 0\nreceiver 1\nreceiver 3\n"
     )
-    assert t.link_by_id[1].pass_rate == 0.75
-    assert t.link_by_id[1].loss_rate == 0.25
-    assert t.link_by_id[2].pass_rate == 1.0
+    links = {l.id: l for l in t.links}
+    assert links[1].pass_rate == 0.75
+    assert links[1].loss_rate == 0.25
+    assert links[2].pass_rate == 1.0
 
 
 def test_empty_link_list_rejected():
@@ -60,8 +61,8 @@ def test_unreachable_receiver_rejected():
         "link 2 2 3 0.1\nlink 3 2 4 0.1\n"
         "source 0\nreceiver 1\nreceiver 3\nreceiver 4\n"
     )
-    # nodes 3 and 4 hang below node 2, which no source feeds
-    with pytest.raises(TopologyError):
+    # nodes 3 and 4 hang below node 2, which no source feeds: node 2 is an undeclared root
+    with pytest.raises(TopologyError, match="node 2 is a root but not declared a source"):
         parse_topology(text)
 
 
@@ -72,6 +73,43 @@ def test_source_shape_enforced():
         "source 0\nreceiver 1\nreceiver 2\n"
     )
     with pytest.raises(TopologyError, match="exactly one outgoing"):
+        parse_topology(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "node 0\nnode 1\nlink 1 0 1 0.1\nsource 0\nreceiver 0\nreceiver 1\n",
+            r"nodes \[0\] declared both source and receiver",
+        ),
+        (
+            "node 0\nnode 1\nnode 2\nlink 1 0 1 0.1\nlink 2 1 2 0.1\n"
+            "source 0\nsource 1\nreceiver 2\n",
+            "source 1 has incoming links",
+        ),
+        (
+            "node 0\nnode 1\nnode 2\nlink 1 0 1 0.1\nlink 2 1 2 0.1\n"
+            "source 0\nreceiver 1\nreceiver 2\n",
+            "receiver 1 has outgoing links",
+        ),
+        (
+            "node 0\nnode 1\nnode 2\nnode 3\nlink 1 0 1 0.1\nlink 2 1 2 0.1\nlink 3 1 3 0.1\n"
+            "source 0\nreceiver 2\n",
+            "node 3 is a sink but not declared a receiver",
+        ),
+        (
+            # the diamond 1 -> {2, 3} -> 4 gives node 4 two parents in the tree of source 0
+            "node 0\nnode 1\nnode 2\nnode 3\nnode 4\nlink 1 0 1 0.1\nlink 2 1 2 0.1\n"
+            "link 3 1 3 0.1\nlink 4 2 4 0.1\nlink 5 3 4 0.1\nsource 0\nreceiver 4\n",
+            "node 4 has .* inside the tree of source 0",
+        ),
+    ],
+    ids=["source-and-receiver", "source-in-link", "receiver-out-link", "undeclared-sink",
+         "two-parents-in-tree"],
+)
+def test_shape_rule_rejected(text, message):
+    with pytest.raises(TopologyError, match=message):
         parse_topology(text)
 
 
@@ -93,15 +131,18 @@ def test_tree_membership(big_topology):
 
 
 def test_ancestors_paths(big_topology):
-    t = big_topology
-    assert ancestors(t, 2, 16) == (17, 16)
-    assert ancestors(t, 8, 0) == (4, 2, 1, 0)
-    assert ancestors(t, 17, 16) == (16,)
+    up = big_topology.tree_parent
+    for node, source, expected in [(2, 16, [17, 16]), (8, 0, [4, 2, 1, 0]), (17, 16, [16])]:
+        walk = [node]
+        while walk[-1] != source:
+            walk.append(up[source][walk[-1]].head)
+        assert walk[1:] == expected
 
 
 def test_ancestors_outside_tree(big_topology):
-    with pytest.raises(TopologyError):
-        ancestors(big_topology, 18, 0)
+    assert 18 not in big_topology.tree_parent[0]
+    with pytest.raises(TopologyError, match="node 18 is not in the tree of source 0"):
+        big_topology.path_rate(0, 18)
 
 
 def test_in_degree_of_ordinary_nodes(big_topology):
