@@ -94,7 +94,7 @@ def info_report(plan: DTreePlan, probes: dict[int, int] | int, provenance="true-
             rows.append(InfoRow(i, s, "var_path_estimate", _defined(var_upstream, a, beta, n), provenance))
         total = _defined(lambda: sum(fisher_information(a, beta, n) for a, n in pairs))
         rows.append(InfoRow(i, None, "total_information", total, provenance))
-        rows.append(InfoRow(i, None, "crlb_var_beta", None if total is None else 1.0 / total, provenance))
+        rows.append(InfoRow(i, None, "crlb_var_beta", _defined(crlb_beta, pairs, beta), provenance))
     return rows
 
 

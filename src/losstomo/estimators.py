@@ -14,21 +14,12 @@ links.
 
 from __future__ import annotations
 
-import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .decompose import DTreePlan, MultiSourceTree
 from .probes import PooledCounts, gamma_hat
-from .solvers import (
-    EstimationError,
-    NoDataError,
-    UnidentifiableError,
-    path_root,
-    subtree_root,
-)
-
-log = logging.getLogger(__name__)
+from .solvers import EstimationError, NoDataError, path_root, subtree_root
 
 METHODS = ("mle", "tree-baseline", "mvwa-oracle", "mvwa-plugin", "rbmvwa", "mrbmvwa")
 FUSION_METHODS = METHODS[2:]
@@ -76,18 +67,7 @@ def solve_multisource_beta(counts: PooledCounts, node: int, children, sources) -
     n_i = counts.pooled(node, sources)
     if n_i == 0:
         raise NoDataError(f"no probes observed below node {node}")
-    ratios = []
-    for c in children:
-        n_c = counts.pooled(c, sources)
-        if n_c == 0:
-            log.warning("dropping descendant %s of node %s: zero pooled count", c, node)
-            continue
-        ratios.append(n_c / n_i)
-    if len(ratios) < 2:
-        raise UnidentifiableError(
-            f"node {node}: fewer than 2 descendants with positive counts"
-        )
-    return subtree_root(ratios)
+    return subtree_root([counts.pooled(c, sources) / n_i for c in children])
 
 
 def beta_sample_mean(counts: PooledCounts, node: int, sources, path_rates) -> float:

@@ -15,7 +15,7 @@ import logging
 
 from .decompose import DTreePlan
 from .probes import PooledCounts, gamma_hat
-from .solvers import EstimationError, NoDataError
+from .solvers import FusionWeightError, NoDataError
 from .estimators import FUSION_METHODS, EstimateSet, solve_intersection, solve_multisource_beta
 
 log = logging.getLogger(__name__)
@@ -101,7 +101,7 @@ def _weights_for(scheme, counts, plan, node, per_source) -> tuple[float, ...]:
             return mrbmvwa_weights(gammas)
         return mvwa_weights(variances)
     except ValueError as exc:
-        raise EstimationError(f"{scheme} weights at node {node}: {exc}") from exc
+        raise FusionWeightError(f"{scheme} weights at node {node}: {exc}") from exc
 
 
 def fuse_node(counts, plan, node, children, sources, scheme) -> float:

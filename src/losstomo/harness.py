@@ -66,6 +66,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.reps < 1:
             raise ValueError("replication count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.probe_counts or any(n < 1 for n in self.probe_counts):
             raise ValueError("probe counts must be positive")
         if not self.estimators:
@@ -115,10 +117,12 @@ def _expected_keys(plan: DTreePlan, estimator: str):
     return [(l.label, None) for l in plan.logical_links]
 
 
-def run_experiment(cfg: ExperimentConfig, plan: DTreePlan | None = None) -> ReplicationTable:
+def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
     cfg.validate()
-    if plan is None:
-        plan = decompose(parse_topology(cfg.topology_text))
+    plan = decompose(parse_topology(cfg.topology_text))
+    fusion = [e for e in cfg.estimators if e in FUSION_METHODS]
+    if fusion and not plan.msource_trees:
+        raise ValueError(f"fusion needs a joint node and the topology has none: {', '.join(fusion)}")
     true_loss = {l.label: l.loss_rate for l in plan.logical_links}
     # label -> (A, beta) of each link with a closed-form variance: a source link into a joint node
     joint_set = set(plan.joint_nodes)

@@ -5,6 +5,13 @@ Both estimating forms reduce to finding the unique nonzero root of
 ``1 - g/A - prod_c(1 - t_c/A)`` on [g, 1] (path form).  The trivial root at
 the lower boundary is excluded; the nonzero root is located by a sign-change
 bracket and refined with Newton steps safeguarded by bisection.
+
+Both solvers share one input rule: every descendant value lies in [0, 1], a
+zero (no probe reached that descendant) adds the factor 1 to the product and
+is dropped exactly, and at least two nonzero values must remain.  On pass
+counts a failure is one of the ``EstimationError`` subclasses below
+(``NoDataError``, ``UnidentifiableError``, ``RootBracketError``,
+``FusionWeightError``), which a replication counts in its ``errors`` column.
 """
 
 from __future__ import annotations
@@ -29,6 +36,22 @@ class UnidentifiableError(EstimationError):
 
 class RootBracketError(EstimationError):
     """The likelihood polynomial shows no sign change on the search interval."""
+
+
+class FusionWeightError(EstimationError):
+    """A fusion scheme's weights are undefined at these rates (e.g. a zero variance)."""
+
+
+def _nonzero_descendants(values, what: str) -> list[float]:
+    """The descendant values in [0, 1] with zeros dropped; at least two must remain."""
+    v = [float(x) for x in values]
+    for x in v:
+        if not 0.0 <= x <= 1.0:
+            raise EstimationError(f"descendant {what} {x} outside [0, 1]")
+    v = [x for x in v if x != 0.0]
+    if len(v) < 2:
+        raise UnidentifiableError(f"need at least 2 nonzero descendant {what}s, got {len(v)}")
+    return v
 
 
 def _refine(f, fprime, lo: float, hi: float, pos_at_lo: bool) -> float:
@@ -56,18 +79,21 @@ def _refine(f, fprime, lo: float, hi: float, pos_at_lo: bool) -> float:
     return x
 
 
+def _checked_root(f, fprime, lo: float, pos_at_lo: bool) -> float:
+    """``_refine`` on [lo, 1], rejecting a root whose residual is not near zero."""
+    root = _refine(f, fprime, lo, 1.0, pos_at_lo)
+    if abs(f(root)) > RESIDUAL_TOL:
+        raise RootBracketError(f"root refinement stalled: residual {f(root):.3e} at {root!r}")
+    return root
+
+
 def subtree_root(ratios) -> float:
     """Nonzero root of 1 - x - prod(1 - r x) for descendant count ratios r.
 
     Each ratio is a descendant's share of the probes seen at the parent, so
     all lie in [0, 1].  A ratio of exactly 1 makes x = 1 the exact root.
     """
-    r = [float(v) for v in ratios]
-    if len(r) < 2:
-        raise UnidentifiableError(f"need at least 2 descendant ratios, got {len(r)}")
-    for v in r:
-        if not 0.0 < v <= 1.0:
-            raise EstimationError(f"descendant ratio {v} outside (0, 1]")
+    r = _nonzero_descendants(ratios, "ratio")
     if any(v == 1.0 for v in r):
         return 1.0
 
@@ -93,10 +119,7 @@ def subtree_root(ratios) -> float:
             "no sign change on (0, 1]: sum of descendant ratios "
             f"{sum(r):.6f} <= 1 (ratios {r})"
         )
-    root = _refine(f, fprime, lo, 1.0, pos_at_lo=True)
-    if abs(f(root)) > RESIDUAL_TOL:
-        raise RootBracketError(f"root refinement stalled: residual {f(root):.3e} at {root!r}")
-    return root
+    return _checked_root(f, fprime, lo, pos_at_lo=True)
 
 
 def path_root(gamma_parent: float, terms) -> float:
@@ -106,14 +129,9 @@ def path_root(gamma_parent: float, terms) -> float:
     embedded path estimate for an intersection descendant).
     """
     g = float(gamma_parent)
-    t = [float(v) for v in terms]
     if g <= 0.0:
         raise NoDataError("no probes observed below the node being estimated")
-    if len(t) < 2:
-        raise UnidentifiableError(f"need at least 2 descendant terms, got {len(t)}")
-    for v in t:
-        if not 0.0 < v <= 1.0:
-            raise EstimationError(f"descendant term {v} outside (0, 1]")
+    t = _nonzero_descendants(terms, "term")
     if g >= 1.0:
         return 1.0
     if any(v == g for v in t):
@@ -153,7 +171,4 @@ def path_root(gamma_parent: float, terms) -> float:
         # feasible region requires A >= every term, so the constrained
         # optimum is the boundary itself.
         return lo
-    root = _refine(f, fprime, lo, 1.0, pos_at_lo=False)
-    if abs(f(root)) > RESIDUAL_TOL:
-        raise RootBracketError(f"root refinement stalled: residual {f(root):.3e} at {root!r}")
-    return root
+    return _checked_root(f, fprime, lo, pos_at_lo=False)

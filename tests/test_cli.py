@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import SINGLE_TREE
 
 import losstomo
 from losstomo.cli import EXIT_CONFIG, EXIT_UNSUPPORTED, main
@@ -118,6 +119,28 @@ def test_repeated_probe_count_is_config_error(capsys):
     assert code == EXIT_CONFIG
     assert out == ""
     assert "probe count listed more than once: 100" in err
+
+
+def test_negative_seed_is_config_error(capsys):
+    code, out, err = run_cli(capsys, "run", "--setting", "2x2-equal", "--seed", "-1")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("estimators", ["mrbmvwa", "mle,mrbmvwa"])
+def test_fusion_without_joint_is_config_error(tmp_path, capsys, estimators):
+    # one source, so no joint node for fusion to act on: a config error, not
+    # an empty table or a table missing the scheme's rows
+    p = tmp_path / "tree.txt"
+    p.write_text(SINGLE_TREE)
+    code, out, err = run_cli(
+        capsys, "run", "--topology", str(p), "--probes", "100", "--reps", "3",
+        "--estimators", estimators,
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "error: fusion needs a joint node and the topology has none: mrbmvwa\n"
 
 
 def test_bad_estimator_is_config_error(capsys):

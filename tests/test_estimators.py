@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from conftest import BIG_NETWORK, CHAIN_TREE
 from hypothesis import given, settings, strategies as st
 
 from losstomo.decompose import decompose
@@ -10,9 +13,9 @@ from losstomo.estimators import (
     estimate_source_paths,
     solve_multisource_beta,
 )
-from losstomo.harness import _expected_keys
+from losstomo.harness import _expected_keys, _star_setting
 from losstomo.probes import ObservationSet, PooledCounts, count_pass, gamma_hat, simulate
-from losstomo.solvers import NoDataError, UnidentifiableError, path_root
+from losstomo.solvers import EstimationError, NoDataError, UnidentifiableError, path_root
 from losstomo.topology import parse_topology
 
 
@@ -262,3 +265,39 @@ def test_path_solve_lists_embedded_term_first():
         assert est.paths[(0, 2)] == path_root(g, [embedded] + ordinary)
         order_matters |= path_root(g, ordinary + [embedded]) != est.paths[(0, 2)]
     assert order_matters, "no seed tells the term orders apart; the check above is vacuous"
+
+
+FUZZ_LOSSES = st.sampled_from((0.0, 1e-3, 0.5, 1.0))
+
+
+@st.composite
+def lossy_topologies(draw):
+    """A star setting, BIG_NETWORK or the serial-chain tree, each link's loss drawn anew."""
+    base = draw(st.sampled_from(("star", BIG_NETWORK, CHAIN_TREE)))
+    if base == "star":
+        return _star_setting(draw(st.lists(FUZZ_LOSSES, min_size=2, max_size=3)),
+                             draw(st.lists(FUZZ_LOSSES, min_size=2, max_size=4)))
+    lines = []
+    for line in base.strip().splitlines():
+        if line.startswith("link "):
+            line = f"{line.rsplit(' ', 1)[0]} {draw(FUZZ_LOSSES)}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=lossy_topologies(), probes=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+def test_every_method_gives_valid_rates_or_a_typed_error(text, probes, seed):
+    # dead links and few probes leave zero counts, lossless links zero variances
+    t = parse_topology(text)
+    plan = decompose(t)
+    counts = count_pass(simulate(t, probes, seed), t)
+    for method in METHODS:
+        try:
+            est = estimate_network(counts, plan, method)
+        except EstimationError as exc:
+            assert type(exc) is not EstimationError, f"{method}: untyped failure: {exc}"
+            continue
+        assert set(est.links) == set(_expected_keys(plan, method))
+        for le in est.links.values():
+            assert math.isfinite(le.pass_rate) and 0.0 <= le.pass_rate <= 1.0

@@ -13,7 +13,7 @@ from losstomo.fusion import (
 )
 from losstomo.harness import SETTINGS
 from losstomo.probes import count_pass, simulate
-from losstomo.solvers import EstimationError
+from losstomo.solvers import FusionWeightError
 from losstomo.topology import parse_topology
 
 
@@ -153,7 +153,7 @@ def test_weight_failure_is_an_estimation_error_naming_scheme_and_node():
     t = parse_topology(SETTINGS["2x2-equal"].replace(" 0.01\n", " 0\n"))
     counts = count_pass(simulate(t, 100, seed=1), t)
     with pytest.raises(
-        EstimationError,
+        FusionWeightError,
         match="multi-source subtree solve at node 2: mvwa-oracle weights at node 2",
     ):
         fused_estimate(counts, decompose(t), "mvwa-oracle")

@@ -39,6 +39,8 @@ def test_replication_seed_stability():
 def test_config_validation():
     with pytest.raises(ValueError, match="replication count"):
         cfg(reps=0).validate()
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        cfg(seed=-3).validate()
     with pytest.raises(ValueError, match="probe counts"):
         cfg(probe_counts=()).validate()
     with pytest.raises(ValueError, match="unknown estimator"):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from losstomo.solvers import (
+    EstimationError,
+    NoDataError,
     RootBracketError,
     UnidentifiableError,
     path_root,
@@ -36,6 +38,27 @@ def test_three_equal_ratios():
 def test_too_few_ratios():
     with pytest.raises(UnidentifiableError):
         subtree_root([0.9])
+    # zeros are dropped before the count is checked
+    with pytest.raises(UnidentifiableError):
+        subtree_root([0.9, 0.0])
+    with pytest.raises(UnidentifiableError):
+        path_root(0.9, [0.0, 0.84, 0.0])
+    with pytest.raises(NoDataError):
+        path_root(0.0, [0.0, 0.0])
+
+
+def test_zero_descendants_dropped_exactly():
+    # a zero adds the factor 1 - 0 x = 1 to the product, in either form
+    assert subtree_root([0.9, 0.0, 0.8]) == subtree_root([0.9, 0.8])
+    assert path_root(0.9, [0.0, 0.84, 0.78]) == path_root(0.9, [0.84, 0.78])
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+def test_descendant_value_outside_unit_interval(bad):
+    with pytest.raises(EstimationError, match=r"outside \[0, 1\]"):
+        subtree_root([0.9, bad])
+    with pytest.raises(EstimationError, match=r"outside \[0, 1\]"):
+        path_root(0.9, [0.84, bad])
 
 
 def test_no_sign_change_reported_with_diagnostics():
