@@ -2,7 +2,7 @@
 
 from .topology import Topology, TopologyError, UnsupportedTopologyError, parse_topology
 from .decompose import DTreePlan, decompose
-from .probes import ObservationSet, PooledCounts, count_pass, gamma_hat, simulate
+from .probes import ObservationSet, PooledCounts, count_pass, gamma_hat, simulate, simulate_counts
 from .estimators import EstimateSet, estimate_network
 from .harness import ExperimentConfig, emit, run_experiment
 
@@ -18,6 +18,7 @@ __all__ = [
     "count_pass",
     "gamma_hat",
     "simulate",
+    "simulate_counts",
     "EstimateSet",
     "estimate_network",
     "ExperimentConfig",

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import empirical_moments, var_upstream
+from .analysis import _defined, empirical_moments, var_upstream
 from .decompose import DTreePlan, decompose
 from .estimators import METHODS, FUSION_METHODS, estimate_network
-from .probes import count_pass, simulate
+from .probes import simulate_counts
 from .solvers import EstimationError
 from .topology import parse_topology
 
@@ -143,8 +143,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
                 losses[(e,) + key] = []
                 clamped[(e,) + key] = 0
         for rep in range(cfg.reps):
-            obs = simulate(plan.topology, n, replication_seed(cfg.seed, rep))
-            counts = count_pass(obs, plan.topology)
+            counts = simulate_counts(plan.topology, n, replication_seed(cfg.seed, rep))
             for e in cfg.estimators:
                 try:
                     est = estimate_network(counts, plan, e)
@@ -175,7 +174,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
                     mean_loss=mean,
                     var_loss=var,
                     true_loss=true_loss[label],
-                    crlb_var=var_upstream(*crlb[label], n) if label in crlb else None,
+                    crlb_var=_defined(var_upstream, *crlb[label], n) if label in crlb else None,
                     clamped=clamped[(e, label, src)],
                     errors=errors[e],
                 )

@@ -4,16 +4,28 @@ Each source multicasts its probes down its own tree; every link drops a
 probe independently with its loss rate.  Only receiver bits are observable;
 internal-node states are inferred with the OR rule over the receivers below
 a node, which is what the pass counts are built from.
+
+Stream layout: in source s's stream, link j of ``t.tree_parent[s]`` (in its
+order) draws probe k of n at offset j*n + k.  Any probe range [c0, c0 + m)
+can therefore be drawn on its own by advancing the stream, and
+``simulate_counts`` counts the probes in windows of CHUNK: each window is one
+``ObservationSet`` of every source that still has probes, counted by one
+``count_pass`` call.  It holds one window at once, about one byte per tree
+node and probe of each source, so its memory does not grow with n, and it
+returns exactly ``count_pass(simulate(...))``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .topology import Topology, TopologyError
+
+CHUNK = 1 << 18  # probes per source in one window of simulate_counts
 
 
 def source_stream(seed: int, source: int) -> np.random.Generator:
@@ -48,27 +60,52 @@ class PooledCounts:
         return sum(self.count(node, s) for s in sources)
 
 
-def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> ObservationSet:
-    """Run one probing experiment; fully determined by (t, probes, seed)."""
+def _probe_counts(t: Topology, probes: dict[int, int] | int) -> dict[int, int]:
     if isinstance(probes, int):
         probes = {s: probes for s in t.sources}
     for s in t.sources:
         if probes.get(s, 0) < 1:
             raise ValueError(f"source {s} needs a positive probe count")
+    return {s: probes[s] for s in t.sources}
 
-    receivers = {}
-    bits = {}
-    for s in t.sources:
-        rng = source_stream(seed, s)
-        n = probes[s]
-        state: dict[int, np.ndarray] = {s: np.ones(n, dtype=bool)}
-        for l in t.tree_parent[s].values():  # parents first, in topological order
-            passed = rng.random(n) < l.pass_rate
-            state[l.tail] = state[l.head] & passed
-        recv = tuple(r for r in t.receivers if r in state)
-        receivers[s] = recv
-        bits[s] = np.vstack([state[r] for r in recv])
-    return ObservationSet(probes=dict(probes), receivers=receivers, bits=bits)
+
+def _receiver_bits(t: Topology, s: int, seed: int, n: int, c0: int, m: int):
+    """Receivers of T^s and their bits for probes [c0, c0 + m) of the n source s sends."""
+    rng = source_stream(seed, s)
+    stream = rng.bit_generator
+    if c0:
+        stream.advance(c0)
+    state: dict[int, np.ndarray] = {s: np.ones(m, dtype=bool)}
+    for l in t.tree_parent[s].values():  # parents first, in topological order
+        state[l.tail] = state[l.head] & (rng.random(m) < l.pass_rate)
+        if m < n:
+            stream.advance(n - m)  # to the same probe of the next link
+    recv = tuple(r for r in t.receivers if r in state)
+    return recv, np.vstack([state[r] for r in recv])
+
+
+def _window(t: Topology, probes: dict[int, int], seed: int, c0: int, width: int) -> ObservationSet:
+    """Bits of probes [c0, c0 + width) of every source that sends more than c0."""
+    sizes = {s: min(width, n - c0) for s, n in probes.items() if n > c0}
+    receivers, bits = {}, {}
+    for s, m in sizes.items():
+        receivers[s], bits[s] = _receiver_bits(t, s, seed, probes[s], c0, m)
+    return ObservationSet(probes=sizes, receivers=receivers, bits=bits)
+
+
+def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> ObservationSet:
+    """Run one probing experiment; fully determined by (t, probes, seed)."""
+    probes = _probe_counts(t, probes)
+    return _window(t, probes, seed, 0, max(probes.values()))
+
+
+def simulate_counts(t: Topology, probes: dict[int, int] | int, seed: int) -> PooledCounts:
+    """``count_pass(simulate(t, probes, seed), t)``, holding one window of CHUNK probes per source."""
+    probes = _probe_counts(t, probes)
+    counts: Counter[tuple[int, int]] = Counter()
+    for c0 in range(0, max(probes.values()), CHUNK):
+        counts.update(count_pass(_window(t, probes, seed, c0, CHUNK), t).counts)
+    return PooledCounts(probes=probes, counts=dict(counts))
 
 
 def count_pass(obs: ObservationSet, t: Topology) -> PooledCounts:

@@ -232,3 +232,19 @@ def test_failing_estimator_keeps_the_other_rows(tmp_path, capsys):
     oracle = [r for r in rows if r["estimator"] == "mvwa-oracle"]
     assert len(mle) == 4 and all(r["reps"] == "3" and r["errors"] == "0" for r in mle)
     assert len(oracle) == 2 and all(r["reps"] == "0" and r["errors"] == "3" for r in oracle)
+
+
+def test_dead_source_link_leaves_crlb_empty(tmp_path, capsys):
+    # link 1 drops every probe: the path rate into the joint is 0, so the
+    # closed-form variance of link 1 is undefined and is written as empty
+    p = tmp_path / "dead.txt"
+    p.write_text(SETTINGS["2x2-equal"].replace("link 1 0 2 0.01", "link 1 0 2 1"))
+    code, out, err = run_cli(
+        capsys, "run", "--topology", str(p), "--probes", "100", "--reps", "3", "--estimators", "mle",
+    )
+    assert code == 0, err
+    rows = {r["link"]: r for r in csv.DictReader(io.StringIO(out))}
+    assert sorted(rows) == ["1", "2", "3", "4"]
+    assert rows["1"]["crlb_var"] == "" and rows["1"]["mean_loss"] == "1.0"
+    assert float(rows["2"]["crlb_var"]) > 0.0
+    assert all(r["reps"] == "3" and r["errors"] == "0" for r in rows.values())

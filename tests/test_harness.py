@@ -151,7 +151,7 @@ def test_failed_replications_are_recorded():
 
 
 def test_count_pass_runs_once_per_replication(monkeypatch):
-    from losstomo import harness
+    from losstomo import probes
 
     calls = []
 
@@ -159,7 +159,7 @@ def test_count_pass_runs_once_per_replication(monkeypatch):
         calls.append(obs)
         return count_pass(obs, t)
 
-    monkeypatch.setattr(harness, "count_pass", counting)
+    monkeypatch.setattr(probes, "count_pass", counting)
     run_experiment(cfg(estimators=METHODS, probe_counts=(100, 200), reps=3))
     assert len(calls) == 2 * 3
 

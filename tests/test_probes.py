@@ -1,14 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import BIG_NETWORK, CHAIN_TREE, SINGLE_TREE
 from hypothesis import given, settings, strategies as st
 
+from losstomo import probes as probes_module
+from losstomo.harness import SETTINGS
 from losstomo.probes import (
     ObservationSet,
+    _receiver_bits,
     count_pass,
     gamma_hat,
     simulate,
+    simulate_counts,
     source_stream,
 )
 from losstomo.topology import TopologyError, parse_topology
@@ -169,3 +175,90 @@ def test_bottom_up_counts_equal_or_over_receivers_under(request, fixture):
             rows = [row[r] for r in t.receivers_under(node)]
             assert counts.count(node, s) == int(np.count_nonzero(np.any(rows, axis=0)))
 
+
+TOPOLOGIES = {**SETTINGS, "big": BIG_NETWORK, "chain": CHAIN_TREE, "single": SINGLE_TREE}
+
+
+def probe_specs(t):
+    """One count for every source, and unequal counts when there are two sources."""
+    return [50, dict(zip(t.sources, (13, 1)))]
+
+
+def with_loss(text, loss):
+    """The topology with every link's loss rate set to ``loss``."""
+    return "".join(
+        line.rsplit(" ", 1)[0] + f" {loss}\n" if line.startswith("link ") else line + "\n"
+        for line in text.splitlines()
+    )
+
+
+# at loss 0.5 a node's bits are near coin flips, so a chunk drawn one probe
+# off changes some count; at 1% loss that shift is mostly invisible in counts
+@pytest.mark.parametrize("loss", [None, 0.5])
+@pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+def test_simulate_counts_equals_count_pass_of_simulate(name, loss, monkeypatch):
+    text = TOPOLOGIES[name] if loss is None else with_loss(TOPOLOGIES[name], loss)
+    t, seed = parse_topology(text), 5
+    for probes in probe_specs(t):
+        expected = count_pass(simulate(t, probes, seed), t)
+        n = probes if isinstance(probes, int) else max(probes.values())
+        for chunk in (1, 7, n - 1, n, n + 1):
+            monkeypatch.setattr(probes_module, "CHUNK", chunk)
+            assert simulate_counts(t, probes, seed) == expected, (probes, chunk)
+
+
+@pytest.mark.parametrize("chunk, windows", [(7, 2), (12, 2), (13, 1), (50, 1)])
+def test_simulate_counts_counts_each_window_once(big_topology, monkeypatch, chunk, windows):
+    # one count_pass per window, holding every source that still has probes
+    seen = []
+
+    def counting(obs, t):
+        seen.append(obs.probes)
+        return count_pass(obs, t)
+
+    monkeypatch.setattr(probes_module, "CHUNK", chunk)
+    monkeypatch.setattr(probes_module, "count_pass", counting)
+    first, second = big_topology.sources
+    simulate_counts(big_topology, {first: 13, second: 1}, seed=3)
+    assert len(seen) == windows
+    assert seen[0] == {first: min(chunk, 13), second: 1}
+    assert all(set(p) == {first} for p in seen[1:])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 12])
+def test_chunk_bits_are_column_slices_of_simulate(big_topology, chunk):
+    # link j of tree s draws probe k at offset j*n + k, so probes [c0, c0 + m)
+    # drawn alone are columns c0 .. c0 + m - 1 of the one-shot bits
+    t, seed = big_topology, 3
+    for probes in probe_specs(t):
+        obs = simulate(t, probes, seed)
+        for s, n in obs.probes.items():
+            for c0 in range(0, n, chunk):
+                m = min(chunk, n - c0)
+                recv, bits = _receiver_bits(t, s, seed, n, c0, m)
+                assert recv == obs.receivers[s]
+                assert np.array_equal(bits, obs.bits[s][:, c0:c0 + m]), (s, c0)
+
+
+@pytest.mark.parametrize("probes", [0, {0: 100}, {0: 100, 1: 0}])
+def test_simulate_counts_rejects_probe_counts_like_simulate(star22, probes):
+    with pytest.raises(ValueError, match="needs a positive probe count") as one_shot:
+        simulate(star22, probes, seed=1)
+    with pytest.raises(ValueError) as chunked:
+        simulate_counts(star22, probes, seed=1)
+    assert str(chunked.value) == str(one_shot.value)
+
+
+def test_simulate_counts_memory_is_bounded_by_the_chunk(big_topology, monkeypatch):
+    # count_pass(simulate(...)) of the same probes peaks at about 62 MiB
+    n = 2 * 10**6
+    monkeypatch.setattr(probes_module, "CHUNK", 2**16)
+    tracemalloc.start()
+    try:
+        counts = simulate_counts(big_topology, n, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert counts.probes == {s: n for s in big_topology.sources}
+    assert all(0.9 * n < counts.count(s, s) <= n for s in big_topology.sources)
