@@ -88,19 +88,20 @@ def cmd_decompose(args) -> int:
         print(f"  sources S({mt.joint}) = {list(mt.sources)}")
         print(f"  nodes = {list(mt.nodes)}")
         print(f"  links = {[l.label for l in mt.links]}")
-        print(f"  virtual links = {[f'{s}->{j}' for s, j in mt.virtual_links]}")
+        print(f"  virtual links = {[f'{s}->{mt.joint}' for s in mt.sources]}")
     for frag in plan.fragments:
         print(f"fragment of source {frag.source}:")
         print(f"  nodes = {list(frag.nodes)}")
         print(f"  links = {[l.label for l in frag.links]}")
-    if plan.merged_labels:
-        print(f"merged serial links: {list(plan.merged_labels)}")
+    serial = [l.label for l in plan.logical_links if len(l.link_ids) > 1]
+    if serial:
+        print(f"merged serial links: {serial}")
     print("estimation order:")
-    for step in plan.estimation_order:
-        if step[0] == "msource":
-            print(f"  solve multi-source tree at node {step[1]}")
-        else:
-            print(f"  solve upstream path of source {step[1]} at node {step[2]}")
+    for mt in plan.msource_trees:
+        print(f"  solve multi-source tree at node {mt.joint}")
+    for frag in plan.fragments:
+        for node in frag.solve_order:
+            print(f"  solve upstream path of source {frag.source} at node {node}")
     return 0
 
 

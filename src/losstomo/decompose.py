@@ -32,18 +32,13 @@ class LogicalLink:
     def loss_rate(self) -> float:
         return 1.0 - self.pass_rate
 
-    @property
-    def merged(self) -> bool:
-        return len(self.link_ids) > 1
-
 
 @dataclass(frozen=True)
 class MultiSourceTree:
     joint: int
-    sources: tuple[int, ...]  # S(joint)
+    sources: tuple[int, ...]  # S(joint), each joined to the joint by a virtual link of pass rate 1
     nodes: tuple[int, ...]  # intersection nodes, joint included
     links: tuple[LogicalLink, ...]
-    virtual_links: tuple[tuple[int, int], ...]  # (source, joint), pass rate 1
 
 
 @dataclass(frozen=True)
@@ -64,22 +59,10 @@ class DTreePlan:
     children: dict[int, tuple[LogicalLink, ...]] = field(compare=False, repr=False)
 
     @cached_property
-    def estimation_order(self) -> tuple[tuple, ...]:
-        """Bottom-up schedule: multi-source trees first, then upstream solves."""
-        steps: list[tuple] = [("msource", mt.joint) for mt in self.msource_trees]
-        for frag in self.fragments:
-            steps.extend(("upstream", frag.source, node) for node in frag.solve_order)
-        return tuple(steps)
-
-    @cached_property
     def logical_links(self) -> tuple[LogicalLink, ...]:
         links = [l for mt in self.msource_trees for l in mt.links]
         links.extend(l for frag in self.fragments for l in frag.links)
         return tuple(sorted(links, key=lambda l: l.link_ids))
-
-    @cached_property
-    def merged_labels(self) -> tuple[str, ...]:
-        return tuple(l.label for l in self.logical_links if l.merged)
 
 
 def _collapse(t: Topology) -> tuple[dict[int, tuple[LogicalLink, ...]], set[int]]:
@@ -114,23 +97,11 @@ def decompose(t: Topology) -> DTreePlan:
     """Split a topology into multi-source trees and per-source upstream fragments."""
     children, keep = _collapse(t)
     joints = sorted(n for n in keep if len(t.in_links[n]) >= 2)
-
-    # reject joint nodes nested inside another intersection
-    for j in joints:
-        for other in joints:
-            if other != j and other in t.descendants[j]:
-                raise UnsupportedTopologyError(
-                    f"joint node {other} lies inside the intersection rooted at {j}"
-                )
+    joint_set = set(joints)
 
     msource_trees = []
     inside: set[int] = set()  # intersection nodes excluding the joints
     for j in joints:
-        if len(children[j]) < 2:
-            raise UnsupportedTopologyError(
-                f"joint node {j} has a single descendant chain; its subtree rate "
-                "cannot be separated from the per-source paths"
-            )
         member_nodes = [j]
         member_links: list[LogicalLink] = []
         stack = [j]
@@ -141,18 +112,27 @@ def decompose(t: Topology) -> DTreePlan:
                 member_nodes.append(l.tail)
                 inside.add(l.tail)
                 stack.append(l.tail)
-        srcs = t.sources_reaching(j)
+        # earlier intersections hold no joint, so a joint in ``inside`` is below j
+        nested = joint_set & inside
+        if nested:
+            raise UnsupportedTopologyError(
+                f"joint node {min(nested)} lies inside the intersection rooted at {j}"
+            )
         msource_trees.append(
             MultiSourceTree(
                 joint=j,
-                sources=srcs,
+                sources=t.sources_reaching(j),
                 nodes=tuple(sorted(member_nodes)),
                 links=tuple(sorted(member_links, key=lambda l: l.link_ids)),
-                virtual_links=tuple((s, j) for s in srcs),
             )
         )
+    for j in joints:
+        if len(children[j]) < 2:
+            raise UnsupportedTopologyError(
+                f"joint node {j} has a single descendant chain; its subtree rate "
+                "cannot be separated from the per-source paths"
+            )
 
-    joint_set = set(joints)
     recv = set(t.receivers)
     depth_rank = {n: k for k, n in enumerate(t.order)}
     fragments = []

@@ -11,14 +11,11 @@ come from ``estimators.solve_intersection`` exactly as for the pooled MLE.
 
 from __future__ import annotations
 
-import logging
-
 from .decompose import DTreePlan
 from .probes import PooledCounts, gamma_hat
 from .solvers import FusionWeightError, NoDataError
 from .estimators import FUSION_METHODS, EstimateSet, solve_intersection, solve_multisource_beta
 
-log = logging.getLogger(__name__)
 
 def mvwa_weights(variances) -> tuple[float, ...]:
     """Inverse-variance weights; minimize the combined variance."""
@@ -65,8 +62,7 @@ def per_tree_estimates(counts: PooledCounts, node: int, children, sources) -> di
     """Per-source subtree estimates beta_i(s): the pooled solve over one source."""
     out = {}
     for s in sources:
-        if counts.count(node, s) == 0:
-            log.warning("excluding source %s at node %s: zero count", s, node)
+        if counts.count(node, s) == 0:  # no probe of s reached node, so s has no estimate there
             continue
         out[s] = solve_multisource_beta(counts, node, children, (s,))
     if not out:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -111,22 +110,20 @@ def simulate_counts(t: Topology, probes: dict[int, int] | int, seed: int) -> Poo
 def count_pass(obs: ObservationSet, t: Topology) -> PooledCounts:
     """Reduce receiver bits to n_i(s) for every node i of every tree T^s.
 
-    Bottom-up OR rule in reverse topological order: a receiver sees its bit
-    row, an internal node the OR of its children's vectors, each dropped once used."""
+    Bottom-up OR rule over the links of ``t.tree_parent[s]``, children before
+    parents: each tail's vector (its bit row, or the OR of its children's) is
+    counted and ORed into its head's; the source is counted last.  A tree node
+    with no vector counts 0, and rows of nodes outside T^s are ignored."""
     counts: dict[tuple[int, int], int] = {}
     for s, recv in obs.receivers.items():
-        row = dict(zip(recv, obs.bits[s]))
-        members = t.tree_nodes[s]
-        seen: dict[int, np.ndarray] = {}
-        for node in reversed(t.order):
-            if node not in members:
-                continue
-            kids = [seen.pop(c) for c in t.children(node) if c in seen]
-            if node in row:
-                kids.append(row[node])
-            if kids:
-                seen[node] = reduce(np.logical_or, kids)
-            counts[(node, s)] = int(np.count_nonzero(seen[node])) if kids else 0
+        up = t.tree_parent[s]
+        vec = dict(zip(recv, obs.bits[s]))
+        for node in (*reversed(up), s):
+            v = vec.pop(node, None)
+            counts[(node, s)] = 0 if v is None else int(np.count_nonzero(v))
+            if v is not None and node != s:  # a new array: receiver rows are views of obs.bits
+                head = up[node].head
+                vec[head] = vec[head] | v if head in vec else v
     return PooledCounts(probes=dict(obs.probes), counts=counts)
 
 

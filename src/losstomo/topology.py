@@ -55,9 +55,6 @@ class Topology:
             inc[l.tail].append(l)
         return {n: tuple(sorted(ls, key=lambda l: l.id)) for n, ls in inc.items()}
 
-    def children(self, node: int) -> tuple[int, ...]:
-        return tuple(l.tail for l in self.out_links[node])
-
     @cached_property
     def order(self) -> tuple[int, ...]:
         """Topological order, smallest ready node first; computed once."""
@@ -100,9 +97,9 @@ class Topology:
         """All nodes strictly below each node."""
         desc: dict[int, set[int]] = {n: set() for n in self.nodes}
         for u in reversed(self.order):
-            for c in self.children(u):
-                desc[u].add(c)
-                desc[u] |= desc[c]
+            for l in self.out_links[u]:
+                desc[u].add(l.tail)
+                desc[u] |= desc[l.tail]
         return {n: frozenset(d) for n, d in desc.items()}
 
     def receivers_under(self, node: int) -> tuple[int, ...]:

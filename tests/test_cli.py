@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import SINGLE_TREE
+from conftest import BIG_NETWORK, CHAIN_TREE, SINGLE_TREE
 
 import losstomo
 from losstomo.cli import EXIT_CONFIG, EXIT_UNSUPPORTED, main
@@ -67,6 +67,51 @@ def test_decompose_output(capsys):
     assert "joint nodes: [2]" in out
     assert "multi-source tree at node 2" in out
     assert "solve multi-source tree at node 2" in out
+
+
+DECOMPOSE_OUT = {
+    "big": (BIG_NETWORK, """\
+joint nodes: [2]
+multi-source tree at node 2:
+  sources S(2) = [0, 16]
+  nodes = [2, 4, 5, 8, 9, 10, 11]
+  links = ['8', '9', '16', '17', '18', '19']
+  virtual links = ['0->2', '16->2']
+fragment of source 0:
+  nodes = [0, 1, 2, 3, 6, 7, 12, 13, 14, 15]
+  links = ['1', '4', '5', '10', '11', '20', '21', '22', '23']
+fragment of source 16:
+  nodes = [2, 16, 17, 18, 19, 20, 21, 22, 23, 24]
+  links = ['0', '2', '3', '6', '7', '12', '13', '14', '15']
+estimation order:
+  solve multi-source tree at node 2
+  solve upstream path of source 0 at node 7
+  solve upstream path of source 0 at node 6
+  solve upstream path of source 0 at node 3
+  solve upstream path of source 0 at node 1
+  solve upstream path of source 16 at node 20
+  solve upstream path of source 16 at node 19
+  solve upstream path of source 16 at node 18
+  solve upstream path of source 16 at node 17
+"""),
+    "chain": (CHAIN_TREE, """\
+joint nodes: none
+fragment of source 0:
+  nodes = [0, 2, 3, 4]
+  links = ['1+2', '3', '4']
+merged serial links: ['1+2']
+estimation order:
+  solve upstream path of source 0 at node 2
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_OUT))
+def test_decompose_output_exact(tmp_path, capsys, name):
+    text, expected = DECOMPOSE_OUT[name]
+    p = tmp_path / "net.txt"
+    p.write_text(text)
+    assert run_cli(capsys, "decompose", "--topology", str(p)) == (0, expected, "")
 
 
 def test_analyze_output(capsys):
@@ -248,3 +293,19 @@ def test_dead_source_link_leaves_crlb_empty(tmp_path, capsys):
     assert rows["1"]["crlb_var"] == "" and rows["1"]["mean_loss"] == "1.0"
     assert float(rows["2"]["crlb_var"]) > 0.0
     assert all(r["reps"] == "3" and r["errors"] == "0" for r in rows.values())
+
+
+def test_fusion_exclusions_write_nothing_to_stderr(tmp_path):
+    # link 1 drops every probe of source 0, so fusion excludes that source at
+    # the joint in every replication; the run must not log each exclusion
+    p = tmp_path / "dead.txt"
+    p.write_text(SETTINGS["2x2-equal"].replace("link 1 0 2 0.01", "link 1 0 2 1"))
+    package_root = str(Path(losstomo.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "losstomo.cli", "run", "--topology", str(p),
+         "--estimators", "mle,rbmvwa,mrbmvwa", "--reps", "5", "--probes", "100"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120,
+    )
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.startswith("link,estimator,source,probes")

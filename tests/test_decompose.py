@@ -1,5 +1,7 @@
 import pytest
+from conftest import BIG_NETWORK
 
+from losstomo.cli import main
 from losstomo.decompose import decompose
 from losstomo.topology import UnsupportedTopologyError, parse_topology
 
@@ -10,7 +12,6 @@ def test_big_network_three_dtrees(big_plan):
     (mt,) = plan.msource_trees
     assert (mt.joint, mt.sources) == (2, (0, 16))
     assert set(mt.nodes) == {2, 4, 5, 8, 9, 10, 11}
-    assert mt.virtual_links == ((0, 2), (16, 2))
     assert len(plan.fragments) == 2
     frag16 = next(f for f in plan.fragments if f.source == 16)
     assert 2 in frag16.nodes and 4 not in frag16.nodes
@@ -36,7 +37,7 @@ def test_single_source_tree_trivial_plan(single_tree):
     assert len(plan.fragments) == 1
     frag = plan.fragments[0]
     assert set(frag.nodes) == set(single_tree.nodes)
-    assert plan.estimation_order == (("upstream", 0, 3), ("upstream", 0, 1))
+    assert frag.solve_order == (3, 1)
 
 
 def test_shared_receiver_parent():
@@ -53,9 +54,13 @@ def test_shared_receiver_parent():
     assert (mt.joint, mt.sources) == (2, (0, 1))
 
 
-def test_estimation_order_msource_first(big_plan):
-    kinds = [step[0] for step in big_plan.estimation_order]
-    assert kinds.index("msource") == 0
+def test_estimation_order_msource_first(tmp_path, capsys):
+    p = tmp_path / "big.txt"
+    p.write_text(BIG_NETWORK)
+    assert main(["decompose", "--topology", str(p)]) == 0
+    steps = capsys.readouterr().out.split("estimation order:\n")[1].splitlines()
+    kinds = [line.split()[1] for line in steps]  # "solve multi-source tree ..." or "solve upstream path ..."
+    assert kinds.index("multi-source") == 0
     assert all(k == "upstream" for k in kinds[1:])
 
 
@@ -68,10 +73,10 @@ def test_upstream_solve_order_bottom_up(big_plan):
 
 def test_serial_chain_collapsed(serial_plan):
     plan = serial_plan
-    merged = next(l for l in plan.logical_links if l.merged)
+    (merged,) = [l for l in plan.logical_links if len(l.link_ids) > 1]
     assert merged.link_ids == (1, 2)
     assert merged.pass_rate == pytest.approx(0.9 * 0.8)
-    assert plan.merged_labels == ("1+2",)
+    assert merged.label == "1+2"
 
 
 def test_nested_joint_rejected():
@@ -85,8 +90,9 @@ def test_nested_joint_rejected():
         "link 8 3 8 0.01\n"
         "source 0\nsource 1\nsource 3\nreceiver 5\nreceiver 6\nreceiver 7\n"
     )
-    with pytest.raises(UnsupportedTopologyError, match="inside the intersection"):
+    with pytest.raises(UnsupportedTopologyError) as exc:
         decompose(parse_topology(text))
+    assert str(exc.value) == "joint node 4 lies inside the intersection rooted at 2"
 
 
 def test_single_chain_joint_rejected():
@@ -97,8 +103,29 @@ def test_single_chain_joint_rejected():
         "link 1 0 2 0.01\nlink 2 1 2 0.01\nlink 3 2 3 0.01\n"
         "source 0\nsource 1\nreceiver 3\n"
     )
-    with pytest.raises(UnsupportedTopologyError, match="single descendant chain"):
+    with pytest.raises(UnsupportedTopologyError) as exc:
         decompose(parse_topology(text))
+    assert str(exc.value) == (
+        "joint node 2 has a single descendant chain; its subtree rate "
+        "cannot be separated from the per-source paths"
+    )
+
+
+def test_nesting_reported_before_single_chain():
+    # joint 1 has a single descendant chain and joint 4 lies inside joint 2's
+    # intersection; the nesting is reported although joint 1 comes first
+    text = (
+        "node 1\nnode 2\nnode 3\nnode 4\nnode 5\nnode 6\nnode 7\nnode 9\n"
+        "node 10\nnode 11\nnode 12\nnode 13\n"
+        "link 1 10 1 0.01\nlink 2 11 1 0.01\nlink 3 1 9 0.01\n"
+        "link 4 12 2 0.01\nlink 5 13 2 0.01\nlink 6 2 4 0.01\nlink 7 2 5 0.01\n"
+        "link 8 3 4 0.01\nlink 9 4 6 0.01\nlink 10 4 7 0.01\n"
+        "source 3\nsource 10\nsource 11\nsource 12\nsource 13\n"
+        "receiver 5\nreceiver 6\nreceiver 7\nreceiver 9\n"
+    )
+    with pytest.raises(UnsupportedTopologyError) as exc:
+        decompose(parse_topology(text))
+    assert str(exc.value) == "joint node 4 lies inside the intersection rooted at 2"
 
 
 def test_decompose_idempotent_on_fragment(big_topology, big_plan):

@@ -110,9 +110,8 @@ def test_counts_hierarchical(star22):
     obs = simulate(star22, 500, seed=11)
     counts = count_pass(obs, star22)
     for s in star22.sources:
-        for node in star22.tree_nodes[s]:
-            for child in star22.children(node):
-                assert counts.count(child, s) <= counts.count(node, s)
+        for l in star22.tree_parent[s].values():
+            assert counts.count(l.tail, s) <= counts.count(l.head, s)
 
 
 def test_gamma_hat_values():
@@ -262,3 +261,30 @@ def test_simulate_counts_memory_is_bounded_by_the_chunk(big_topology, monkeypatc
     assert peak < 8 * 2**20
     assert counts.probes == {s: n for s in big_topology.sources}
     assert all(0.9 * n < counts.count(s, s) <= n for s in big_topology.sources)
+
+
+def test_count_pass_leaves_the_bits_unchanged():
+    # receiver rows are views of obs.bits, so no OR may write into one
+    t = parse_topology(with_loss(BIG_NETWORK, 0.5))
+    obs = simulate(t, 200, seed=6)
+    before = {s: b.copy() for s, b in obs.bits.items()}
+    count_pass(obs, t)
+    for s in t.sources:
+        assert np.array_equal(obs.bits[s], before[s])
+
+
+def test_count_pass_missing_receiver_counts_zero(big_topology):
+    # source 0's rows without receiver 8, plus a row of receiver 21, which is outside T^0
+    t, s = big_topology, 0
+    rng = np.random.default_rng(2)
+    recv = tuple(r for r in t.receivers if r in t.tree_nodes[s] and r != 8) + (21,)
+    bits = rng.random((len(recv), 60)) < 0.5
+    row = dict(zip(recv, bits))
+    counts = count_pass(ObservationSet(probes={s: 60}, receivers={s: recv}, bits={s: bits}), t)
+    assert counts.count(8, s) == 0
+    assert counts.count(4, s) == int(np.count_nonzero(row[9]))
+    for node in t.tree_nodes[s]:
+        rows = [row[r] for r in t.receivers_under(node) if r in row and r != 21]
+        expected = int(np.count_nonzero(np.any(rows, axis=0))) if rows else 0
+        assert counts.count(node, s) == expected, node
+    assert set(counts.counts) == {(n, s) for n in t.tree_nodes[s]}

@@ -167,10 +167,10 @@ def _order_by_resort(t):
     while ready:
         u = ready.pop(0)
         order.append(u)
-        for c in t.children(u):
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
+        for l in t.out_links[u]:
+            indeg[l.tail] -= 1
+            if indeg[l.tail] == 0:
+                ready.append(l.tail)
         ready.sort()
     return order
 
