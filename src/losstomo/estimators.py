@@ -10,6 +10,15 @@ walk: the pooled MLE runs it over each upstream fragment with the joint
 paths embedded, and the per-tree baseline over each source's whole tree with
 nothing embedded, so it gives one estimate per covering source for shared
 links.
+
+Both root solves go through ``_root``, which memoises each successful
+``subtree_root`` / ``path_root`` return in ``PooledCounts.roots`` keyed by
+the solver and its exact inputs.  The methods run on one replication's
+counts share many solves: the four fusion schemes fuse the same per-source
+subtree estimates, and the per-tree baseline repeats every path solve of the
+pooled MLE that has no embedded term.  Each distinct root is therefore solved
+once per replication, with bit-identical results.  Failures are not stored:
+a failing solve runs again and raises afresh.
 """
 
 from __future__ import annotations
@@ -58,6 +67,17 @@ def _step(node, what):
         raise type(exc)(f"{what} at node {node}: {exc}") from exc
 
 
+def _root(counts: PooledCounts, key: tuple) -> float:
+    """``subtree_root(*key[1:])`` or ``path_root(*key[1:])`` as ``key[0]`` names, memoised.
+
+    The solver is looked up at call time, and only a return is stored."""
+    root = counts.roots.get(key)
+    if root is None:
+        solver = subtree_root if key[0] == "subtree" else path_root
+        root = counts.roots[key] = solver(*key[1:])
+    return root
+
+
 def solve_multisource_beta(counts: PooledCounts, node: int, children, sources) -> float:
     """Pooled-count MLE of the subtree pass rate at ``node``.
 
@@ -67,7 +87,7 @@ def solve_multisource_beta(counts: PooledCounts, node: int, children, sources) -
     n_i = counts.pooled(node, sources)
     if n_i == 0:
         raise NoDataError(f"no probes observed below node {node}")
-    return subtree_root([counts.pooled(c, sources) / n_i for c in children])
+    return _root(counts, ("subtree", tuple(counts.pooled(c, sources) / n_i for c in children)))
 
 
 def beta_sample_mean(counts: PooledCounts, node: int, sources, path_rates) -> float:
@@ -137,9 +157,9 @@ def _solve_paths(est: EstimateSet, counts: PooledCounts, plan: DTreePlan, source
     for node in order:
         links = sorted(plan.children[node], key=lambda l: l.tail not in embedded)
         with _step(node, f"path solve for source {source}"):
-            paths[node] = path_root(
-                gamma_hat(counts, node, source), [term(l.tail) for l in links]
-            )
+            paths[node] = _root(counts, (
+                "path", gamma_hat(counts, node, source), tuple(term(l.tail) for l in links)
+            ))
     for head, a_head in paths.items():
         if head != source:
             est.paths[(source, head)] = a_head
@@ -174,7 +194,6 @@ def estimate_network(counts: PooledCounts, plan: DTreePlan, method: str) -> Esti
         est = EstimateSet(method=method)
         t = plan.topology
         for s in t.sources:
-            order = [n for n in reversed(t.order)
-                     if n != s and n in t.tree_nodes[s] and plan.children.get(n)]
+            order = [n for n in reversed(t.tree_parent[s]) if plan.children.get(n)]
             _solve_paths(est, counts, plan, s, order, {}, s)
     return est

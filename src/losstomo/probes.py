@@ -18,7 +18,7 @@ returns exactly ``count_pass(simulate(...))``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,10 +43,17 @@ class ObservationSet:
 
 @dataclass(frozen=True)
 class PooledCounts:
-    """n_i(s) for every node of every tree, plus the probe totals."""
+    """n_i(s) for every node of every tree, plus the probe totals.
+
+    ``roots`` memoises the root solves made on these counts: the estimators
+    key each successful ``subtree_root`` / ``path_root`` return by the
+    solver and its exact inputs, so every method run on one replication's
+    counts solves each distinct root once.  A failing solve is not stored
+    and runs again.  The memo takes no part in equality or ``repr``."""
 
     probes: dict[int, int]  # source -> n^s
     counts: dict[tuple[int, int], int]  # (node, source) -> n_i(s)
+    roots: dict[tuple, float] = field(default_factory=dict, compare=False, repr=False)
 
     def count(self, node: int, source: int) -> int:
         try:

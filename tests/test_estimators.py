@@ -2,20 +2,35 @@ import math
 
 import numpy as np
 import pytest
-from conftest import BIG_NETWORK, CHAIN_TREE
+from conftest import BIG_NETWORK, CHAIN_TREE, SINGLE_TREE
 from hypothesis import given, settings, strategies as st
 
+from losstomo import estimators
 from losstomo.decompose import decompose
 from losstomo.estimators import (
+    FUSION_METHODS,
     METHODS,
     beta_sample_mean,
     estimate_network,
     estimate_source_paths,
     solve_multisource_beta,
 )
-from losstomo.harness import _expected_keys, _star_setting
-from losstomo.probes import ObservationSet, PooledCounts, count_pass, gamma_hat, simulate
-from losstomo.solvers import EstimationError, NoDataError, UnidentifiableError, path_root
+from losstomo.harness import SETTINGS, _expected_keys, _star_setting
+from losstomo.probes import (
+    ObservationSet,
+    PooledCounts,
+    count_pass,
+    gamma_hat,
+    simulate,
+    simulate_counts,
+)
+from losstomo.solvers import (
+    EstimationError,
+    FusionWeightError,
+    NoDataError,
+    UnidentifiableError,
+    path_root,
+)
 from losstomo.topology import parse_topology
 
 
@@ -270,6 +285,17 @@ def test_path_solve_lists_embedded_term_first():
 FUZZ_LOSSES = st.sampled_from((0.0, 1e-3, 0.5, 1.0))
 
 
+def _relossed(text, loss):
+    """``text`` with every link's loss replaced by ``loss(link_id, old_loss)``."""
+    lines = []
+    for line in text.strip().splitlines():
+        if line.startswith("link "):
+            head, old = line.rsplit(" ", 1)
+            line = f"{head} {loss(line.split()[1], old)}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
 def lossy_topologies(draw):
     """A star setting, BIG_NETWORK or the serial-chain tree, each link's loss drawn anew."""
@@ -277,12 +303,7 @@ def lossy_topologies(draw):
     if base == "star":
         return _star_setting(draw(st.lists(FUZZ_LOSSES, min_size=2, max_size=3)),
                              draw(st.lists(FUZZ_LOSSES, min_size=2, max_size=4)))
-    lines = []
-    for line in base.strip().splitlines():
-        if line.startswith("link "):
-            line = f"{line.rsplit(' ', 1)[0]} {draw(FUZZ_LOSSES)}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    return _relossed(base, lambda i, old: draw(FUZZ_LOSSES))
 
 
 @settings(max_examples=150, deadline=None)
@@ -301,3 +322,117 @@ def test_every_method_gives_valid_rates_or_a_typed_error(text, probes, seed):
         assert set(est.links) == set(_expected_keys(plan, method))
         for le in est.links.values():
             assert math.isfinite(le.pass_rate) and 0.0 <= le.pass_rate <= 1.0
+
+
+def _dead_ends(text):
+    """Loss 1 on the first and last link: a source without probes and a dead descendant."""
+    ids = [line.split()[1] for line in text.splitlines() if line.startswith("link ")]
+    return _relossed(text, lambda i, old: 1.0 if i in (ids[0], ids[-1]) else old)
+
+
+SHARED_BASES = {**SETTINGS, "big": BIG_NETWORK, "chain": CHAIN_TREE, "single": SINGLE_TREE}
+SHARED_CASES = {
+    f"{name}-{case}": make(text)
+    for name, text in SHARED_BASES.items()
+    for case, make in (("given", lambda x: x),
+                       ("lossless", lambda x: _relossed(x, lambda i, old: 0.0)),
+                       ("dead", _dead_ends))
+}
+
+
+def _outcome(counts, plan, method):
+    try:
+        est = estimate_network(counts, plan, method)
+    except EstimationError as exc:
+        return type(exc), str(exc)
+    return est.links, est.paths, est.betas
+
+
+def _methods(plan):
+    return METHODS if plan.msource_trees else ("mle", "tree-baseline")
+
+
+def test_shared_counts_give_the_same_outcomes_as_fresh_counts():
+    # every method on one PooledCounts, in either order, equals that method on
+    # fresh counts: the root memo changes no bit and no failure
+    failures = set()
+    for name, text in SHARED_CASES.items():
+        t = parse_topology(text)
+        plan = decompose(t)
+        counts = simulate_counts(t, 300, seed=11)
+        fresh = {m: _outcome(PooledCounts(probes=dict(counts.probes), counts=dict(counts.counts)),
+                             plan, m)
+                 for m in _methods(plan)}
+        failures.update(o[0] for o in fresh.values() if isinstance(o[0], type))
+        for order in (_methods(plan), _methods(plan)[::-1]):
+            shared = PooledCounts(probes=dict(counts.probes), counts=dict(counts.counts))
+            for m in order:
+                assert _outcome(shared, plan, m) == fresh[m], f"{name}: {m} after {order}"
+    assert {FusionWeightError, NoDataError, UnidentifiableError} <= failures
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    solver = getattr(estimators, name)
+
+    def counted(*args):
+        calls.append(args)
+        return solver(*args)
+
+    monkeypatch.setattr(estimators, name, counted)
+    return calls
+
+
+def test_fusion_schemes_share_their_per_source_solves(monkeypatch, big_plan):
+    calls = _counting(monkeypatch, "subtree_root")
+    t = big_plan.topology
+    estimate_network(simulate_counts(t, 500, seed=3), big_plan, "rbmvwa")
+    alone = len(calls)
+    assert alone > 0
+    calls.clear()
+    counts = simulate_counts(t, 500, seed=3)
+    for m in FUSION_METHODS:
+        estimate_network(counts, big_plan, m)
+    assert len(calls) == alone
+
+
+def test_tree_baseline_reuses_the_path_solves_of_mle(monkeypatch, big_plan):
+    calls = _counting(monkeypatch, "path_root")
+    t = big_plan.topology
+    estimate_network(simulate_counts(t, 500, seed=3), big_plan, "tree-baseline")
+    alone = len(calls)
+    counts = simulate_counts(t, 500, seed=3)
+    estimate_network(counts, big_plan, "mle")
+    calls.clear()
+    estimate_network(counts, big_plan, "tree-baseline")
+    assert 0 < len(calls) < alone
+
+
+@pytest.mark.parametrize("solver, text, methods", [
+    # one dead receiver below the star's joint: every per-source subtree solve fails
+    ("subtree_root", _relossed(SETTINGS["2x2-equal"], lambda i, old: 1.0 if i == "4" else old),
+     ("rbmvwa", "mrbmvwa")),
+    # link 7 -> 15 dead: source 0's path solve at node 7 fails in both walks
+    ("path_root", _relossed(BIG_NETWORK, lambda i, old: 1.0 if i == "23" else old),
+     ("mle", "tree-baseline")),
+], ids=["subtree", "path"])
+def test_a_failing_solve_runs_again_on_the_next_method(monkeypatch, solver, text, methods):
+    t = parse_topology(text)
+    plan = decompose(t)
+    counts = simulate_counts(t, 300, seed=2)
+    calls = _counting(monkeypatch, solver)
+    first, second = (_outcome(counts, plan, m) for m in methods)
+    assert first[0] is UnidentifiableError
+    assert first == second
+    failed = [args for args in calls if args == calls[-1]]
+    assert len(failed) == 2
+
+
+def test_root_memo_leaves_counts_equal_and_out_of_repr(big_plan):
+    t = big_plan.topology
+    counts = simulate_counts(t, 400, seed=8)
+    for m in METHODS:
+        estimate_network(counts, big_plan, m)
+    assert counts.roots
+    assert counts == count_pass(simulate(t, 400, seed=8), t)
+    assert "roots" not in repr(counts)
