@@ -101,10 +101,12 @@ def _weights_for(scheme, counts, plan, node, per_source) -> tuple[float, ...]:
 
 
 def fuse_node(counts, plan, node, children, sources, scheme) -> float:
-    """Fused subtree rate at ``node``: the weighted sum of the per-source estimates."""
+    """Fused subtree rate at ``node``: the weighted sum of the per-source estimates,
+    held at or below the largest of them, which rounding can carry the sum past."""
     per_source = per_tree_estimates(counts, node, children, sources)
     weights = _weights_for(scheme, counts, plan, node, per_source)
-    return sum(w * b for w, b in zip(weights, (per_source[s] for s in sorted(per_source))))
+    fused = sum(w * b for w, b in zip(weights, (per_source[s] for s in sorted(per_source))))
+    return min(fused, max(per_source.values()))
 
 
 def fused_estimate(counts: PooledCounts, plan: DTreePlan, scheme: str) -> EstimateSet:

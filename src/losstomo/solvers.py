@@ -1,10 +1,22 @@
 """Root solvers for the pass-rate likelihood polynomials.
 
-Both estimating forms reduce to finding the unique nonzero root of
-``1 - x - prod_j(1 - r_j x)`` on (0, 1] (subtree form) or of
-``1 - g/A - prod_c(1 - t_c/A)`` on [g, 1] (path form).  The trivial root at
-the lower boundary is excluded; the nonzero root is located by a sign-change
-bracket and refined with Newton steps safeguarded by bisection.
+Both estimating forms reduce to the nonzero root of the subtree polynomial
+``f(y) = 1 - y - prod_c(1 - r_c y)``: ``subtree_root`` for y in [1e-9, 1] and
+descendant count ratios r_c, ``path_root`` for the path form
+``1 - g/A - prod_c(1 - t_c/A)``, which is f with y = g/A and r_c = t_c/g, for
+y in [g, 1]; it returns A = g/y.
+
+One Newton solver serves both, on h(y) = f(y)/y.  Every factor 1 - r_c y is
+non-negative there, and the n-th derivative of their product P is (-1)^n times
+a sum of products of them, so P is convex with P''' <= 0.  Hence
+h = (1 - P)/y - 1, the mean of -P' over [0, y] less 1, is convex and
+decreasing, and Newton from the lower end climbs monotonically onto the root
+(on f from the upper end it would halve its way down to a root near 0).  A
+step within 2 ulp of its point ends the search, a step outside the bracket
+bisects, and a bracket narrowed to 2 ulp ends it.  A root exists when the
+product form 1 - y - P is positive at the lower end; where h finds none above
+that end, as rounding allows for ratios summing to 1 within about 1e-7, the
+lower end is returned.
 
 Both solvers share one input rule: every descendant value lies in [0, 1], a
 zero (no probe reached that descendant) adds the factor 1 to the product and
@@ -54,36 +66,61 @@ def _nonzero_descendants(values, what: str) -> list[float]:
     return v
 
 
-def _refine(f, fprime, lo: float, hi: float, pos_at_lo: bool) -> float:
-    """Safeguarded Newton within a bracket where f changes sign."""
-    x = 0.5 * (lo + hi)
+def _polynomial(ratios):
+    """``y -> (h(y), h'(y))`` for h(y) = (1 - y - prod(1 - r y)) / y.
+
+    With P_j = prod_{i<=j}(1 - r_i y), h(y) = (sum(r) - 1) - sum_j r_j (1 - P_{j-1})
+    and 1 - P_j = 1 - P_{j-1} + r_j y P_{j-1}: no sum cancels before the root."""
+    excess = math.fsum([*ratios, -1.0])
+
+    def h(y: float) -> tuple[float, float]:
+        prod, dprod, gap, value, slope = 1.0, 0.0, 0.0, excess, 0.0
+        for r in ratios:
+            value -= r * gap
+            slope += r * dprod
+            ry = r * y
+            gap += ry * prod
+            dprod = dprod * (1.0 - ry) - r * prod
+            prod -= ry * prod
+        return value, slope
+
+    return h
+
+
+def _refine(f, lo: float, hi: float) -> float:
+    """Newton from ``lo`` onto the root of a convex decreasing f with f(lo) > 0 > f(hi).
+
+    From below, Newton passes the root only by rounding, when the root lies
+    within an ulp or two of ``hi``: a step there evaluates ``hi`` instead of bisecting."""
+    x, hi_seen = lo, False
     for _ in range(200):
-        fx = f(x)
+        fx, dfx = f(x)
         if fx == 0.0:
             return x
-        if (fx > 0.0) == pos_at_lo:
+        if fx > 0.0:
             lo = x
         else:
-            hi = x
-        d = fprime(x)
-        if d != 0.0 and math.isfinite(d):
-            step = x - fx / d
-        else:
+            hi, hi_seen = x, True
+        step = x - fx / dfx if dfx else 0.5 * (lo + hi)
+        if lo <= step <= hi and abs(step - x) <= 2.0 * math.ulp(x):
+            return step
+        if step >= hi and not hi_seen:
+            step = hi
+        elif not lo < step < hi:
             step = 0.5 * (lo + hi)
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if abs(step - x) <= 1e-17 or hi - lo <= 1e-16:
-            x = step
-            break
+        if hi - lo <= 2.0 * math.ulp(hi):
+            return step
         x = step
     return x
 
 
-def _checked_root(f, fprime, lo: float, pos_at_lo: bool) -> float:
-    """``_refine`` on [lo, 1], rejecting a root whose residual is not near zero."""
-    root = _refine(f, fprime, lo, 1.0, pos_at_lo)
-    if abs(f(root)) > RESIDUAL_TOL:
-        raise RootBracketError(f"root refinement stalled: residual {f(root):.3e} at {root!r}")
+def _solve(ratios, lo: float) -> float:
+    """Root in [lo, 1] of the subtree polynomial, rejected if its residual y h(y) is not near zero."""
+    h = _polynomial(ratios)
+    root = _refine(h, lo, 1.0)
+    residual = root * h(root)[0]
+    if abs(residual) > RESIDUAL_TOL:
+        raise RootBracketError(f"root refinement stalled: residual {residual:.3e} at {root!r}")
     return root
 
 
@@ -96,30 +133,12 @@ def subtree_root(ratios) -> float:
     r = _nonzero_descendants(ratios, "ratio")
     if any(v == 1.0 for v in r):
         return 1.0
-
-    def f(x: float) -> float:
-        prod = 1.0
-        for v in r:
-            prod *= 1.0 - v * x
-        return 1.0 - x - prod
-
-    def fprime(x: float) -> float:
-        total = -1.0
-        for j, vj in enumerate(r):
-            term = vj
-            for k, vk in enumerate(r):
-                if k != j:
-                    term *= 1.0 - vk * x
-            total += term
-        return total
-
-    lo = BRACKET_DELTA
-    if f(lo) <= 0.0:
+    if 1.0 - BRACKET_DELTA - math.prod(1.0 - v * BRACKET_DELTA for v in r) <= 0.0:
         raise RootBracketError(
             "no sign change on (0, 1]: sum of descendant ratios "
             f"{sum(r):.6f} <= 1 (ratios {r})"
         )
-    return _checked_root(f, fprime, lo, pos_at_lo=True)
+    return _solve(r, BRACKET_DELTA)
 
 
 def path_root(gamma_parent: float, terms) -> float:
@@ -137,38 +156,15 @@ def path_root(gamma_parent: float, terms) -> float:
     if any(v == g for v in t):
         # a descendant saw everything the node saw: boundary root
         return g
-
-    def f(a: float) -> float:
-        prod = 1.0
-        for v in t:
-            prod *= 1.0 - v / a
-        return 1.0 - g / a - prod
-
-    def fprime(a: float) -> float:
-        total = g / (a * a)
-        for j, vj in enumerate(t):
-            term = -vj / (a * a)
-            for k, vk in enumerate(t):
-                if k != j:
-                    term *= 1.0 - vk / a
-            total += term
-        return total
-
-    lo = max([g] + t)
-    if lo >= 1.0:
-        return 1.0
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    if f(1.0) <= 0.0:
+    top = max(t)
+    if top > g:
+        # A term overshoots its parent (an embedded estimate or a finite sample
+        # can).  The polynomial is positive on the feasible A >= every term, so
+        # the constrained optimum is the boundary A = max(terms).
+        return top
+    if 1.0 - g - math.prod(1.0 - v for v in t) <= 0.0:  # the polynomial at A = 1
         raise RootBracketError(
             "no sign change on [{:.6f}, 1]: descendant terms {} are too small "
-            "relative to the parent rate {:.6f}".format(lo, t, g)
+            "relative to the parent rate {:.6f}".format(g, t, g)
         )
-    if flo > 0.0:
-        # The unconstrained root lies below max(terms), which happens when a
-        # descendant term overshoots its parent at finite sample size.  The
-        # feasible region requires A >= every term, so the constrained
-        # optimum is the boundary itself.
-        return lo
-    return _checked_root(f, fprime, lo, pos_at_lo=False)
+    return g / _solve([v / g for v in t], g)

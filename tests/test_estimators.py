@@ -88,14 +88,41 @@ def test_solve_tree_pass_rate_example():
     assert path_root(0.9, [0.9, 0.5]) == 0.9
 
 
+def path_bisection_oracle(g, terms):
+    """Smallest A in [max(g, terms), 1] where A - g - prod(A - t) / A^(k-1) turns non-negative."""
+    def h(a):
+        prod = 1.0
+        for t in terms:
+            prod *= a - t
+        return a - g - prod / a ** (len(terms) - 1)
+
+    lo, hi = max([g, *terms]), 1.0
+    if h(lo) >= 0:
+        return lo
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if h(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def test_upstream_solver_examples():
     # an embedded term (0.9) listed first, then an ordinary one
     a = path_root(0.93, [0.9, 0.88])
     assert a == pytest.approx(0.792 / 0.85, abs=1e-10)
-    # embedding the raw rate itself reduces to the plain tree solve
-    assert path_root(0.9, [0.84, 0.78]) == pytest.approx(
-        path_root(0.9, [0.84, 0.78]), abs=1e-15
-    )
+    # three to six terms against bisection in A; 0.62 and 0.95 are embedded
+    # terms above their parent rate, which put the root on the boundary max(terms)
+    for g, terms in [
+        (0.6, [0.45, 0.4, 0.35]),
+        (0.7, [0.5, 0.3, 0.45, 0.4]),
+        (0.8, [0.6, 0.55, 0.5, 0.45, 0.4]),
+        (0.75, [0.3, 0.35, 0.4, 0.45, 0.5, 0.55]),
+        (0.6, [0.62, 0.3, 0.2, 0.4]),
+        (0.93, [0.95, 0.9, 0.88]),
+    ]:
+        assert path_root(g, terms) == pytest.approx(path_bisection_oracle(g, terms), abs=1e-12)
 
 
 def test_upstream_two_embedded_matches_bisection_oracle():
@@ -263,23 +290,27 @@ EMBEDDED_FRAGMENT = (
 )
 
 
-def test_path_solve_lists_embedded_term_first():
+def test_path_solve_lists_embedded_term_first(monkeypatch):
     # a product of two terms commutes, so only a node with three or more terms
-    # shows the order; over these seeds some roots differ in the last bits
+    # has an order; record the terms the path solve at node 2 is given
     t = parse_topology(EMBEDDED_FRAGMENT)
     plan = decompose(t)
     assert plan.joint_nodes == (5,)
     assert [l.tail for l in plan.children[2]] == [3, 4, 5]
-    order_matters = False
-    for seed in range(24):
-        counts = count_pass(simulate(t, 1234, seed=seed), t)
-        est = estimate_network(counts, plan, "mle")
-        embedded = est.paths[(0, 5)]
-        ordinary = [gamma_hat(counts, 3, 0), gamma_hat(counts, 4, 0)]
-        g = gamma_hat(counts, 2, 0)
-        assert est.paths[(0, 2)] == path_root(g, [embedded] + ordinary)
-        order_matters |= path_root(g, ordinary + [embedded]) != est.paths[(0, 2)]
-    assert order_matters, "no seed tells the term orders apart; the check above is vacuous"
+    solved = []
+
+    def recording(gamma_parent, terms):
+        solved.append((gamma_parent, terms))
+        return path_root(gamma_parent, terms)
+
+    monkeypatch.setattr(estimators, "path_root", recording)
+    counts = count_pass(simulate(t, 1234, seed=0), t)
+    est = estimate_network(counts, plan, "mle")
+    embedded = est.paths[(0, 5)]
+    ordinary = (gamma_hat(counts, 3, 0), gamma_hat(counts, 4, 0))
+    assert embedded not in ordinary
+    assert solved == [(gamma_hat(counts, 2, 0), (embedded, *ordinary))]
+    assert est.paths[(0, 2)] == path_root(*solved[0])
 
 
 FUZZ_LOSSES = st.sampled_from((0.0, 1e-3, 0.5, 1.0))

@@ -12,7 +12,7 @@ from losstomo.fusion import (
     rbmvwa_weights,
 )
 from losstomo.harness import SETTINGS
-from losstomo.probes import count_pass, simulate
+from losstomo.probes import PooledCounts, count_pass, simulate
 from losstomo.solvers import FusionWeightError
 from losstomo.topology import parse_topology
 
@@ -106,6 +106,20 @@ def test_fuse_node_star(star22_plan):
     for scheme in FUSION_METHODS:
         beta = fuse_node(counts, star22_plan, 2, [3, 4], (0, 1), scheme)
         assert lo <= beta <= hi
+
+
+def test_fused_beta_never_exceeds_the_largest_per_source_estimate(star22_plan):
+    # receiver 3 saw every probe that reached the joint 2 from either source,
+    # so both per-source betas are exactly 1; the weights 264/591 and 327/591
+    # sum to 1 + 1 ulp when each multiplies 1.0
+    counts = PooledCounts(probes={0: 500, 1: 500}, counts={
+        (0, 0): 500, (1, 1): 500, (2, 0): 264, (2, 1): 327,
+        (3, 0): 264, (3, 1): 327, (4, 0): 200, (4, 1): 250,
+    })
+    assert per_tree_estimates(counts, 2, [3, 4], (0, 1)) == {0: 1.0, 1: 1.0}
+    for scheme in FUSION_METHODS:
+        assert fuse_node(counts, star22_plan, 2, [3, 4], (0, 1), scheme) <= 1.0
+        assert all(0.0 <= b <= 1.0 for b in fused_estimate(counts, star22_plan, scheme).betas.values())
 
 
 def test_fused_estimate_covers_intersection_links(star22_plan):

@@ -1,8 +1,9 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from losstomo import solvers
 from losstomo.solvers import (
     EstimationError,
     NoDataError,
@@ -135,3 +136,45 @@ def test_scale_invariance_of_count_ratios():
     base = [480 / 500, 460 / 500]
     scaled = [4800 / 5000, 4600 / 5000]
     assert subtree_root(base) == subtree_root(scaled)
+
+
+@st.composite
+def ratio_vectors(draw):
+    """2-8 ratios in (0.05, 1]; about half are scaled to sum to 1 + eps with
+    eps in [1e-9, 1e-3], which puts the root near 0."""
+    ratios = draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=8))
+    if draw(st.booleans()):
+        eps = 10.0 ** draw(st.floats(-9.0, -3.0))
+        total = sum(ratios)
+        ratios = [r / total * (1.0 + eps) for r in ratios]
+    return ratios
+
+
+@settings(max_examples=500, deadline=None)
+@given(ratios=ratio_vectors())
+@example(ratios=[0.96875, 1.0 - 2.0**-53])
+def test_every_root_stops_within_40_evaluations(ratios):
+    # a Newton step allowed to land on a bracket end can cycle between two
+    # floats until the iteration cap: near 0 when the ratios sum to just
+    # above 1, near 1 when many ratios sum well above it; and a step that
+    # rounds onto the upper end, for a root within an ulp of it (the example),
+    # must not leave that root to 50 bisections
+    if max(ratios) > 1.0:
+        return
+    evaluations = []
+    refine = solvers._refine
+
+    def counted_refine(f, *args):
+        def counted(x):
+            evaluations.append(x)
+            return f(x)
+        return refine(counted, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_refine", counted_refine)
+        try:
+            root = subtree_root(ratios)
+        except EstimationError:
+            return
+    assert 0.0 < root <= 1.0
+    assert len(evaluations) <= 40
