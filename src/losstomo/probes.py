@@ -6,17 +6,19 @@ internal-node states are inferred with the OR rule over the receivers below
 a node, which is what the pass counts are built from.
 
 Stream layout: in source s's stream, link j of ``t.tree_parent[s]`` (in its
-order) draws probe k of n at offset j*n + k.  Any probe range [c0, c0 + m)
-can therefore be drawn on its own by advancing the stream, and
-``simulate_counts`` counts the probes in windows of CHUNK: each window is one
-``ObservationSet`` of every source that still has probes, counted by one
-``count_pass`` call.  It holds one window at once, about one byte per tree
-node and probe of each source, so its memory does not grow with n, and it
-returns exactly ``count_pass(simulate(...))``.
+order) draws probe k of n at offset j*n + k, so any probe range can be drawn
+on its own by advancing the stream.  ``simulate_counts`` counts the probes in
+windows of CHUNK // WORKERS, each one ``ObservationSet`` of every source that
+still has probes and one ``count_pass`` call, drawn WORKERS at once on threads
+(numpy releases the GIL in the RNG fill and the ufuncs).  At most CHUNK probes
+per source are in flight, about one byte per tree node and probe of each
+source, so memory grows with neither n nor the CPU count; the windows' integer
+counts are summed, so it returns exactly ``count_pass(simulate(...))``.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -24,7 +26,9 @@ import numpy as np
 
 from .topology import Topology, TopologyError
 
-CHUNK = 1 << 18  # probes per source in one window of simulate_counts
+CHUNK = 1 << 18  # probes per source in flight in simulate_counts, over all its windows
+# threads drawing windows in simulate_counts: the CPUs this process may run on
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def source_stream(seed: int, source: int) -> np.random.Generator:
@@ -106,11 +110,25 @@ def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> Observatio
 
 
 def simulate_counts(t: Topology, probes: dict[int, int] | int, seed: int) -> PooledCounts:
-    """``count_pass(simulate(t, probes, seed), t)``, holding one window of CHUNK probes per source."""
+    """``count_pass(simulate(t, probes, seed), t)``, drawing windows of CHUNK // WORKERS
+    probes per source on up to WORKERS threads; one window runs in the calling thread."""
     probes = _probe_counts(t, probes)
+    width = max(1, CHUNK // WORKERS)
+    starts = range(0, max(probes.values()), width)
+
+    def window(c0: int) -> dict[tuple[int, int], int]:
+        return count_pass(_window(t, probes, seed, c0, width), t).counts
+
     counts: Counter[tuple[int, int]] = Counter()
-    for c0 in range(0, max(probes.values()), CHUNK):
-        counts.update(count_pass(_window(t, probes, seed, c0, CHUNK), t).counts)
+    if len(starts) == 1:
+        counts.update(window(0))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        t.tree_parent  # a cached_property: build it here, not racing in the workers
+        with ThreadPoolExecutor(min(len(starts), WORKERS)) as pool:
+            for c in pool.map(window, starts):
+                counts.update(c)
     return PooledCounts(probes=probes, counts=dict(counts))
 
 

@@ -13,10 +13,10 @@ h = (1 - P)/y - 1, the mean of -P' over [0, y] less 1, is convex and
 decreasing, and Newton from the lower end climbs monotonically onto the root
 (on f from the upper end it would halve its way down to a root near 0).  A
 step within 2 ulp of its point ends the search, a step outside the bracket
-bisects, and a bracket narrowed to 2 ulp ends it.  A root exists when the
-product form 1 - y - P is positive at the lower end; where h finds none above
-that end, as rounding allows for ratios summing to 1 within about 1e-7, the
-lower end is returned.
+bisects, and a bracket narrowed to 2 ulp ends it.  A subtree root in (0, 1]
+exists exactly when h(0) = sum(r) - 1 > 0, which ``math.fsum`` decides without
+rounding; a path root in [g, 1] when f(g) > 0.  Where h finds none above the
+lower end (for a subtree, a root below 1e-9), the lower end is returned.
 
 Both solvers share one input rule: every descendant value lies in [0, 1], a
 zero (no probe reached that descendant) adds the factor 1 to the product and
@@ -133,7 +133,7 @@ def subtree_root(ratios) -> float:
     r = _nonzero_descendants(ratios, "ratio")
     if any(v == 1.0 for v in r):
         return 1.0
-    if 1.0 - BRACKET_DELTA - math.prod(1.0 - v * BRACKET_DELTA for v in r) <= 0.0:
+    if math.fsum([*r, -1.0]) <= 0.0:  # f'(0) = sum(r) - 1 <= 0 and f'' < 0: no root
         raise RootBracketError(
             "no sign change on (0, 1]: sum of descendant ratios "
             f"{sum(r):.6f} <= 1 (ratios {r})"

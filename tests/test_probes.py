@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -202,8 +203,10 @@ def test_simulate_counts_equals_count_pass_of_simulate(name, loss, monkeypatch):
         expected = count_pass(simulate(t, probes, seed), t)
         n = probes if isinstance(probes, int) else max(probes.values())
         for chunk in (1, 7, n - 1, n, n + 1):
-            monkeypatch.setattr(probes_module, "CHUNK", chunk)
-            assert simulate_counts(t, probes, seed) == expected, (probes, chunk)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(probes_module, "CHUNK", chunk)
+                monkeypatch.setattr(probes_module, "WORKERS", workers)
+                assert simulate_counts(t, probes, seed) == expected, (probes, chunk, workers)
 
 
 @pytest.mark.parametrize("chunk, windows", [(7, 2), (12, 2), (13, 1), (50, 1)])
@@ -216,12 +219,52 @@ def test_simulate_counts_counts_each_window_once(big_topology, monkeypatch, chun
         return count_pass(obs, t)
 
     monkeypatch.setattr(probes_module, "CHUNK", chunk)
+    monkeypatch.setattr(probes_module, "WORKERS", 1)
     monkeypatch.setattr(probes_module, "count_pass", counting)
     first, second = big_topology.sources
     simulate_counts(big_topology, {first: 13, second: 1}, seed=3)
     assert len(seen) == windows
     assert seen[0] == {first: min(chunk, 13), second: 1}
     assert all(set(p) == {first} for p in seen[1:])
+
+
+def test_workers_share_the_chunk(big_topology, monkeypatch):
+    # two workers draw windows of CHUNK // 2, so CHUNK probes per source are in flight
+    seen = []
+
+    def counting(obs, t):
+        seen.append(obs.probes)
+        return count_pass(obs, t)
+
+    monkeypatch.setattr(probes_module, "CHUNK", 12)
+    monkeypatch.setattr(probes_module, "WORKERS", 2)
+    monkeypatch.setattr(probes_module, "count_pass", counting)
+    first, second = big_topology.sources
+    simulate_counts(big_topology, {first: 13, second: 1}, seed=3)
+    # the workers may count in either order
+    assert sorted(seen, key=lambda p: (len(p), p[first])) == [
+        {first: 1}, {first: 6}, {first: 6, second: 1}
+    ]
+
+
+def test_worker_exception_reaches_the_caller(big_topology, monkeypatch):
+    calls, lock = [], threading.Lock()
+
+    def failing(obs, t):
+        with lock:
+            calls.append(obs.probes)
+            second = len(calls) == 2
+        if second:
+            raise TopologyError("second window")
+        return count_pass(obs, t)
+
+    monkeypatch.setattr(probes_module, "CHUNK", 4)
+    monkeypatch.setattr(probes_module, "WORKERS", 2)
+    monkeypatch.setattr(probes_module, "count_pass", failing)
+    before = threading.active_count()
+    with pytest.raises(TopologyError, match="second window"):
+        simulate_counts(big_topology, 40, seed=3)
+    assert threading.active_count() == before  # the pool's threads were joined
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 12])
@@ -261,6 +304,22 @@ def test_simulate_counts_memory_is_bounded_by_the_chunk(big_topology, monkeypatc
     assert peak < 8 * 2**20
     assert counts.probes == {s: n for s in big_topology.sources}
     assert all(0.9 * n < counts.count(s, s) <= n for s in big_topology.sources)
+
+
+def test_workers_share_the_memory_budget(big_topology, monkeypatch):
+    # WORKERS windows of CHUNK // WORKERS are in flight, not WORKERS windows of CHUNK
+    n = 2 * 10**6
+    monkeypatch.setattr(probes_module, "CHUNK", 2**16)
+    peaks = {}
+    for workers in (1, 4):
+        monkeypatch.setattr(probes_module, "WORKERS", workers)
+        tracemalloc.start()
+        try:
+            simulate_counts(big_topology, n, seed=4)
+            peaks[workers] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4] <= 1.5 * peaks[1], peaks
 
 
 def test_count_pass_leaves_the_bits_unchanged():

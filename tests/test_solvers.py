@@ -67,6 +67,14 @@ def test_no_sign_change_reported_with_diagnostics():
         subtree_root([0.4, 0.4])
 
 
+@pytest.mark.parametrize("ratios", [[0.5, 0.5], [0.25, 0.75], [0.5, 0.25, 0.25]])
+def test_ratios_summing_to_exactly_one_have_no_root(ratios):
+    # f'(0) = sum(r) - 1 = 0 and f'' < 0, so f < 0 on (0, 1]; the rounded
+    # product form 1 - y - prod(1 - r y) at y = 1e-9 once let [0.5, 0.5] through
+    with pytest.raises(RootBracketError, match="sum of descendant ratios"):
+        subtree_root(ratios)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     r1=st.floats(0.05, 0.999),
@@ -82,7 +90,12 @@ def test_matches_quadratic_closed_form(r1, r2):
 @given(
     ratios=st.lists(st.floats(0.5, 0.999), min_size=2, max_size=6),
 )
+@example(ratios=[0.5, 0.5])
 def test_root_in_range_with_small_residual(ratios):
+    if math.fsum([*ratios, -1.0]) <= 0.0:  # sum(ratios) <= 1 exactly: no root in (0, 1]
+        with pytest.raises(RootBracketError):
+            subtree_root(ratios)
+        return
     root = subtree_root(ratios)
     assert 0.0 < root <= 1.0
     prod = 1.0
