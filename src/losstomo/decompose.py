@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
-from .topology import Link, Topology, UnsupportedTopologyError
+from .topology import Topology, UnsupportedTopologyError
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,7 @@ class LogicalLink:
     link_ids: tuple[int, ...]
     pass_rate: float  # product of the true physical pass rates
 
-    @property
+    @cached_property
     def label(self) -> str:
         return "+".join(str(i) for i in self.link_ids)
 
@@ -65,8 +66,11 @@ class DTreePlan:
         return tuple(sorted(links, key=lambda l: l.link_ids))
 
 
-def _collapse(t: Topology) -> tuple[dict[int, tuple[LogicalLink, ...]], set[int]]:
-    """Merge serial chains; returns children map over surviving nodes."""
+def _collapse(t: Topology) -> dict[int, tuple[LogicalLink, ...]]:
+    """Merge serial chains; returns children map over surviving nodes.
+
+    A node's chains start with its out_links, which come in id order, so its
+    logical links come out sorted by link ids."""
     ends = set(t.sources) | set(t.receivers)
     keep = {
         n
@@ -75,45 +79,45 @@ def _collapse(t: Topology) -> tuple[dict[int, tuple[LogicalLink, ...]], set[int]
         or len(t.in_links[n]) >= 2
         or len(t.out_links[n]) >= 2
     }
-    children: dict[int, list[LogicalLink]] = {n: [] for n in keep}
+    children: dict[int, tuple[LogicalLink, ...]] = {}
     for u in keep:
+        kids = []
         for first in t.out_links[u]:
-            chain: list[Link] = [first]
-            cur = first.tail
+            ids, rate, cur = [first.id], first.pass_rate, first.tail
             while cur not in keep:
                 (nxt,) = t.out_links[cur]
-                chain.append(nxt)
+                ids.append(nxt.id)
+                rate *= nxt.pass_rate
                 cur = nxt.tail
-            rate = 1.0
-            for l in chain:
-                rate *= l.pass_rate
-            children[u].append(
-                LogicalLink(u, cur, tuple(l.id for l in chain), rate)
-            )
-    return {n: tuple(sorted(ls, key=lambda l: l.link_ids)) for n, ls in children.items()}, keep
+            kids.append(LogicalLink(u, cur, tuple(ids), rate))
+        children[u] = tuple(kids)
+    return children
+
+
+def _walk(children: dict[int, tuple[LogicalLink, ...]], root: int, stop=frozenset()):
+    """Collapsed nodes (root first) and links below root, not descending below nodes in stop."""
+    nodes, links, stack = [root], [], [root]
+    while stack:
+        for l in children[stack.pop()]:
+            links.append(l)
+            nodes.append(l.tail)
+            if l.tail not in stop:
+                stack.append(l.tail)
+    return nodes, links
 
 
 def decompose(t: Topology) -> DTreePlan:
     """Split a topology into multi-source trees and per-source upstream fragments."""
-    children, keep = _collapse(t)
-    joints = sorted(n for n in keep if len(t.in_links[n]) >= 2)
+    children = _collapse(t)
+    joints = sorted(n for n in children if len(t.in_links[n]) >= 2)
     joint_set = set(joints)
+    by_ids = attrgetter("link_ids")
 
     msource_trees = []
-    inside: set[int] = set()  # intersection nodes excluding the joints
     for j in joints:
-        member_nodes = [j]
-        member_links: list[LogicalLink] = []
-        stack = [j]
-        while stack:
-            u = stack.pop()
-            for l in children[u]:
-                member_links.append(l)
-                member_nodes.append(l.tail)
-                inside.add(l.tail)
-                stack.append(l.tail)
-        # earlier intersections hold no joint, so a joint in ``inside`` is below j
-        nested = joint_set & inside
+        member_nodes, member_links = _walk(children, j)
+        # earlier intersections hold no joint, so a joint below j is nested in it alone
+        nested = joint_set.intersection(member_nodes[1:])
         if nested:
             raise UnsupportedTopologyError(
                 f"joint node {min(nested)} lies inside the intersection rooted at {j}"
@@ -123,7 +127,7 @@ def decompose(t: Topology) -> DTreePlan:
                 joint=j,
                 sources=t.sources_reaching(j),
                 nodes=tuple(sorted(member_nodes)),
-                links=tuple(sorted(member_links, key=lambda l: l.link_ids)),
+                links=tuple(sorted(member_links, key=by_ids)),
             )
         )
     for j in joints:
@@ -133,32 +137,18 @@ def decompose(t: Topology) -> DTreePlan:
                 "cannot be separated from the per-source paths"
             )
 
-    recv = set(t.receivers)
-    depth_rank = {n: k for k, n in enumerate(t.order)}
     fragments = []
     for s in t.sources:
-        members = t.tree_nodes[s]
-        frag_nodes = [
-            n for n in keep if n in members and n not in inside
-        ]
-        frag_links = [
-            l
-            for n in frag_nodes
-            if n not in joint_set
-            for l in children[n]
-        ]
+        # a source's tree reaches an intersection only through its joint (no joint is nested)
+        frag_nodes, frag_links = _walk(children, s, joint_set)
         # internal nodes that need a path-rate solve, deepest first
-        internal = [
-            n
-            for n in frag_nodes
-            if n not in joint_set and n not in recv and n != s
-        ]
-        internal.sort(key=lambda n: depth_rank[n], reverse=True)
+        internal = [n for n in frag_nodes[1:] if children[n] and n not in joint_set]
+        internal.sort(key=t.rank.__getitem__, reverse=True)
         fragments.append(
             UpstreamFragment(
                 source=s,
                 nodes=tuple(sorted(frag_nodes)),
-                links=tuple(sorted(frag_links, key=lambda l: l.link_ids)),
+                links=tuple(sorted(frag_links, key=by_ids)),
                 solve_order=tuple(internal),
             )
         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 
 class TopologyError(ValueError):
@@ -37,23 +38,25 @@ class Link:
 @dataclass(frozen=True)
 class Topology:
     nodes: frozenset[int]
-    links: tuple[Link, ...]
+    links: tuple[Link, ...]  # sorted by id
     sources: tuple[int, ...]
     receivers: tuple[int, ...]
 
     @cached_property
     def out_links(self) -> dict[int, tuple[Link, ...]]:
+        """Each node's outgoing links, in id order (``links`` is id-sorted)."""
         out: dict[int, list[Link]] = {n: [] for n in self.nodes}
         for l in self.links:
             out[l.head].append(l)
-        return {n: tuple(sorted(ls, key=lambda l: l.id)) for n, ls in out.items()}
+        return {n: tuple(ls) for n, ls in out.items()}
 
     @cached_property
     def in_links(self) -> dict[int, tuple[Link, ...]]:
+        """Each node's incoming links, in id order."""
         inc: dict[int, list[Link]] = {n: [] for n in self.nodes}
         for l in self.links:
             inc[l.tail].append(l)
-        return {n: tuple(sorted(ls, key=lambda l: l.id)) for n, ls in inc.items()}
+        return {n: tuple(ls) for n, ls in inc.items()}
 
     @cached_property
     def order(self) -> tuple[int, ...]:
@@ -61,10 +64,17 @@ class Topology:
         return tuple(toposort(self))
 
     @cached_property
+    def rank(self) -> dict[int, int]:
+        """Each node's position in ``order``."""
+        return {n: k for k, n in enumerate(self.order)}
+
+    @cached_property
     def tree_parent(self) -> dict[int, dict[int, Link]]:
         """Each source's multicast tree: every member node but the source -> its link in.
 
-        Filled in topological order, so each tree's links come out parents first."""
+        Filled in topological order, so each tree's links come out parents first.  This
+        order is the probe stream layout (see the ``probes`` module docstring): changing
+        it changes every simulated probe."""
         trees = {}
         for s in self.sources:
             up: dict[int, Link] = {}
@@ -161,29 +171,31 @@ def parse_topology(text: str) -> Topology:
     nodes: set[int] = set()
     links: list[Link] = []
     link_ids: set[int] = set()
-    sources: list[int] = []
-    receivers: list[int] = []
+    sources: set[int] = set()
+    receivers: set[int] = set()
 
     def fail(lineno: int, msg: str):
         raise TopologyError(f"line {lineno}: {msg}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
+        if not parts:
+            continue
         kind = parts[0]
         try:
             if kind == "node":
-                (nid,) = map(int, parts[1:])
+                _, nid = parts
+                nid = int(nid)
                 if nid < 0:
                     fail(lineno, f"negative node id {nid}")
                 if nid in nodes:
                     fail(lineno, f"duplicate node id {nid}")
                 nodes.add(nid)
             elif kind == "link":
-                lid, head, tail = map(int, parts[1:4])
-                (loss,) = map(float, parts[4:])
+                _, lid, head, tail, loss = parts
+                lid, head, tail, loss = int(lid), int(head), int(tail), float(loss)
                 if lid < 0:
                     fail(lineno, f"negative link id {lid}")
                 if lid in link_ids:
@@ -194,26 +206,21 @@ def parse_topology(text: str) -> Topology:
                     fail(lineno, f"link {lid} references undeclared node")
                 link_ids.add(lid)
                 links.append(Link(lid, head, tail, 1.0 - loss))
-            elif kind == "source":
-                (nid,) = map(int, parts[1:])
+            elif kind == "source" or kind == "receiver":
+                _, nid = parts
+                nid = int(nid)
                 if nid not in nodes:
-                    fail(lineno, f"source references undeclared node {nid}")
-                if nid in sources:
-                    fail(lineno, f"duplicate source {nid}")
-                sources.append(nid)
-            elif kind == "receiver":
-                (nid,) = map(int, parts[1:])
-                if nid not in nodes:
-                    fail(lineno, f"receiver references undeclared node {nid}")
-                if nid in receivers:
-                    fail(lineno, f"duplicate receiver {nid}")
-                receivers.append(nid)
+                    fail(lineno, f"{kind} references undeclared node {nid}")
+                seen = sources if kind == "source" else receivers
+                if nid in seen:
+                    fail(lineno, f"duplicate {kind} {nid}")
+                seen.add(nid)
             else:
                 fail(lineno, f"unknown directive {kind!r}")
-        except (ValueError, TypeError) as exc:
-            if isinstance(exc, TopologyError):
-                raise
-            fail(lineno, f"syntax error: {line!r}")
+        except TopologyError:
+            raise
+        except ValueError:
+            fail(lineno, f"syntax error: {line.strip()!r}")
 
     if not links:
         raise TopologyError("no links")
@@ -224,7 +231,7 @@ def parse_topology(text: str) -> Topology:
 
     t = Topology(
         nodes=frozenset(nodes),
-        links=tuple(sorted(links, key=lambda l: l.id)),
+        links=tuple(sorted(links, key=attrgetter("id"))),
         sources=tuple(sorted(sources)),
         receivers=tuple(sorted(receivers)),
     )

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from losstomo.decompose import decompose
 from losstomo.harness import SETTINGS
@@ -126,3 +127,68 @@ def single_tree():
 @pytest.fixture
 def serial_plan():
     return decompose(parse_topology(CHAIN_TREE))
+
+
+@st.composite
+def multi_source_dags(draw):
+    """Topology text of a random multi-source DAG that parses and decomposes.
+
+    2-4 sources, each reaching its top node through a serial chain of 1-3
+    links; 1-3 joints, each fed by the tops of a random subset of at least two
+    sources and rooting a shared subtree; tops in no joint's subset get a
+    private subtree, others may.  Subtree nodes have 1-3 children, so serial
+    chains appear below the tops too, and every joint has at least two.
+    Node ids are shuffled, link ids have gaps, and the link lines come in a
+    shuffled id order."""
+    n_sources = draw(st.integers(2, 4))
+    edges: list[tuple[int, int]] = []
+    receivers: list[int] = []
+    count = [0]
+
+    def node() -> int:
+        count[0] += 1
+        return count[0] - 1
+
+    def subtree(root: int, depth: int, min_kids: int = 1) -> None:
+        kids = draw(st.integers(min_kids, 3)) if depth else 0
+        if not kids:
+            receivers.append(root)
+        for _ in range(kids):
+            child = node()
+            edges.append((root, child))
+            subtree(child, depth - 1)
+
+    sources = [node() for _ in range(n_sources)]
+    tops = []
+    for s in sources:
+        top = s
+        for _ in range(draw(st.integers(1, 3))):
+            nxt = node()
+            edges.append((top, nxt))
+            top = nxt
+        tops.append(top)
+    fed = set()
+    for _ in range(draw(st.integers(1, 3))):
+        subset = draw(st.sets(st.sampled_from(range(n_sources)), min_size=2))
+        joint = node()
+        for i in sorted(subset):
+            edges.append((tops[i], joint))
+        fed |= subset
+        subtree(joint, draw(st.integers(1, 3)), min_kids=2)
+    for i, top in enumerate(tops):
+        if i not in fed or draw(st.booleans()):
+            child = node()
+            edges.append((top, child))
+            subtree(child, draw(st.integers(0, 3)))
+
+    label = draw(st.permutations(range(count[0])))
+    ids = sorted(draw(st.sets(st.integers(0, 4 * len(edges)), min_size=len(edges), max_size=len(edges))))
+    link_lines = [
+        f"link {i} {label[h]} {label[t]} {draw(st.sampled_from((0.0, 0.01, 0.2, 1.0)))}"
+        for i, (h, t) in zip(ids, edges)
+    ]
+    lines = [f"node {label[n]}" for n in range(count[0])]
+    lines += draw(st.permutations(link_lines))
+    lines += [f"source {label[s]}" for s in sources]
+    lines += [f"receiver {label[r]}" for r in receivers]
+    return "\n".join(lines) + "\n"
