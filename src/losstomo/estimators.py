@@ -23,7 +23,6 @@ a failing solve runs again and raises afresh.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .decompose import DTreePlan, MultiSourceTree
@@ -56,15 +55,6 @@ class EstimateSet:
         clamped = pass_rate > 1.0
         rate = min(pass_rate, 1.0)
         self.links[(label, source)] = LinkEstimate(rate, clamped)
-
-
-@contextmanager
-def _step(node, what):
-    """Re-raise solver failures with the estimation step that hit them."""
-    try:
-        yield
-    except EstimationError as exc:
-        raise type(exc)(f"{what} at node {node}: {exc}") from exc
 
 
 def _root(counts: PooledCounts, key: tuple) -> float:
@@ -120,16 +110,17 @@ def solve_intersection(est: EstimateSet, counts: PooledCounts, plan: DTreePlan,
     alpha_c = (n_c / n_parent) * beta_parent / beta_c.
     """
     betas: dict[int, float] = {}
-    for node in mt.nodes:
-        kids = [l.tail for l in plan.children[node]]
-        if not kids:
-            betas[node] = 1.0
-            continue
-        with _step(node, "multi-source subtree solve"):
-            betas[node] = beta_rule(counts, node, kids, mt.sources)
+    try:
+        for node in mt.nodes:
+            kids = [l.tail for l in plan.children[node]]
+            betas[node] = beta_rule(counts, node, kids, mt.sources) if kids else 1.0
+    except EstimationError as exc:
+        raise type(exc)(f"multi-source subtree solve at node {node}: {exc}") from exc
     gammas = {s: gamma_hat(counts, mt.joint, s) for s in mt.sources}
-    with _step(mt.joint, "source path extraction"):
+    try:
         paths = estimate_source_paths(betas[mt.joint], gammas)
+    except EstimationError as exc:
+        raise type(exc)(f"source path extraction at node {mt.joint}: {exc}") from exc
     est.betas.update(betas)
     for s, a in paths.items():
         est.paths[(s, mt.joint)] = a
@@ -154,12 +145,16 @@ def _solve_paths(est: EstimateSet, counts: PooledCounts, plan: DTreePlan, source
             return embedded[child]
         return gamma_hat(counts, child, source)
 
-    for node in order:
-        links = sorted(plan.children[node], key=lambda l: l.tail not in embedded)
-        with _step(node, f"path solve for source {source}"):
+    try:
+        for node in order:
+            links = plan.children[node]
+            if embedded:  # with none, every key is equal and the stable sort keeps the order
+                links = sorted(links, key=lambda l: l.tail not in embedded)
             paths[node] = _root(counts, (
                 "path", gamma_hat(counts, node, source), tuple(term(l.tail) for l in links)
             ))
+    except EstimationError as exc:
+        raise type(exc)(f"path solve for source {source} at node {node}: {exc}") from exc
     for head, a_head in paths.items():
         if head != source:
             est.paths[(source, head)] = a_head

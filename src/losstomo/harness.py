@@ -132,16 +132,19 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
         if l.head == frag.source and l.tail in joint_set
     }
 
+    # each estimator's row keys (label, source), in emit order
+    keys = {
+        e: sorted(_expected_keys(plan, e), key=lambda k: (k[0], -1 if k[1] is None else k[1]))
+        for e in cfg.estimators
+    }
+
     table = ReplicationTable()
     for n in cfg.probe_counts:
-        # losses[(estimator, label, source)] -> list of per-rep loss estimates
-        losses: dict[tuple, list[float]] = {}
-        clamped: dict[tuple, int] = {}
-        errors: dict[str, int] = {e: 0 for e in cfg.estimators}
-        for e in cfg.estimators:
-            for key in _expected_keys(plan, e):
-                losses[(e,) + key] = []
-                clamped[(e,) + key] = 0
+        crlb_var = {label: _defined(var_upstream, a, beta, n) for label, (a, beta) in crlb.items()}
+        # losses[estimator][(label, source)] -> list of per-rep loss estimates
+        losses = {e: {k: [] for k in keys[e]} for e in cfg.estimators}
+        clamped = {e: dict.fromkeys(keys[e], 0) for e in cfg.estimators}
+        errors = dict.fromkeys(cfg.estimators, 0)
         for rep in range(cfg.reps):
             counts = simulate_counts(plan.topology, n, replication_seed(cfg.seed, rep))
             for e in cfg.estimators:
@@ -151,43 +154,25 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
                     errors[e] += 1
                     table.messages.append(f"probes={n} rep={rep} {e}: {exc}")
                     continue
-                for (label, src), le in est.links.items():
-                    losses[(e, label, src)].append(le.loss_rate)
+                got, clamps = losses[e], clamped[e]
+                for key, le in est.links.items():
+                    got[key].append(le.loss_rate)
                     if le.clamped:
-                        clamped[(e, label, src)] += 1
-        for (e, label, src), vals in sorted(
-            losses.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2] if kv[0][2] is not None else -1)
-        ):
-            if len(vals) >= 2:
-                mean, var = empirical_moments(vals)
-            elif len(vals) == 1:
-                mean, var = vals[0], None
-            else:
-                mean = var = None
-            table.rows.append(
-                TableRow(
-                    link=label,
-                    estimator=e,
-                    source=src,
-                    probes=n,
-                    reps=len(vals),
-                    mean_loss=mean,
-                    var_loss=var,
-                    true_loss=true_loss[label],
-                    crlb_var=_defined(var_upstream, *crlb[label], n) if label in crlb else None,
-                    clamped=clamped[(e, label, src)],
-                    errors=errors[e],
-                )
-            )
+                        clamps[key] += 1
+        for e in sorted(cfg.estimators):
+            for key, vals in losses[e].items():
+                if len(vals) >= 2:
+                    mean, var = empirical_moments(vals)
+                elif len(vals) == 1:
+                    mean, var = vals[0], None
+                else:
+                    mean = var = None
+                label, src = key
+                table.rows.append(TableRow(
+                    label, e, src, n, len(vals), mean, var, true_loss[label],
+                    crlb_var.get(label), clamped[e][key], errors[e],
+                ))
     return table
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def emit(table: ReplicationTable, format: str = "csv") -> str:
@@ -206,15 +191,11 @@ def _emit_csv(table: ReplicationTable) -> str:
         table.rows,
         key=lambda r: (r.estimator, r.link, r.source if r.source is not None else -1, r.probes),
     ):
+        src, mean, var, crlb = r.source, r.mean_loss, r.var_loss, r.crlb_var
         lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.link, r.estimator, r.source, r.probes, r.reps,
-                    r.mean_loss, r.var_loss, r.true_loss, r.crlb_var,
-                    r.clamped, r.errors,
-                )
-            )
+            f"{r.link},{r.estimator},{'' if src is None else src},{r.probes},{r.reps},"
+            f"{'' if mean is None else repr(mean)},{'' if var is None else repr(var)},{r.true_loss!r},"
+            f"{'' if crlb is None else repr(crlb)},{r.clamped},{r.errors}"
         )
     return "\n".join(lines) + "\n"
 

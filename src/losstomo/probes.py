@@ -53,11 +53,14 @@ class PooledCounts:
     key each successful ``subtree_root`` / ``path_root`` return by the
     solver and its exact inputs, so every method run on one replication's
     counts solves each distinct root once.  A failing solve is not stored
-    and runs again.  The memo takes no part in equality or ``repr``."""
+    and runs again.  ``sums`` memoises ``pooled`` by node and sources, so
+    ``counts`` must not change after the first ``pooled`` call.  Neither
+    memo takes part in equality or ``repr``."""
 
     probes: dict[int, int]  # source -> n^s
     counts: dict[tuple[int, int], int]  # (node, source) -> n_i(s)
     roots: dict[tuple, float] = field(default_factory=dict, compare=False, repr=False)
+    sums: dict[tuple, int] = field(default_factory=dict, compare=False, repr=False)
 
     def count(self, node: int, source: int) -> int:
         try:
@@ -67,7 +70,11 @@ class PooledCounts:
 
     def pooled(self, node: int, sources) -> int:
         """n_i = sum of n_i(s) over the given sources."""
-        return sum(self.count(node, s) for s in sources)
+        key = (node, tuple(sources))
+        total = self.sums.get(key)
+        if total is None:
+            total = self.sums[key] = sum(self.count(node, s) for s in key[1])
+        return total
 
 
 def _probe_counts(t: Topology, probes: dict[int, int] | int) -> dict[int, int]:

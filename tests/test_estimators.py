@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import BIG_NETWORK, CHAIN_TREE, SINGLE_TREE
+from conftest import BIG_NETWORK, CHAIN_TREE, SINGLE_TREE, multi_source_dags
 from hypothesis import given, settings, strategies as st
 
 from losstomo import estimators
@@ -464,6 +464,29 @@ def test_root_memo_leaves_counts_equal_and_out_of_repr(big_plan):
     counts = simulate_counts(t, 400, seed=8)
     for m in METHODS:
         estimate_network(counts, big_plan, m)
-    assert counts.roots
-    assert counts == count_pass(simulate(t, 400, seed=8), t)
-    assert "roots" not in repr(counts)
+    assert counts.roots and counts.sums
+    fresh = count_pass(simulate(t, 400, seed=8), t)
+    assert not fresh.roots and not fresh.sums
+    assert counts == fresh
+    assert repr(counts) == repr(fresh)
+    assert "roots" not in repr(counts) and "sums" not in repr(counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=multi_source_dags(), probes=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
+def test_generated_dags_give_valid_estimates_or_an_error_naming_the_node(text, probes, seed):
+    t = parse_topology(text)
+    plan = decompose(t)
+    counts = simulate_counts(t, probes, seed)
+    for method in _methods(plan):
+        try:
+            est = estimate_network(counts, plan, method)
+        except EstimationError as exc:
+            assert type(exc) is not EstimationError, f"{method}: untyped failure: {exc}"
+            assert " at node " in str(exc), f"{method}: no step or node in {exc}"
+            continue
+        assert set(est.links) == set(_expected_keys(plan, method))
+        values = [le.pass_rate for le in est.links.values()]
+        values += [*est.paths.values(), *est.betas.values()]
+        for v in values:
+            assert math.isfinite(v) and 0.0 <= v <= 1.0, f"{method}: {v}"

@@ -7,6 +7,8 @@ from losstomo.estimators import METHODS
 from losstomo.harness import (
     SETTINGS,
     ExperimentConfig,
+    ReplicationTable,
+    TableRow,
     emit,
     replication_seed,
     run_experiment,
@@ -121,6 +123,26 @@ def test_crlb_column_only_for_source_links():
 
     expected = var_upstream(0.99, t.subtree_rate[2], 200)
     assert by["1"].crlb_var == pytest.approx(expected, abs=1e-18)
+
+
+def test_csv_formats_each_column_and_sorts_the_rows():
+    # rows out of order; None in every optional column; reps 0, 1 and 3;
+    # floats whose shortest repr is long, exponent-form or integral
+    table = ReplicationTable(rows=[
+        TableRow("1", "tree-baseline", 1, 100, 1, 0.5, None, 0.01, None, 1, 2),
+        TableRow("3", "mle", None, 100, 3, 0.1 + 0.2, 1e-05, 1.0, None, 0, 0),
+        TableRow("1", "tree-baseline", 0, 100, 0, None, None, 0.01, None, 0, 3),
+        TableRow("1", "mle", None, 200, 3, 0.25, 2.5e-07, 0.01, 1 / 3, 0, 0),
+        TableRow("1", "mle", None, 100, 3, 0.0, 0.0, 0.01, 1e-05, 0, 0),
+    ])
+    assert emit(table, "csv") == (
+        "link,estimator,source,probes,reps,mean_loss,var_loss,true_loss,crlb_var,clamped,errors\n"
+        "1,mle,,100,3,0.0,0.0,0.01,1e-05,0,0\n"
+        "1,mle,,200,3,0.25,2.5e-07,0.01,0.3333333333333333,0,0\n"
+        "3,mle,,100,3,0.30000000000000004,1e-05,1.0,,0,0\n"
+        "1,tree-baseline,0,100,0,,,0.01,,0,3\n"
+        "1,tree-baseline,1,100,1,0.5,,0.01,,1,2\n"
+    )
 
 
 def test_markdown_emission():

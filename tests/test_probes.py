@@ -135,6 +135,20 @@ def test_gamma_hat_outside_tree(star22):
         gamma_hat(counts, 99, 0)
 
 
+@pytest.mark.parametrize("kind", [list, tuple, lambda xs: (x for x in xs)],
+                         ids=["list", "tuple", "generator"])
+def test_pooled_sums_any_iterable_of_sources_once(big_topology, kind):
+    # the memo key takes the sources as a tuple; the sum must run over that
+    # tuple, not over an iterator the key already consumed
+    counts = simulate_counts(big_topology, 60, seed=4)
+    want = counts.count(2, 16) + counts.count(2, 0)
+    assert counts.pooled(2, kind([16, 0])) == want
+    assert counts.sums == {(2, (16, 0)): want}
+    assert counts.pooled(2, kind([16, 0])) == want
+    with pytest.raises(TopologyError):
+        counts.pooled(99, kind([16, 0]))
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32))
 def test_bernoulli_concentration(seed):
