@@ -33,28 +33,21 @@ METHODS = ("mle", "tree-baseline", "mvwa-oracle", "mvwa-plugin", "rbmvwa", "mrbm
 FUSION_METHODS = METHODS[2:]
 
 
-@dataclass(frozen=True)
-class LinkEstimate:
-    pass_rate: float
-    clamped: bool = False
-
-    @property
-    def loss_rate(self) -> float:
-        return 1.0 - self.pass_rate
-
-
 @dataclass
 class EstimateSet:
     method: str
-    # (label, source attribution); the source is None for pooled/fused estimates
-    links: dict[tuple[str, int | None], LinkEstimate] = field(default_factory=dict)
+    # (label, source attribution) -> pass rate; the source is None for pooled/fused estimates
+    links: dict[tuple[str, int | None], float] = field(default_factory=dict)
     paths: dict[tuple[int, int], float] = field(default_factory=dict)  # (source, node)
     betas: dict[int, float] = field(default_factory=dict)
+    # the link keys whose raw estimate was above 1 and is stored as 1.0
+    clamped: set[tuple[str, int | None]] = field(default_factory=set)
 
     def add_link(self, label, pass_rate, source=None):
-        clamped = pass_rate > 1.0
-        rate = min(pass_rate, 1.0)
-        self.links[(label, source)] = LinkEstimate(rate, clamped)
+        if pass_rate > 1.0:
+            self.clamped.add((label, source))
+            pass_rate = 1.0
+        self.links[(label, source)] = pass_rate
 
 
 def _root(counts: PooledCounts, key: tuple) -> float:

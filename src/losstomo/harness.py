@@ -155,10 +155,10 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
                     table.messages.append(f"probes={n} rep={rep} {e}: {exc}")
                     continue
                 got, clamps = losses[e], clamped[e]
-                for key, le in est.links.items():
-                    got[key].append(le.loss_rate)
-                    if le.clamped:
-                        clamps[key] += 1
+                for key, rate in est.links.items():
+                    got[key].append(1.0 - rate)
+                for key in est.clamped:
+                    clamps[key] += 1
         for e in sorted(cfg.estimators):
             for key, vals in losses[e].items():
                 if len(vals) >= 2:

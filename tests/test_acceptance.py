@@ -207,7 +207,7 @@ def test_accept_07_probe_order_invariance():
         )
         a = estimate_network(count_pass(obs, plan.topology), plan, "mle")
         b = estimate_network(count_pass(shuffled, plan.topology), plan, "mle")
-        if a.links != b.links or a.paths != b.paths or a.betas != b.betas:
+        if a != b:  # links, clamped keys, paths and betas
             ok = False
             break
     report(

@@ -10,6 +10,7 @@ from losstomo.decompose import decompose
 from losstomo.estimators import (
     FUSION_METHODS,
     METHODS,
+    EstimateSet,
     beta_sample_mean,
     estimate_network,
     estimate_source_paths,
@@ -181,8 +182,8 @@ def test_extract_leaf_link_from_ratio_identity(star22_plan):
     )
     est = estimate_network(counts, star22_plan, "mle")
     beta = 0.7 / 0.72
-    assert est.links[("3", None)].pass_rate == pytest.approx(0.9 * beta, abs=1e-12)
-    assert est.links[("4", None)].pass_rate == pytest.approx(0.8 * beta, abs=1e-12)
+    assert est.links[("3", None)] == pytest.approx(0.9 * beta, abs=1e-12)
+    assert est.links[("4", None)] == pytest.approx(0.8 * beta, abs=1e-12)
 
 
 def test_lossless_gives_zero_loss(star22_plan):
@@ -195,8 +196,8 @@ def test_lossless_gives_zero_loss(star22_plan):
     obs = simulate(t, 100, seed=1)
     for method in ("mle", "tree-baseline", "rbmvwa", "mrbmvwa"):
         est = estimate_network(count_pass(obs, plan.topology), plan, method)
-        for le in est.links.values():
-            assert le.loss_rate == 0.0
+        for rate in est.links.values():
+            assert rate == 1.0
 
 
 def test_single_source_tree_mle_equals_baseline(single_tree):
@@ -204,10 +205,22 @@ def test_single_source_tree_mle_equals_baseline(single_tree):
     obs = simulate(single_tree, 2000, seed=17)
     mle = estimate_network(count_pass(obs, plan.topology), plan, "mle")
     base = estimate_network(count_pass(obs, plan.topology), plan, "tree-baseline")
-    for (label, _), le in base.links.items():
-        assert mle.links[(label, None)].pass_rate == pytest.approx(
-            le.pass_rate, abs=1e-12
-        )
+    for (label, _), rate in base.links.items():
+        assert mle.links[(label, None)] == pytest.approx(rate, abs=1e-12)
+
+
+def test_add_link_stores_at_most_one_and_records_each_clamp():
+    est = EstimateSet(method="mle")
+    est.add_link("1", 1.25)
+    est.add_link("2", 1.0)
+    est.add_link("3", 0.9, source=0)
+    assert est.links == {("1", None): 1.0, ("2", None): 1.0, ("3", 0): 0.9}
+    assert all(type(rate) is float for rate in est.links.values())
+    assert est.clamped == {("1", None)}  # the boundary is strict: exactly 1.0 is not a clamp
+    unclamped = EstimateSet(method="mle", links=dict(est.links))
+    assert unclamped != est
+    unclamped.clamped.add(("1", None))
+    assert unclamped == est
 
 
 def test_tree_baseline_shared_links_per_source(star22_plan):
@@ -227,6 +240,7 @@ def test_sufficiency_shuffling_probes(star22_plan):
         a = estimate_network(count_pass(obs, star22_plan.topology), star22_plan, method)
         b = estimate_network(count_pass(shuffled, star22_plan.topology), star22_plan, method)
         assert a.links == b.links
+        assert a.clamped == b.clamped
         assert a.paths == b.paths
 
 
@@ -234,8 +248,8 @@ def test_big_network_end_to_end(big_plan):
     obs = simulate(big_plan.topology, 5000, seed=33)
     est = estimate_network(count_pass(obs, big_plan.topology), big_plan, "mle")
     assert len(est.links) == len(big_plan.logical_links)
-    for le in est.links.values():
-        assert abs(le.loss_rate - 0.01) < 0.02
+    for rate in est.links.values():
+        assert abs((1.0 - rate) - 0.01) < 0.02
 
 
 def test_beta_sample_mean(star22_plan):
@@ -351,8 +365,8 @@ def test_every_method_gives_valid_rates_or_a_typed_error(text, probes, seed):
             assert type(exc) is not EstimationError, f"{method}: untyped failure: {exc}"
             continue
         assert set(est.links) == set(_expected_keys(plan, method))
-        for le in est.links.values():
-            assert math.isfinite(le.pass_rate) and 0.0 <= le.pass_rate <= 1.0
+        for rate in est.links.values():
+            assert math.isfinite(rate) and 0.0 <= rate <= 1.0
 
 
 def _dead_ends(text):
@@ -376,7 +390,7 @@ def _outcome(counts, plan, method):
         est = estimate_network(counts, plan, method)
     except EstimationError as exc:
         return type(exc), str(exc)
-    return est.links, est.paths, est.betas
+    return est.links, est.clamped, est.paths, est.betas
 
 
 def _methods(plan):
@@ -486,7 +500,8 @@ def test_generated_dags_give_valid_estimates_or_an_error_naming_the_node(text, p
             assert " at node " in str(exc), f"{method}: no step or node in {exc}"
             continue
         assert set(est.links) == set(_expected_keys(plan, method))
-        values = [le.pass_rate for le in est.links.values()]
-        values += [*est.paths.values(), *est.betas.values()]
+        assert est.clamped <= set(est.links)
+        assert all(est.links[key] == 1.0 for key in est.clamped)
+        values = [*est.links.values(), *est.paths.values(), *est.betas.values()]
         for v in values:
             assert math.isfinite(v) and 0.0 <= v <= 1.0, f"{method}: {v}"

@@ -130,8 +130,8 @@ def test_fused_estimate_covers_intersection_links(star22_plan):
         assert sorted(est.links) == [("3", None), ("4", None)]
         assert sorted(est.paths) == [(0, 2), (1, 2)]
         assert est.method == scheme
-        for le in est.links.values():
-            assert 0.0 <= le.pass_rate <= 1.0
+        for rate in est.links.values():
+            assert 0.0 <= rate <= 1.0
 
 
 def test_unknown_scheme_rejected(star22_plan):
@@ -149,6 +149,7 @@ def test_estimate_network_dispatches_fusion(star22_plan):
         via_network = estimate_network(counts, star22_plan, scheme)
         direct = fused_estimate(counts, star22_plan, scheme)
         assert via_network.links == direct.links
+        assert via_network.clamped == direct.clamped
 
 
 def test_fused_close_to_pooled_at_scale(star22_plan):
@@ -159,8 +160,8 @@ def test_fused_close_to_pooled_at_scale(star22_plan):
     mle = estimate_network(count_pass(obs, star22_plan.topology), star22_plan, "mle")
     for scheme in FUSION_METHODS:
         est = estimate_network(count_pass(obs, star22_plan.topology), star22_plan, scheme)
-        for key, le in est.links.items():
-            assert abs(le.pass_rate - mle.links[key].pass_rate) < 0.01
+        for key, rate in est.links.items():
+            assert abs(rate - mle.links[key]) < 0.01
 
 
 def test_weight_failure_is_an_estimation_error_naming_scheme_and_node():

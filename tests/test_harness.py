@@ -1,19 +1,24 @@
 from pathlib import Path
 
 import pytest
+from conftest import multi_source_dags
+from hypothesis import given, settings
 
-from losstomo.analysis import var_upstream
-from losstomo.estimators import METHODS
+from losstomo import harness
+from losstomo.analysis import empirical_moments, var_upstream
+from losstomo.estimators import METHODS, EstimateSet
 from losstomo.harness import (
     SETTINGS,
     ExperimentConfig,
     ReplicationTable,
     TableRow,
+    _expected_keys,
     emit,
     replication_seed,
     run_experiment,
 )
 from losstomo.probes import count_pass
+from losstomo.solvers import NoDataError
 from losstomo.topology import parse_topology
 from losstomo.decompose import decompose
 
@@ -170,6 +175,52 @@ def test_failed_replications_are_recorded():
     row = table.rows[0]
     assert row.errors > 0
     assert row.reps + row.errors == 30
+
+
+def test_clamp_and_error_counts_over_replications(monkeypatch):
+    # rep 1 fails; link 3's raw rate is above 1 in reps 0 and 3 and stored as 1.0
+    plan = decompose(parse_topology(SETTINGS["2x2-equal"]))
+    keys = _expected_keys(plan, "mle")
+    raw = {0: 1.5, 2: 0.75, 3: 1.0625}
+    calls = []
+
+    def stub(counts, plan, method):
+        rep = len(calls)
+        calls.append(method)
+        if rep == 1:
+            raise NoDataError("no probes observed below node 2")
+        est = EstimateSet(method=method)
+        for label, source in keys:
+            est.add_link(label, raw[rep] if label == "3" else 0.5, source)
+        return est
+
+    monkeypatch.setattr(harness, "estimate_network", stub)
+    table = run_experiment(cfg(estimators=("mle",), reps=4))
+    assert calls == ["mle"] * 4
+    assert table.messages == ["probes=200 rep=1 mle: no probes observed below node 2"]
+    rows = {r.link: r for r in table.rows}
+    assert sorted(rows) == ["1", "2", "3", "4"]
+    assert all((r.reps, r.errors) == (3, 1) for r in table.rows)
+    assert {label: r.clamped for label, r in rows.items()} == {"1": 0, "2": 0, "3": 2, "4": 0}
+    row = rows["3"]
+    assert (row.mean_loss, row.var_loss) == empirical_moments([1.0 - 1.0, 1.0 - 0.75, 1.0 - 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=multi_source_dags())
+def test_run_experiment_on_generated_dags_keeps_every_row_consistent(text):
+    # dead links and 10 probes fail some replications; the run keeps going
+    table = run_experiment(ExperimentConfig(
+        topology_text=text, probe_counts=(10, 100), reps=3, estimators=METHODS,
+    ))
+    assert table.rows
+    for r in table.rows:
+        assert r.reps + r.errors == 3
+        assert (r.mean_loss is None) == (r.reps == 0)
+        if r.mean_loss is not None:
+            assert 0.0 <= r.mean_loss <= 1.0
+        assert r.var_loss is None or r.var_loss >= 0.0
+        assert r.clamped <= r.reps
 
 
 def test_count_pass_runs_once_per_replication(monkeypatch):
