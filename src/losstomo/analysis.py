@@ -7,9 +7,8 @@ or plug-in estimates, since the two roles give different numbers.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decompose import DTreePlan
 
@@ -56,8 +55,7 @@ def empirical_moments(values) -> tuple[float, float]:
     return mean, var
 
 
-@dataclass(frozen=True)
-class InfoRow:
+class InfoRow(NamedTuple):
     node: int
     source: int | None  # None for pooled quantities
     quantity: str
@@ -106,11 +104,12 @@ def _defined(f, *args) -> float | None:
         return None
 
 
-def report_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write("node,source,quantity,value,provenance\n")
+def csv_text(row_type, rows) -> str:
+    """CSV of named-tuple rows under a ``row_type._fields`` header (written even with no rows).
+
+    None is written as an empty cell and any other value as its str: a str as is, an int
+    or a float as its repr (a float's str is its shortest round-trip repr)."""
+    lines = [",".join(row_type._fields)]
     for r in rows:
-        src = "" if r.source is None else r.source
-        value = "" if r.value is None else repr(r.value)
-        buf.write(f"{r.node},{src},{r.quantity},{value},{r.provenance}\n")
-    return buf.getvalue()
+        lines.append(",".join(["" if v is None else str(v) for v in r]))
+    return "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import info_report, report_csv
+from .analysis import InfoRow, csv_text, info_report
 from .decompose import decompose
 from .harness import (
     DEFAULT_PROBES,
@@ -72,6 +72,8 @@ def cmd_run(args) -> int:
         estimators=args.estimators,
     )
     table = run_experiment(cfg)
+    for msg in table.messages:
+        print(f"note: {msg}", file=sys.stderr)
     text = emit(table, args.format)
     if args.out:
         args.out.write_text(text)
@@ -108,7 +110,7 @@ def cmd_decompose(args) -> int:
 def cmd_analyze(args) -> int:
     plan = decompose(parse_topology(_topology_text(args)))
     rows = info_report(plan, args.probes)
-    sys.stdout.write(report_csv(rows))
+    sys.stdout.write(csv_text(InfoRow, rows))
     return 0
 
 

@@ -12,26 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
+from typing import NamedTuple
 
 from .topology import Topology, UnsupportedTopologyError
 
 
-@dataclass(frozen=True)
-class LogicalLink:
+class LogicalLink(NamedTuple):
     """A maximal serial chain of physical links, estimated as one unit."""
 
     head: int
     tail: int
     link_ids: tuple[int, ...]
     pass_rate: float  # product of the true physical pass rates
-
-    @cached_property
-    def label(self) -> str:
-        return "+".join(str(i) for i in self.link_ids)
-
-    @property
-    def loss_rate(self) -> float:
-        return 1.0 - self.pass_rate
+    label: str  # the link ids joined by "+"
 
 
 @dataclass(frozen=True)
@@ -76,7 +69,7 @@ def _collapse(t: Topology) -> dict[int, tuple[LogicalLink, ...]]:
         n
         for n in t.nodes
         if n in ends
-        or len(t.in_links[n]) >= 2
+        or t.in_degree[n] >= 2
         or len(t.out_links[n]) >= 2
     }
     children: dict[int, tuple[LogicalLink, ...]] = {}
@@ -89,7 +82,7 @@ def _collapse(t: Topology) -> dict[int, tuple[LogicalLink, ...]]:
                 ids.append(nxt.id)
                 rate *= nxt.pass_rate
                 cur = nxt.tail
-            kids.append(LogicalLink(u, cur, tuple(ids), rate))
+            kids.append(LogicalLink(u, cur, tuple(ids), rate, "+".join(map(str, ids))))
         children[u] = tuple(kids)
     return children
 
@@ -109,7 +102,7 @@ def _walk(children: dict[int, tuple[LogicalLink, ...]], root: int, stop=frozense
 def decompose(t: Topology) -> DTreePlan:
     """Split a topology into multi-source trees and per-source upstream fragments."""
     children = _collapse(t)
-    joints = sorted(n for n in children if len(t.in_links[n]) >= 2)
+    joints = sorted(n for n in children if t.in_degree[n] >= 2)
     joint_set = set(joints)
     by_ids = attrgetter("link_ids")
 

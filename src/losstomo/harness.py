@@ -9,10 +9,11 @@ matter how cells are scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import _defined, empirical_moments, var_upstream
+from .analysis import _defined, csv_text, empirical_moments, var_upstream
 from .decompose import DTreePlan, decompose
 from .estimators import METHODS, FUSION_METHODS, estimate_network
 from .probes import simulate_counts
@@ -81,8 +82,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown estimator {e!r}; expected one of {METHODS}")
 
 
-@dataclass
-class TableRow:
+class TableRow(NamedTuple):
     link: str
     estimator: str
     source: int | None
@@ -123,7 +123,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
     fusion = [e for e in cfg.estimators if e in FUSION_METHODS]
     if fusion and not plan.msource_trees:
         raise ValueError(f"fusion needs a joint node and the topology has none: {', '.join(fusion)}")
-    true_loss = {l.label: l.loss_rate for l in plan.logical_links}
+    true_loss = {l.label: 1.0 - l.pass_rate for l in plan.logical_links}
     # label -> (A, beta) of each link with a closed-form variance: a source link into a joint node
     joint_set = set(plan.joint_nodes)
     crlb = {
@@ -179,25 +179,13 @@ def emit(table: ReplicationTable, format: str = "csv") -> str:
     if not table.rows:
         raise ValueError("empty table")
     if format == "csv":
-        return _emit_csv(table)
+        return csv_text(TableRow, sorted(
+            table.rows,
+            key=lambda r: (r.estimator, r.link, r.source if r.source is not None else -1, r.probes),
+        ))
     if format == "markdown":
         return _emit_markdown(table)
     raise ValueError(f"unknown format {format!r}")
-
-
-def _emit_csv(table: ReplicationTable) -> str:
-    lines = ["link,estimator,source,probes,reps,mean_loss,var_loss,true_loss,crlb_var,clamped,errors"]
-    for r in sorted(
-        table.rows,
-        key=lambda r: (r.estimator, r.link, r.source if r.source is not None else -1, r.probes),
-    ):
-        src, mean, var, crlb = r.source, r.mean_loss, r.var_loss, r.crlb_var
-        lines.append(
-            f"{r.link},{r.estimator},{'' if src is None else src},{r.probes},{r.reps},"
-            f"{'' if mean is None else repr(mean)},{'' if var is None else repr(var)},{r.true_loss!r},"
-            f"{'' if crlb is None else repr(crlb)},{r.clamped},{r.errors}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _emit_markdown(table: ReplicationTable) -> str:

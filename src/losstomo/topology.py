@@ -10,9 +10,10 @@ the complementary loss rate.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from typing import NamedTuple
 
 
 class TopologyError(ValueError):
@@ -23,16 +24,11 @@ class UnsupportedTopologyError(TopologyError):
     """Valid input whose shape falls outside the supported decompositions."""
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     id: int
     head: int
     tail: int
     pass_rate: float
-
-    @property
-    def loss_rate(self) -> float:
-        return 1.0 - self.pass_rate
 
 
 @dataclass(frozen=True)
@@ -51,12 +47,9 @@ class Topology:
         return {n: tuple(ls) for n, ls in out.items()}
 
     @cached_property
-    def in_links(self) -> dict[int, tuple[Link, ...]]:
-        """Each node's incoming links, in id order."""
-        inc: dict[int, list[Link]] = {n: [] for n in self.nodes}
-        for l in self.links:
-            inc[l.tail].append(l)
-        return {n: tuple(ls) for n, ls in inc.items()}
+    def in_degree(self) -> Counter[int]:
+        """Number of links into each node (0 for a node no link enters)."""
+        return Counter(l.tail for l in self.links)
 
     @cached_property
     def order(self) -> tuple[int, ...]:
@@ -72,7 +65,8 @@ class Topology:
     def tree_parent(self) -> dict[int, dict[int, Link]]:
         """Each source's multicast tree: every member node but the source -> its link in.
 
-        Filled in topological order, so each tree's links come out parents first.  This
+        Ordered by the position of each link's head in ``order``, then by link id, so each
+        tree's links come out parents first (not by the member nodes' own ``rank``).  This
         order is the probe stream layout (see the ``probes`` module docstring): changing
         it changes every simulated probe."""
         trees = {}
@@ -146,8 +140,8 @@ class Topology:
 
 
 def toposort(t: Topology) -> list[int]:
-    indeg = {n: len(t.in_links[n]) for n in t.nodes}
-    ready = sorted(n for n, d in indeg.items() if d == 0)  # a sorted list is a heap
+    indeg = dict(t.in_degree)  # a plain dict: Counter's copy and item updates run slower
+    ready = sorted(n for n in t.nodes if not indeg.get(n))  # a sorted list is a heap
     order = []
     while ready:
         u = heapq.heappop(ready)
@@ -231,7 +225,7 @@ def parse_topology(text: str) -> Topology:
 
     t = Topology(
         nodes=frozenset(nodes),
-        links=tuple(sorted(links, key=attrgetter("id"))),
+        links=tuple(sorted(links)),  # by id, since ids are unique and come first
         sources=tuple(sorted(sources)),
         receivers=tuple(sorted(receivers)),
     )
@@ -245,7 +239,7 @@ def validate(t: Topology) -> None:
     if src_set & recv_set:
         raise TopologyError(f"nodes {sorted(src_set & recv_set)} declared both source and receiver")
     for s in t.sources:
-        if t.in_links[s]:
+        if t.in_degree[s]:
             raise TopologyError(f"source {s} has incoming links")
         if len(t.out_links[s]) != 1:
             raise TopologyError(f"source {s} must have exactly one outgoing link")
@@ -255,6 +249,6 @@ def validate(t: Topology) -> None:
     for n in t.nodes:
         if not t.out_links[n] and n not in recv_set:
             raise TopologyError(f"node {n} is a sink but not declared a receiver")
-        if not t.in_links[n] and n not in src_set:
+        if not t.in_degree[n] and n not in src_set:
             raise TopologyError(f"node {n} is a root but not declared a source")
     t.tree_parent  # raises on a node with two parents in one tree

@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from losstomo.analysis import (
+    InfoRow,
     crlb_beta,
+    csv_text,
     empirical_moments,
     fisher_information,
     info_report,
-    report_csv,
     var_upstream,
 )
 
@@ -134,7 +135,7 @@ def test_info_report_plugin(star22_plan):
 
 def test_report_csv_round_trips_values(star22_plan):
     rows = info_report(star22_plan, 1000)
-    text = report_csv(rows)
+    text = csv_text(InfoRow, rows)
     lines = text.strip().splitlines()
     assert lines[0] == "node,source,quantity,value,provenance"
     assert len(lines) == len(rows) + 1

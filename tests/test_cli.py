@@ -121,6 +121,19 @@ def test_analyze_output(capsys):
     assert "crlb_var_beta" in out
 
 
+def test_analyze_without_joints_prints_the_header_only(tmp_path, capsys):
+    # one source, two receivers: no joint node, so no rows, but still the header
+    p = tmp_path / "tree.txt"
+    p.write_text(
+        "node 0\nnode 1\nnode 2\nnode 3\n"
+        "link 1 0 1 0.01\nlink 2 1 2 0.01\nlink 3 1 3 0.01\n"
+        "source 0\nreceiver 2\nreceiver 3\n"
+    )
+    assert run_cli(capsys, "analyze", "--topology", str(p)) == (
+        0, "node,source,quantity,value,provenance\n", ""
+    )
+
+
 def test_analyze_lossless_joint_marks_undefined_rows(tmp_path, capsys):
     # links 3 and 4 lossless: the joint subtree rate is 1 and the information undefined
     p = tmp_path / "lossless.txt"
@@ -277,6 +290,25 @@ def test_failing_estimator_keeps_the_other_rows(tmp_path, capsys):
     oracle = [r for r in rows if r["estimator"] == "mvwa-oracle"]
     assert len(mle) == 4 and all(r["reps"] == "3" and r["errors"] == "0" for r in mle)
     assert len(oracle) == 2 and all(r["reps"] == "0" and r["errors"] == "3" for r in oracle)
+    notes = err.splitlines()
+    assert len(notes) == 3
+    for rep, note in enumerate(notes):
+        assert note.startswith(f"note: probes=100 rep={rep} mvwa-oracle: ")
+
+
+def test_run_prints_each_failure_note_on_stderr(capsys):
+    # the lossy golden run: the table on stdout, and each failure message on
+    # stderr as a note, in the order the replications ran
+    golden = Path(__file__).resolve().parent / "golden/big-network-lossy-seed42"
+    code, out, err = run_cli(
+        capsys, "run", "--topology", str(golden / "topology.txt"), "--probes", "10,300",
+        "--reps", "3", "--seed", "42",
+        "--estimators", "mle,tree-baseline,mvwa-oracle,mvwa-plugin,rbmvwa,mrbmvwa",
+    )
+    assert code == 0
+    assert out == (golden / "run.csv").read_text()
+    messages = (golden / "messages.txt").read_text().splitlines(keepends=True)
+    assert err == "".join(f"note: {m}" for m in messages)
 
 
 def test_dead_source_link_leaves_crlb_empty(tmp_path, capsys):

@@ -19,7 +19,7 @@ def test_big_network_three_dtrees(big_plan):
 
 def test_joint_detection_matches_indegree_scan(big_topology, big_plan):
     t = big_topology
-    scan = tuple(sorted(n for n in t.nodes if len(t.in_links[n]) >= 2))
+    scan = tuple(sorted(n for n in t.nodes if t.in_degree[n] >= 2))
     assert big_plan.joint_nodes == scan
 
 
@@ -136,7 +136,7 @@ def test_decompose_idempotent_on_fragment(big_topology, big_plan):
     lines = [f"node {n}" for n in sorted(sub_nodes)]
     for l in big_topology.links:
         if l.id in sub_link_ids:
-            lines.append(f"link {l.id} {l.head} {l.tail} {l.loss_rate}")
+            lines.append(f"link {l.id} {l.head} {l.tail} {1.0 - l.pass_rate}")
     lines.append("source 16")
     for n in sorted(sub_nodes):
         sub_out = [l for l in big_topology.out_links[n] if l.id in sub_link_ids]

@@ -240,7 +240,7 @@ def test_count_pass_runs_once_per_replication(monkeypatch):
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
 def test_crlb_column_is_closed_form_for_source_links_into_joints(setting):
     t = parse_topology(SETTINGS[setting])
-    joints = {n for n in t.nodes if len(t.in_links[n]) >= 2}
+    joints = {n for n in t.nodes if t.in_degree[n] >= 2}
     into_joint = {str(l.id): l for l in t.links if l.head in t.sources and l.tail in joints}
     table = run_experiment(cfg(setting, estimators=METHODS, probe_counts=(100, 500), reps=2))
     assert into_joint and {r.link for r in table.rows if r.crlb_var is not None} == set(into_joint)
