@@ -1,8 +1,7 @@
 """Information-theoretic quantities and replication moments.
 
 All closed forms take pass rates: A is a source-to-node path rate, beta a
-subtree rate.  Reports tag whether the inputs were simulation ground truth
-or plug-in estimates, since the two roles give different numbers.
+subtree rate.  ``info_report`` evaluates them at the simulation ground truth.
 """
 
 from __future__ import annotations
@@ -60,39 +59,31 @@ class InfoRow(NamedTuple):
     source: int | None  # None for pooled quantities
     quantity: str
     value: float | None  # None where the quantity is undefined
-    provenance: str  # true-parameters | plug-in
 
 
-def info_report(plan: DTreePlan, probes: dict[int, int] | int, provenance="true-parameters",
-                path_rates=None, betas=None) -> list[InfoRow]:
-    """Per-joint-node information and variance bounds.
+def info_report(plan: DTreePlan, probes: int) -> list[InfoRow]:
+    """Per-joint-node information and variance bounds at the true rates,
+    with ``probes`` probes from every source.
 
     A quantity undefined at the given rates (information at a lossless
     subtree, beta = 1) is reported with value None rather than raising.
-
-    With the default provenance the simulation ground truth is used; pass
-    ``path_rates`` ((source, node) -> A) and ``betas`` (node -> beta) to
-    evaluate the same formulas at plug-in estimates.
     """
+    if probes < 1:
+        raise ValueError(f"probe count must be >= 1, got {probes}")
     t = plan.topology
-    if isinstance(probes, int):
-        probes = {s: probes for s in t.sources}
-    if min(probes.values()) < 1:
-        raise ValueError(f"probe count must be >= 1, got {min(probes.values())}")
     rows: list[InfoRow] = []
     for mt in plan.msource_trees:
         i = mt.joint
-        beta = betas[i] if betas is not None else t.subtree_rate[i]
+        beta = t.subtree_rate[i]
         pairs = []
         for s in mt.sources:
-            a = path_rates[(s, i)] if path_rates is not None else t.path_rate(s, i)
-            n = probes[s]
-            pairs.append((a, n))
-            rows.append(InfoRow(i, s, "per_probe_information", _defined(fisher_information, a, beta), provenance))
-            rows.append(InfoRow(i, s, "var_path_estimate", _defined(var_upstream, a, beta, n), provenance))
+            a = t.path_rate(s, i)
+            pairs.append((a, probes))
+            rows.append(InfoRow(i, s, "per_probe_information", _defined(fisher_information, a, beta)))
+            rows.append(InfoRow(i, s, "var_path_estimate", _defined(var_upstream, a, beta, probes)))
         total = _defined(lambda: sum(fisher_information(a, beta, n) for a, n in pairs))
-        rows.append(InfoRow(i, None, "total_information", total, provenance))
-        rows.append(InfoRow(i, None, "crlb_var_beta", _defined(crlb_beta, pairs, beta), provenance))
+        rows.append(InfoRow(i, None, "total_information", total))
+        rows.append(InfoRow(i, None, "crlb_var_beta", _defined(crlb_beta, pairs, beta)))
     return rows
 
 

@@ -73,24 +73,17 @@ def solve_multisource_beta(counts: PooledCounts, node: int, children, sources) -
     return _root(counts, ("subtree", tuple(counts.pooled(c, sources) / n_i for c in children)))
 
 
-def beta_sample_mean(counts: PooledCounts, node: int, sources, path_rates) -> float:
+def beta_sample_mean(counts: PooledCounts, node: int, sources, true_paths) -> float:
     """Sample-mean form of the subtree estimate: n_i over the expected
     number of probes reaching the node.
 
     Requires the true path rates, so this is a simulation-side diagnostic
     only; it is the form whose variance the information bounds describe.
     """
-    n_star = sum(counts.probes[s] * path_rates[s] for s in sources)
+    n_star = sum(counts.probes[s] * true_paths[s] for s in sources)
     if n_star <= 0:
         raise NoDataError(f"no probes expected to reach node {node}")
     return counts.pooled(node, sources) / n_star
-
-
-def estimate_source_paths(beta: float, gammas: dict[int, float]) -> dict[int, float]:
-    """A-hat(s, i) = gamma_i(s) / beta_i, clamped to 1."""
-    if beta <= 0.0:
-        raise EstimationError("subtree pass rate estimate is zero")
-    return {s: min(g / beta, 1.0) for s, g in gammas.items()}
 
 
 def solve_intersection(est: EstimateSet, counts: PooledCounts, plan: DTreePlan,
@@ -109,14 +102,10 @@ def solve_intersection(est: EstimateSet, counts: PooledCounts, plan: DTreePlan,
             betas[node] = beta_rule(counts, node, kids, mt.sources) if kids else 1.0
     except EstimationError as exc:
         raise type(exc)(f"multi-source subtree solve at node {node}: {exc}") from exc
-    gammas = {s: gamma_hat(counts, mt.joint, s) for s in mt.sources}
-    try:
-        paths = estimate_source_paths(betas[mt.joint], gammas)
-    except EstimationError as exc:
-        raise type(exc)(f"source path extraction at node {mt.joint}: {exc}") from exc
     est.betas.update(betas)
-    for s, a in paths.items():
-        est.paths[(s, mt.joint)] = a
+    # A-hat(s, joint) = gamma_joint(s) / beta_joint, clamped to 1; every beta rule gives beta_joint > 0
+    for s in mt.sources:
+        est.paths[(s, mt.joint)] = min(gamma_hat(counts, mt.joint, s) / betas[mt.joint], 1.0)
     for head in mt.nodes:
         n_head = counts.pooled(head, mt.sources)
         for l in plan.children[head]:

@@ -4,9 +4,13 @@ Fusion is the pooled MLE's walk with another beta rule: at every internal
 intersection node each source's counts alone give a subtree estimate (the
 pooled solve over that one source), and the rule returns a convex
 combination of them.  The schemes differ only in where the weights come
-from: known variances (oracle), plugged-in variance formulas, end-to-end
-odds, or plain end-to-end proportions.  Joint paths and link rates then
-come from ``estimators.solve_intersection`` exactly as for the pooled MLE.
+from.  Both MVWA schemes weight by the inverse of one per-source variance,
+beta(1 - A beta)/(nA): ``mvwa-oracle`` takes the true beta and A,
+``mvwa-plugin`` the source's own estimate beta(s) and A = gamma(s)/beta(s)
+with the miss probability floored at 1/(n+1).  ``rbmvwa`` weights by
+end-to-end odds and ``mrbmvwa`` by plain end-to-end proportions.  Joint
+paths and link rates then come from ``estimators.solve_intersection``
+exactly as for the pooled MLE.
 """
 
 from __future__ import annotations
@@ -74,27 +78,23 @@ def _weights_for(scheme, counts, plan, node, per_source) -> tuple[float, ...]:
     sources = sorted(per_source)
     gammas = [gamma_hat(counts, node, s) for s in sources]
     t = plan.topology
-    if scheme == "mvwa-oracle":
-        beta = t.subtree_rate[node]
-        variances = []
-        for s in sources:
-            a = t.path_rate(s, node)
-            variances.append(beta * (1.0 - a * beta) / (counts.probes[s] * a))
-    elif scheme == "mvwa-plugin":
-        variances = []
-        for s, g in zip(sources, gammas):
-            b = per_source[s]
-            a = min(g / b, 1.0)
-            n = counts.probes[s]
-            # a lossless sample would give a zero plug-in variance; floor the
-            # miss probability at 1/(n+1) to keep the weight finite
-            v = b * max(1.0 - a * b, 1.0 / (n + 1)) / (n * a)
-            variances.append(v)
     try:
         if scheme == "rbmvwa":
             return rbmvwa_weights(gammas)
         if scheme == "mrbmvwa":
             return mrbmvwa_weights(gammas)
+        # MVWA: each source's variance b(1 - ab)/(na), at the true rates or at plug-in ones
+        variances = []
+        for s, g in zip(sources, gammas):
+            n = counts.probes[s]
+            if scheme == "mvwa-oracle":
+                b, a, floor = t.subtree_rate[node], t.path_rate(s, node), 0.0
+            else:
+                # a lossless sample would give a zero plug-in variance; floor the
+                # miss probability at 1/(n+1) to keep the weight finite
+                b = per_source[s]
+                a, floor = min(g / b, 1.0), 1.0 / (n + 1)
+            variances.append(b * max(1.0 - a * b, floor) / (n * a))
         return mvwa_weights(variances)
     except ValueError as exc:
         raise FusionWeightError(f"{scheme} weights at node {node}: {exc}") from exc

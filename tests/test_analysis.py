@@ -112,32 +112,13 @@ def test_info_report_truth(star22_plan):
     )
     total = by[(2, None, "total_information")]
     assert by[(2, None, "crlb_var_beta")] == pytest.approx(1.0 / total, abs=1e-18)
-    assert all(r.provenance == "true-parameters" for r in rows)
-
-
-def test_info_report_plugin(star22_plan):
-    rows = info_report(
-        star22_plan,
-        {0: 500, 1: 700},
-        provenance="plug-in",
-        path_rates={(0, 2): 0.98, (1, 2): 0.97},
-        betas={2: 0.99},
-    )
-    by = {(r.node, r.source, r.quantity): r.value for r in rows}
-    assert by[(2, 0, "per_probe_information")] == pytest.approx(
-        fisher_information(0.98, 0.99), abs=1e-15
-    )
-    assert by[(2, 1, "var_path_estimate")] == pytest.approx(
-        var_upstream(0.97, 0.99, 700), abs=1e-15
-    )
-    assert all(r.provenance == "plug-in" for r in rows)
 
 
 def test_report_csv_round_trips_values(star22_plan):
     rows = info_report(star22_plan, 1000)
     text = csv_text(InfoRow, rows)
     lines = text.strip().splitlines()
-    assert lines[0] == "node,source,quantity,value,provenance"
+    assert lines[0] == "node,source,quantity,value"
     assert len(lines) == len(rows) + 1
     for row, line in zip(rows, lines[1:]):
         assert float(line.split(",")[3]) == row.value

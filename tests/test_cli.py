@@ -117,7 +117,7 @@ def test_decompose_output_exact(tmp_path, capsys, name):
 def test_analyze_output(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--setting", "2x2-equal", "--probes", "500")
     assert code == 0
-    assert out.splitlines()[0] == "node,source,quantity,value,provenance"
+    assert out.splitlines()[0] == "node,source,quantity,value"
     assert "crlb_var_beta" in out
 
 
@@ -130,7 +130,7 @@ def test_analyze_without_joints_prints_the_header_only(tmp_path, capsys):
         "source 0\nreceiver 2\nreceiver 3\n"
     )
     assert run_cli(capsys, "analyze", "--topology", str(p)) == (
-        0, "node,source,quantity,value,provenance\n", ""
+        0, "node,source,quantity,value\n", ""
     )
 
 
@@ -148,6 +148,33 @@ def test_analyze_lossless_joint_marks_undefined_rows(tmp_path, capsys):
         assert values[key] == ""
     for s in ("0", "1"):
         assert float(values[(s, "var_path_estimate")]) > 0.0
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("--topology", str(GOLDEN / "big-network-lossy-seed42/topology.txt")),
+     "big-network-lossy-seed42/analyze.csv"),
+    (("--setting", "2x2-unequal", "--probes", "1000"), "analyze-2x2-unequal-1000.csv"),
+], ids=["big-network-lossy", "2x2-unequal-1000"])
+def test_analyze_output_matches_golden(capsys, argv, golden):
+    assert run_cli(capsys, "analyze", *argv) == (0, (GOLDEN / golden).read_text(), "")
+
+
+def test_analyze_lossless_star_leaves_undefined_cells_empty(tmp_path, capsys):
+    # every link lossless: beta = A = 1, so only the path-estimate variance (0) is defined
+    p = tmp_path / "lossless.txt"
+    p.write_text(SETTINGS["2x2-equal"].replace(" 0.01\n", " 0\n"))
+    assert run_cli(capsys, "analyze", "--topology", str(p)) == (0, (
+        "node,source,quantity,value\n"
+        "2,0,per_probe_information,\n"
+        "2,0,var_path_estimate,0.0\n"
+        "2,1,per_probe_information,\n"
+        "2,1,var_path_estimate,0.0\n"
+        "2,,total_information,\n"
+        "2,,crlb_var_beta,\n"
+    ), "")
 
 
 @pytest.mark.parametrize("probes", ["0", "-5"])

@@ -13,7 +13,7 @@ from losstomo.estimators import (
     EstimateSet,
     beta_sample_mean,
     estimate_network,
-    estimate_source_paths,
+    solve_intersection,
     solve_multisource_beta,
 )
 from losstomo.harness import SETTINGS, _expected_keys, _star_setting
@@ -74,14 +74,21 @@ def test_zero_count_child_dropped():
         solve_multisource_beta(counts2, 2, [3, 4], [0])
 
 
-def test_estimate_source_paths():
-    paths = estimate_source_paths(0.7 / 0.72, {0: 0.875})
-    assert paths[0] == pytest.approx(0.9, abs=1e-12)
-    paths = estimate_source_paths(0.9, {0: 0.0, 1: 0.95})
-    assert paths[0] == 0.0
-    assert paths[1] == 1.0  # 0.95 / 0.9 clamped to 1
-    paths = estimate_source_paths(0.9, {0: 0.9})
-    assert paths[0] == 1.0
+def test_solve_intersection_joint_paths(star22_plan):
+    # A-hat(s, joint) = gamma_joint(s) / beta_joint, clamped to 1, under a fixed beta rule
+    mt = star22_plan.msource_trees[0]
+    for beta, joint_counts, expected in [
+        (0.7 / 0.72, (875, 875), (pytest.approx(0.9, abs=1e-12),) * 2),  # gamma / beta = 0.9
+        (0.9, (0, 950), (0.0, 1.0)),  # gamma = 0 gives 0; 0.95 / 0.9 is clamped to 1
+        (0.9, (900, 900), (1.0, 1.0)),  # gamma = beta
+    ]:
+        counts = {(2, s): n for s, n in enumerate(joint_counts)}
+        counts.update({(c, s): n * 9 // 10 for c in (3, 4) for s, n in enumerate(joint_counts)})
+        est = EstimateSet(method="stub")
+        solve_intersection(est, PooledCounts(probes={0: 1000, 1: 1000}, counts=counts), star22_plan,
+                           mt, lambda counts, node, children, sources: beta)
+        assert est.betas == {2: beta, 3: 1.0, 4: 1.0}
+        assert (est.paths[(0, 2)], est.paths[(1, 2)]) == expected
 
 
 def test_solve_tree_pass_rate_example():
