@@ -7,26 +7,30 @@ a node, which is what the pass counts are built from.
 
 Stream layout: in source s's stream, link j of ``t.tree_parent[s]`` (in its
 order) draws probe k of n at offset j*n + k, so any probe range can be drawn
-on its own by advancing the stream.  ``simulate_counts`` counts the probes in
-windows of CHUNK // WORKERS, each one ``ObservationSet`` of every source that
-still has probes and one ``count_pass`` call, drawn WORKERS at once on threads
-(numpy releases the GIL in the RNG fill and the ufuncs).  At most CHUNK probes
-per source are in flight, about one byte per tree node and probe of each
-source, so memory grows with neither n nor the CPU count; the windows' integer
-counts are summed, so it returns exactly ``count_pass(simulate(...))``.
+on its own by advancing the stream.  ``_draw`` draws one source's probe range
+into a bit matrix with one row per tree node (``t.tree_rows[s]``), eight probes
+a byte, and ``_or_counts`` applies the OR rule to it in place.  ``simulate``
+unpacks the receivers' rows of ``_draw``; ``count_pass`` packs the observed
+rows and counts them with ``_or_counts``.  ``simulate_counts`` counts
+each source's probes in windows of CHUNK // WORKERS, one task per (source,
+window), WORKERS at once on threads (numpy releases the GIL in the RNG fill
+and the ufuncs).  At most CHUNK probes are in flight: one bit per tree node and
+probe of the window's source, plus one float64 and one bool per probe for each
+thread's draws, so memory grows with neither n, the number of sources nor the
+CPU count; the windows' integer counts are summed, so it returns exactly
+``count_pass(simulate(...))``.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .topology import Topology, TopologyError
+from .topology import Topology, TopologyError, TreeRows
 
-CHUNK = 1 << 18  # probes per source in flight in simulate_counts, over all its windows
+CHUNK = 1 << 18  # probes in flight in simulate_counts, over all its windows
 # threads drawing windows in simulate_counts: the CPUs this process may run on
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -86,76 +90,104 @@ def _probe_counts(t: Topology, probes: dict[int, int] | int) -> dict[int, int]:
     return {s: probes[s] for s in t.sources}
 
 
-def _receiver_bits(t: Topology, s: int, seed: int, n: int, c0: int, m: int):
-    """Receivers of T^s and their bits for probes [c0, c0 + m) of the n source s sends."""
+def _draw(t: Topology, s: int, seed: int, n: int, c0: int, m: int) -> np.ndarray:
+    """States of probes [c0, c0 + m) of the n source s sends at every node of T^s, packed
+    eight probes a byte in the rows of ``t.tree_rows[s]`` (row 0, the source's, is all ones)."""
+    parent = t.tree_rows[s].parent
     rng = source_stream(seed, s)
     stream = rng.bit_generator
     if c0:
         stream.advance(c0)
-    state: dict[int, np.ndarray] = {s: np.ones(m, dtype=bool)}
-    for l in t.tree_parent[s].values():  # parents first, in topological order
-        state[l.tail] = state[l.head] & (rng.random(m) < l.pass_rate)
+    draws, passed = np.empty(m), np.empty(m, dtype=bool)
+    bits = np.empty((len(parent), (m + 7) // 8), dtype=np.uint8)
+    bits[0] = 0xFF
+    for j, l in enumerate(t.tree_parent[s].values(), 1):  # parents first, in topological order
+        rng.random(out=draws)
+        np.less(draws, l.pass_rate, out=passed)
+        np.bitwise_and(np.packbits(passed), bits[parent[j]], out=bits[j])
         if m < n:
             stream.advance(n - m)  # to the same probe of the next link
-    recv = tuple(r for r in t.receivers if r in state)
-    return recv, np.vstack([state[r] for r in recv])
+    return bits
 
 
-def _window(t: Topology, probes: dict[int, int], seed: int, c0: int, width: int) -> ObservationSet:
-    """Bits of probes [c0, c0 + width) of every source that sends more than c0."""
-    sizes = {s: min(width, n - c0) for s, n in probes.items() if n > c0}
-    receivers, bits = {}, {}
-    for s, m in sizes.items():
-        receivers[s], bits[s] = _receiver_bits(t, s, seed, probes[s], c0, m)
-    return ObservationSet(probes=sizes, receivers=receivers, bits=bits)
+def _or_counts(rows: TreeRows, bits: np.ndarray) -> np.ndarray:
+    """n_i(s) for every row of packed bits: the OR rule, bottom-up over the receivers' rows.
+
+    Clears every row but the receivers', then ORs each row into its parent's in
+    reverse row order, children before parents; the padding bits past the last probe
+    must be 0 in the receivers' rows.  Writes into ``bits``."""
+    bits[list(rows.inner)] = 0
+    parent = rows.parent
+    for j in range(len(parent) - 1, 0, -1):
+        np.bitwise_or(bits[parent[j]], bits[j], out=bits[parent[j]])
+    return np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+
+
+def _keyed(s: int, rows: TreeRows, counts: np.ndarray) -> dict[tuple[int, int], int]:
+    """{(node, s): n_i(s)} from per-row counts, children before parents and the source last."""
+    return dict(zip(((node, s) for node in reversed(rows.row)), reversed(counts.tolist())))
 
 
 def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> ObservationSet:
     """Run one probing experiment; fully determined by (t, probes, seed)."""
     probes = _probe_counts(t, probes)
-    return _window(t, probes, seed, 0, max(probes.values()))
+    receivers, bits = {}, {}
+    for s, n in probes.items():
+        rows = t.tree_rows[s]
+        nodes = tuple(rows.row)
+        receivers[s] = tuple(nodes[j] for j in rows.receivers)
+        packed = _draw(t, s, seed, n, 0, n)[list(rows.receivers)]
+        bits[s] = np.unpackbits(packed, axis=1, count=n).view(bool)
+    return ObservationSet(probes=probes, receivers=receivers, bits=bits)
 
 
 def simulate_counts(t: Topology, probes: dict[int, int] | int, seed: int) -> PooledCounts:
-    """``count_pass(simulate(t, probes, seed), t)``, drawing windows of CHUNK // WORKERS
-    probes per source on up to WORKERS threads; one window runs in the calling thread."""
+    """``count_pass(simulate(t, probes, seed), t)``, drawn and counted in windows of
+    CHUNK // WORKERS probes of one source, one bit per tree node and probe, up to WORKERS
+    windows at once on threads.  Each thread also holds one float64 and one bool per probe
+    of its window.  When every source fits in one window, they run in the calling thread."""
     probes = _probe_counts(t, probes)
+    trees = t.tree_rows  # a cached_property: build it here, not racing in the workers
     width = max(1, CHUNK // WORKERS)
-    starts = range(0, max(probes.values()), width)
+    windows = [(s, c0) for s, n in probes.items() for c0 in range(0, n, width)]
 
-    def window(c0: int) -> dict[tuple[int, int], int]:
-        return count_pass(_window(t, probes, seed, c0, width), t).counts
+    def count(window: tuple[int, int]) -> np.ndarray:
+        s, c0 = window
+        n = probes[s]
+        return _or_counts(trees[s], _draw(t, s, seed, n, c0, min(width, n - c0)))
 
-    counts: Counter[tuple[int, int]] = Counter()
-    if len(starts) == 1:
-        counts.update(window(0))
+    if len(windows) == len(probes):
+        per_window = map(count, windows)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        t.tree_parent  # a cached_property: build it here, not racing in the workers
-        with ThreadPoolExecutor(min(len(starts), WORKERS)) as pool:
-            for c in pool.map(window, starts):
-                counts.update(c)
-    return PooledCounts(probes=probes, counts=dict(counts))
+        with ThreadPoolExecutor(min(len(windows), WORKERS)) as pool:
+            per_window = list(pool.map(count, windows))
+    totals = dict.fromkeys(probes, 0)
+    for (s, _), c in zip(windows, per_window):
+        totals[s] = totals[s] + c
+    counts: dict[tuple[int, int], int] = {}
+    for s, c in totals.items():
+        counts.update(_keyed(s, trees[s], c))
+    return PooledCounts(probes=probes, counts=counts)
 
 
 def count_pass(obs: ObservationSet, t: Topology) -> PooledCounts:
     """Reduce receiver bits to n_i(s) for every node i of every tree T^s.
 
-    Bottom-up OR rule over the links of ``t.tree_parent[s]``, children before
-    parents: each tail's vector (its bit row, or the OR of its children's) is
-    counted and ORed into its head's; the source is counted last.  A tree node
-    with no vector counts 0, and rows of nodes outside T^s are ignored."""
+    Packs each source's receiver rows into the layout of ``t.tree_rows[s]`` and applies
+    the OR rule bottom-up (``_or_counts``): a node's count is the number of probes that
+    some receiver below it saw.  A receiver of T^s with no row counts 0, and rows of
+    other nodes are ignored."""
     counts: dict[tuple[int, int], int] = {}
     for s, recv in obs.receivers.items():
-        up = t.tree_parent[s]
-        vec = dict(zip(recv, obs.bits[s]))
-        for node in (*reversed(up), s):
-            v = vec.pop(node, None)
-            counts[(node, s)] = 0 if v is None else int(np.count_nonzero(v))
-            if v is not None and node != s:  # a new array: receiver rows are views of obs.bits
-                head = up[node].head
-                vec[head] = vec[head] | v if head in vec else v
+        rows = t.tree_rows[s]
+        observed = obs.bits[s]
+        bits = np.zeros((len(rows.parent), (observed.shape[1] + 7) // 8), dtype=np.uint8)
+        for r, b in zip(recv, observed):
+            if r in rows.row:
+                bits[rows.row[r]] = np.packbits(b)
+        counts.update(_keyed(s, rows, _or_counts(rows, bits)))
     return PooledCounts(probes=dict(obs.probes), counts=counts)
 
 

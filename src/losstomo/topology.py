@@ -31,6 +31,17 @@ class Link(NamedTuple):
     pass_rate: float
 
 
+class TreeRows(NamedTuple):
+    """One source's tree as the rows of a bit matrix: row 0 is the source and row j the
+    tail of link j - 1 of its ``tree_parent`` map, so every parent's row precedes its
+    children's."""
+
+    row: dict[int, int]  # tree node -> its row, in row order
+    parent: tuple[int, ...]  # row j >= 1 -> its parent's row (parent[0] = 0)
+    inner: tuple[int, ...]  # rows of the nodes that are not receivers
+    receivers: tuple[int, ...]  # rows of the tree's receivers, in ``receivers`` order
+
+
 @dataclass(frozen=True)
 class Topology:
     nodes: frozenset[int]
@@ -82,6 +93,19 @@ class Topology:
                         )
                     up[l.tail] = l
             trees[s] = up
+        return trees
+
+    @cached_property
+    def tree_rows(self) -> dict[int, TreeRows]:
+        """Each source's tree in row form, the layout the probe simulation packs its bits in."""
+        index = {r: k for k, r in enumerate(self.receivers)}
+        trees = {}
+        for s, up in self.tree_parent.items():
+            row = {s: 0, **{n: j for j, n in enumerate(up, 1)}}
+            parent = (0, *(row[l.head] for l in up.values()))
+            inner = tuple(j for n, j in row.items() if n not in index)
+            seen = sorted((n for n in row if n in index), key=index.__getitem__)
+            trees[s] = TreeRows(row, parent, inner, tuple(row[r] for r in seen))
         return trees
 
     @cached_property

@@ -17,7 +17,7 @@ from losstomo.harness import (
     replication_seed,
     run_experiment,
 )
-from losstomo.probes import count_pass
+from losstomo.probes import _draw, _or_counts
 from losstomo.solvers import NoDataError
 from losstomo.topology import parse_topology
 from losstomo.decompose import decompose
@@ -223,18 +223,28 @@ def test_run_experiment_on_generated_dags_keeps_every_row_consistent(text):
         assert r.clamped <= r.reps
 
 
-def test_count_pass_runs_once_per_replication(monkeypatch):
+def test_probes_are_counted_once_per_replication(monkeypatch):
+    # each replication draws and counts one window per source, whatever the estimators
     from losstomo import probes
 
-    calls = []
+    drawn, counted = [], []
 
-    def counting(obs, t):
-        calls.append(obs)
-        return count_pass(obs, t)
+    def drawing(t, s, seed, n, c0, m):
+        drawn.append((seed, s, n, c0, m))
+        return _draw(t, s, seed, n, c0, m)
 
-    monkeypatch.setattr(probes, "count_pass", counting)
+    def counting(rows, bits):
+        counted.append(bits)
+        return _or_counts(rows, bits)
+
+    monkeypatch.setattr(probes, "_draw", drawing)
+    monkeypatch.setattr(probes, "_or_counts", counting)
     run_experiment(cfg(estimators=METHODS, probe_counts=(100, 200), reps=3))
-    assert len(calls) == 2 * 3
+    sources = parse_topology(SETTINGS["2x2-equal"]).sources
+    assert len(set(drawn)) == len(drawn) == len(counted) == 2 * 3 * len(sources)
+    assert {(s, n, c0, m) for _, s, n, c0, m in drawn} == {
+        (s, n, 0, n) for s in sources for n in (100, 200)
+    }
 
 
 @pytest.mark.parametrize("setting", sorted(SETTINGS))

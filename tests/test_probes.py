@@ -11,7 +11,8 @@ from losstomo import probes as probes_module
 from losstomo.harness import SETTINGS
 from losstomo.probes import (
     ObservationSet,
-    _receiver_bits,
+    _draw,
+    _or_counts,
     count_pass,
     gamma_hat,
     simulate,
@@ -223,58 +224,71 @@ def test_simulate_counts_equals_count_pass_of_simulate(name, loss, monkeypatch):
                 assert simulate_counts(t, probes, seed) == expected, (probes, chunk, workers)
 
 
+def spy_windows(monkeypatch):
+    """Record (source, c0, m) of every window ``_draw`` draws, and check that
+    ``_or_counts`` counts each drawn matrix once."""
+    drawn, counted, lock = [], [], threading.Lock()
+
+    def draw(t, s, seed, n, c0, m):
+        bits = _draw(t, s, seed, n, c0, m)
+        with lock:
+            drawn.append(((s, c0, m), bits))
+        return bits
+
+    def count(rows, bits):
+        with lock:
+            counted.append(bits)
+        return _or_counts(rows, bits)
+
+    monkeypatch.setattr(probes_module, "_draw", draw)
+    monkeypatch.setattr(probes_module, "_or_counts", count)
+
+    def windows():
+        assert sorted(map(id, counted)) == sorted(id(bits) for _, bits in drawn)
+        return sorted(w for w, _ in drawn)
+
+    return windows
+
+
 @pytest.mark.parametrize("chunk, windows", [(7, 2), (12, 2), (13, 1), (50, 1)])
 def test_simulate_counts_counts_each_window_once(big_topology, monkeypatch, chunk, windows):
-    # one count_pass per window, holding every source that still has probes
-    seen = []
-
-    def counting(obs, t):
-        seen.append(obs.probes)
-        return count_pass(obs, t)
-
+    # one draw and one count per (source, window); the first source's 13 probes
+    # take `windows` windows of `chunk`, the second's one probe takes one
     monkeypatch.setattr(probes_module, "CHUNK", chunk)
     monkeypatch.setattr(probes_module, "WORKERS", 1)
-    monkeypatch.setattr(probes_module, "count_pass", counting)
+    seen = spy_windows(monkeypatch)
     first, second = big_topology.sources
     simulate_counts(big_topology, {first: 13, second: 1}, seed=3)
-    assert len(seen) == windows
-    assert seen[0] == {first: min(chunk, 13), second: 1}
-    assert all(set(p) == {first} for p in seen[1:])
+    starts = range(0, 13, chunk)
+    assert len(starts) == windows
+    assert seen() == sorted([(first, c0, min(chunk, 13 - c0)) for c0 in starts] + [(second, 0, 1)])
 
 
 def test_workers_share_the_chunk(big_topology, monkeypatch):
     # two workers draw windows of CHUNK // 2, so CHUNK probes per source are in flight
-    seen = []
-
-    def counting(obs, t):
-        seen.append(obs.probes)
-        return count_pass(obs, t)
-
     monkeypatch.setattr(probes_module, "CHUNK", 12)
     monkeypatch.setattr(probes_module, "WORKERS", 2)
-    monkeypatch.setattr(probes_module, "count_pass", counting)
+    seen = spy_windows(monkeypatch)
     first, second = big_topology.sources
     simulate_counts(big_topology, {first: 13, second: 1}, seed=3)
-    # the workers may count in either order
-    assert sorted(seen, key=lambda p: (len(p), p[first])) == [
-        {first: 1}, {first: 6}, {first: 6, second: 1}
-    ]
+    # the workers may draw in either order
+    assert seen() == sorted([(first, 0, 6), (first, 6, 6), (first, 12, 1), (second, 0, 1)])
 
 
 def test_worker_exception_reaches_the_caller(big_topology, monkeypatch):
     calls, lock = [], threading.Lock()
 
-    def failing(obs, t):
+    def failing(t, s, seed, n, c0, m):
         with lock:
-            calls.append(obs.probes)
+            calls.append((s, c0))
             second = len(calls) == 2
         if second:
             raise TopologyError("second window")
-        return count_pass(obs, t)
+        return _draw(t, s, seed, n, c0, m)
 
     monkeypatch.setattr(probes_module, "CHUNK", 4)
     monkeypatch.setattr(probes_module, "WORKERS", 2)
-    monkeypatch.setattr(probes_module, "count_pass", failing)
+    monkeypatch.setattr(probes_module, "_draw", failing)
     before = threading.active_count()
     with pytest.raises(TopologyError, match="second window"):
         simulate_counts(big_topology, 40, seed=3)
@@ -284,16 +298,18 @@ def test_worker_exception_reaches_the_caller(big_topology, monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 7, 12])
 def test_chunk_bits_are_column_slices_of_simulate(big_topology, chunk):
     # link j of tree s draws probe k at offset j*n + k, so probes [c0, c0 + m)
-    # drawn alone are columns c0 .. c0 + m - 1 of the one-shot bits
+    # drawn alone are columns c0 .. c0 + m - 1 of the one-shot bits, at every node
     t, seed = big_topology, 3
     for probes in probe_specs(t):
         obs = simulate(t, probes, seed)
         for s, n in obs.probes.items():
+            full = np.unpackbits(_draw(t, s, seed, n, 0, n), axis=1)
+            assert np.array_equal(full[list(t.tree_rows[s].receivers), :n], obs.bits[s])
             for c0 in range(0, n, chunk):
                 m = min(chunk, n - c0)
-                recv, bits = _receiver_bits(t, s, seed, n, c0, m)
-                assert recv == obs.receivers[s]
-                assert np.array_equal(bits, obs.bits[s][:, c0:c0 + m]), (s, c0)
+                part = np.unpackbits(_draw(t, s, seed, n, c0, m), axis=1)
+                assert np.array_equal(part[:, :m], full[:, c0:c0 + m]), (s, c0)
+                assert not part[1:, m:].any()  # _or_counts needs zero padding below the source
 
 
 @pytest.mark.parametrize("probes", [0, {0: 100}, {0: 100, 1: 0}])
@@ -318,6 +334,23 @@ def test_simulate_counts_memory_is_bounded_by_the_chunk(big_topology, monkeypatc
     assert peak < 8 * 2**20
     assert counts.probes == {s: n for s in big_topology.sources}
     assert all(0.9 * n < counts.count(s, s) <= n for s in big_topology.sources)
+
+
+def test_simulate_counts_memory_is_one_bit_per_tree_node_and_probe(big_topology, monkeypatch):
+    # each worker holds its window's float64 draws and bool passes, 9 bytes a probe, and
+    # one bit per probe for each of the 16 nodes of a BIG_NETWORK tree: for windows of
+    # 2**15 probes that is 2 * (9 + 16 / 8) * 2**15 bytes, about 0.7 MiB for two workers
+    n = 2 * 10**6
+    monkeypatch.setattr(probes_module, "CHUNK", 2**16)
+    monkeypatch.setattr(probes_module, "WORKERS", 2)
+    simulate_counts(big_topology, 2**16, seed=4)  # imports the thread pool, once per process
+    tracemalloc.start()
+    try:
+        simulate_counts(big_topology, n, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, peak
 
 
 def test_workers_share_the_memory_budget(big_topology, monkeypatch):

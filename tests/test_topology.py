@@ -254,6 +254,14 @@ def test_link_maps_and_plan_on_generated_dags(text):
     assert list(t.tree_parent) == list(reference)
     for s in t.sources:
         assert list(t.tree_parent[s].items()) == list(reference[s].items())
+    # row form: rows in tree_parent order, and each tree's receivers as a scan of all receivers finds them
+    for s, rows in t.tree_rows.items():
+        up = t.tree_parent[s]
+        nodes = (s, *up)
+        assert list(rows.row.items()) == [(n, j) for j, n in enumerate(nodes)]
+        assert [nodes[p] for p in rows.parent[1:]] == [l.head for l in up.values()]
+        assert [nodes[j] for j in rows.receivers] == [r for r in t.receivers if r in t.tree_nodes[s]]
+        assert {nodes[j] for j in rows.inner} == t.tree_nodes[s] - set(t.receivers)
 
     plan = decompose(t)
     covered = sorted(i for l in plan.logical_links for i in l.link_ids)
