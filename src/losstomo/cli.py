@@ -115,10 +115,12 @@ def cmd_analyze(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {"run": cmd_run, "decompose": cmd_decompose, "analyze": cmd_analyze}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
+    except SystemExit as exc:  # argparse printed the help (code 0) or a usage error (code 2)
+        return EXIT_CONFIG if exc.code else 0
     except UnsupportedTopologyError as exc:
         print(f"unsupported topology: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -118,7 +118,7 @@ def decompose(t: Topology) -> DTreePlan:
         msource_trees.append(
             MultiSourceTree(
                 joint=j,
-                sources=t.sources_reaching(j),
+                sources=tuple(s for s, tree in t.trees.items() if j in tree.row),
                 nodes=tuple(sorted(member_nodes)),
                 links=tuple(sorted(member_links, key=by_ids)),
             )

@@ -169,8 +169,7 @@ def estimate_network(counts: PooledCounts, plan: DTreePlan, method: str) -> Esti
     else:
         # tree-baseline: every multicast tree on its own, intersections included
         est = EstimateSet(method=method)
-        t = plan.topology
-        for s in t.sources:
-            order = [n for n in reversed(t.tree_parent[s]) if plan.children.get(n)]
+        for s, tree in plan.topology.trees.items():
+            order = [n for n in reversed(tree.row) if n != s and plan.children.get(n)]
             _solve_paths(est, counts, plan, s, order, {}, s)
     return est

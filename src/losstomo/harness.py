@@ -104,14 +104,9 @@ class ReplicationTable:
 
 def _expected_keys(plan: DTreePlan, estimator: str):
     """Row keys (link label, source attribution) an estimator must produce."""
-    if estimator == "tree-baseline":
-        keys = []
-        for frag in plan.fragments:
-            keys.extend((l.label, frag.source) for l in frag.links)
-        for mt in plan.msource_trees:
-            for s in mt.sources:
-                keys.extend((l.label, s) for l in mt.links)
-        return keys
+    if estimator == "tree-baseline":  # every logical link of each source's tree
+        return [(l.label, s) for s, tree in plan.topology.trees.items()
+                for n in tree.row for l in plan.children.get(n, ())]
     if estimator in FUSION_METHODS:
         return [(l.label, None) for mt in plan.msource_trees for l in mt.links]
     return [(l.label, None) for l in plan.logical_links]

@@ -5,11 +5,11 @@ probe independently with its loss rate.  Only receiver bits are observable;
 internal-node states are inferred with the OR rule over the receivers below
 a node, which is what the pass counts are built from.
 
-Stream layout: in source s's stream, link j of ``t.tree_parent[s]`` (in its
-order) draws probe k of n at offset j*n + k, so any probe range can be drawn
-on its own by advancing the stream.  ``_draw`` draws one source's probe range
-into a bit matrix with one row per tree node (``t.tree_rows[s]``), eight probes
-a byte, and ``_or_counts`` applies the OR rule to it in place.  ``simulate``
+Stream layout: in source s's stream, link j of ``t.trees[s].links`` draws
+probe k of n at offset j*n + k, so any probe range can be drawn on its own by
+advancing the stream.  ``_draw`` draws one source's probe range into a bit
+matrix with one row per node of ``t.trees[s]``, eight probes a byte, and
+``_or_counts`` applies the OR rule to it in place.  ``simulate``
 unpacks the receivers' rows of ``_draw``; ``count_pass`` packs the observed
 rows and counts them with ``_or_counts``.  ``simulate_counts`` counts
 each source's probes in windows of CHUNK // WORKERS, one task per (source,
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .topology import Topology, TopologyError, TreeRows
+from .topology import Topology, TopologyError, Tree
 
 CHUNK = 1 << 18  # probes in flight in simulate_counts, over all its windows
 # threads drawing windows in simulate_counts: the CPUs this process may run on
@@ -92,40 +92,40 @@ def _probe_counts(t: Topology, probes: dict[int, int] | int) -> dict[int, int]:
 
 def _draw(t: Topology, s: int, seed: int, n: int, c0: int, m: int) -> np.ndarray:
     """States of probes [c0, c0 + m) of the n source s sends at every node of T^s, packed
-    eight probes a byte in the rows of ``t.tree_rows[s]`` (row 0, the source's, is all ones)."""
-    parent = t.tree_rows[s].parent
+    eight probes a byte in the rows of ``t.trees[s]`` (row 0, the source's, is all ones)."""
+    tree = t.trees[s]
     rng = source_stream(seed, s)
     stream = rng.bit_generator
     if c0:
         stream.advance(c0)
     draws, passed = np.empty(m), np.empty(m, dtype=bool)
-    bits = np.empty((len(parent), (m + 7) // 8), dtype=np.uint8)
+    bits = np.empty((len(tree.parent), (m + 7) // 8), dtype=np.uint8)
     bits[0] = 0xFF
-    for j, l in enumerate(t.tree_parent[s].values(), 1):  # parents first, in topological order
+    for j, l in enumerate(tree.links, 1):  # parents first, in topological order
         rng.random(out=draws)
         np.less(draws, l.pass_rate, out=passed)
-        np.bitwise_and(np.packbits(passed), bits[parent[j]], out=bits[j])
+        np.bitwise_and(np.packbits(passed), bits[tree.parent[j]], out=bits[j])
         if m < n:
             stream.advance(n - m)  # to the same probe of the next link
     return bits
 
 
-def _or_counts(rows: TreeRows, bits: np.ndarray) -> np.ndarray:
+def _or_counts(tree: Tree, bits: np.ndarray) -> np.ndarray:
     """n_i(s) for every row of packed bits: the OR rule, bottom-up over the receivers' rows.
 
     Clears every row but the receivers', then ORs each row into its parent's in
     reverse row order, children before parents; the padding bits past the last probe
     must be 0 in the receivers' rows.  Writes into ``bits``."""
-    bits[list(rows.inner)] = 0
-    parent = rows.parent
+    bits[list(tree.inner)] = 0
+    parent = tree.parent
     for j in range(len(parent) - 1, 0, -1):
         np.bitwise_or(bits[parent[j]], bits[j], out=bits[parent[j]])
     return np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
 
 
-def _keyed(s: int, rows: TreeRows, counts: np.ndarray) -> dict[tuple[int, int], int]:
+def _keyed(s: int, tree: Tree, counts: np.ndarray) -> dict[tuple[int, int], int]:
     """{(node, s): n_i(s)} from per-row counts, children before parents and the source last."""
-    return dict(zip(((node, s) for node in reversed(rows.row)), reversed(counts.tolist())))
+    return dict(zip(((node, s) for node in reversed(tree.row)), reversed(counts.tolist())))
 
 
 def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> ObservationSet:
@@ -133,10 +133,10 @@ def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> Observatio
     probes = _probe_counts(t, probes)
     receivers, bits = {}, {}
     for s, n in probes.items():
-        rows = t.tree_rows[s]
-        nodes = tuple(rows.row)
-        receivers[s] = tuple(nodes[j] for j in rows.receivers)
-        packed = _draw(t, s, seed, n, 0, n)[list(rows.receivers)]
+        tree = t.trees[s]
+        nodes = tuple(tree.row)
+        receivers[s] = tuple(nodes[j] for j in tree.receivers)
+        packed = _draw(t, s, seed, n, 0, n)[list(tree.receivers)]
         bits[s] = np.unpackbits(packed, axis=1, count=n).view(bool)
     return ObservationSet(probes=probes, receivers=receivers, bits=bits)
 
@@ -147,7 +147,7 @@ def simulate_counts(t: Topology, probes: dict[int, int] | int, seed: int) -> Poo
     windows at once on threads.  Each thread also holds one float64 and one bool per probe
     of its window.  When every source fits in one window, they run in the calling thread."""
     probes = _probe_counts(t, probes)
-    trees = t.tree_rows  # a cached_property: build it here, not racing in the workers
+    trees = t.trees  # a cached_property: build it here, not racing in the workers
     width = max(1, CHUNK // WORKERS)
     windows = [(s, c0) for s, n in probes.items() for c0 in range(0, n, width)]
 
@@ -175,19 +175,19 @@ def simulate_counts(t: Topology, probes: dict[int, int] | int, seed: int) -> Poo
 def count_pass(obs: ObservationSet, t: Topology) -> PooledCounts:
     """Reduce receiver bits to n_i(s) for every node i of every tree T^s.
 
-    Packs each source's receiver rows into the layout of ``t.tree_rows[s]`` and applies
+    Packs each source's receiver rows into the layout of ``t.trees[s]`` and applies
     the OR rule bottom-up (``_or_counts``): a node's count is the number of probes that
     some receiver below it saw.  A receiver of T^s with no row counts 0, and rows of
     other nodes are ignored."""
     counts: dict[tuple[int, int], int] = {}
     for s, recv in obs.receivers.items():
-        rows = t.tree_rows[s]
+        tree = t.trees[s]
         observed = obs.bits[s]
-        bits = np.zeros((len(rows.parent), (observed.shape[1] + 7) // 8), dtype=np.uint8)
+        bits = np.zeros((len(tree.parent), (observed.shape[1] + 7) // 8), dtype=np.uint8)
         for r, b in zip(recv, observed):
-            if r in rows.row:
-                bits[rows.row[r]] = np.packbits(b)
-        counts.update(_keyed(s, rows, _or_counts(rows, bits)))
+            if r in tree.row:
+                bits[tree.row[r]] = np.packbits(b)
+        counts.update(_keyed(s, tree, _or_counts(tree, bits)))
     return PooledCounts(probes=dict(obs.probes), counts=counts)
 
 

@@ -31,13 +31,18 @@ class Link(NamedTuple):
     pass_rate: float
 
 
-class TreeRows(NamedTuple):
-    """One source's tree as the rows of a bit matrix: row 0 is the source and row j the
-    tail of link j - 1 of its ``tree_parent`` map, so every parent's row precedes its
-    children's."""
+class Tree(NamedTuple):
+    """One source's multicast tree as the rows of a bit matrix: row 0 is the source and
+    row j >= 1 the tail of ``links[j - 1]``.
+
+    The links are ordered by the position of each link's head in ``order``, then by link
+    id, so every parent's row precedes its children's (the member nodes are not sorted by
+    their own ``rank``).  This order is the probe stream layout (see the ``probes`` module
+    docstring): changing it changes every simulated probe."""
 
     row: dict[int, int]  # tree node -> its row, in row order
-    parent: tuple[int, ...]  # row j >= 1 -> its parent's row (parent[0] = 0)
+    links: tuple[Link, ...]  # links[j - 1] is the link into row j
+    parent: tuple[int, ...]  # each row's parent row (parent[0] = 0)
     inner: tuple[int, ...]  # rows of the nodes that are not receivers
     receivers: tuple[int, ...]  # rows of the tree's receivers, in ``receivers`` order
 
@@ -47,7 +52,7 @@ class Topology:
     nodes: frozenset[int]
     links: tuple[Link, ...]  # sorted by id
     sources: tuple[int, ...]
-    receivers: tuple[int, ...]
+    receivers: tuple[int, ...]  # sorted
 
     @cached_property
     def out_links(self) -> dict[int, tuple[Link, ...]]:
@@ -73,52 +78,36 @@ class Topology:
         return {n: k for k, n in enumerate(self.order)}
 
     @cached_property
-    def tree_parent(self) -> dict[int, dict[int, Link]]:
-        """Each source's multicast tree: every member node but the source -> its link in.
-
-        Ordered by the position of each link's head in ``order``, then by link id, so each
-        tree's links come out parents first (not by the member nodes' own ``rank``).  This
-        order is the probe stream layout (see the ``probes`` module docstring): changing
-        it changes every simulated probe."""
+    def trees(self) -> dict[int, Tree]:
+        """Each source's multicast tree, from one scan of ``order`` per source."""
+        recv_set = set(self.receivers)
         trees = {}
         for s in self.sources:
-            up: dict[int, Link] = {}
+            row, links = {s: 0}, []
             for u in self.order:
-                if u != s and u not in up:
+                if u not in row:
                     continue
                 for l in self.out_links[u]:
-                    if l.tail in up:
+                    if l.tail in row:
                         raise TopologyError(
                             f"node {l.tail} has more than one parent inside the tree of source {s}"
                         )
-                    up[l.tail] = l
-            trees[s] = up
-        return trees
-
-    @cached_property
-    def tree_rows(self) -> dict[int, TreeRows]:
-        """Each source's tree in row form, the layout the probe simulation packs its bits in."""
-        index = {r: k for k, r in enumerate(self.receivers)}
-        trees = {}
-        for s, up in self.tree_parent.items():
-            row = {s: 0, **{n: j for j, n in enumerate(up, 1)}}
-            parent = (0, *(row[l.head] for l in up.values()))
-            inner = tuple(j for n, j in row.items() if n not in index)
-            seen = sorted((n for n in row if n in index), key=index.__getitem__)
-            trees[s] = TreeRows(row, parent, inner, tuple(row[r] for r in seen))
+                    row[l.tail] = len(row)
+                    links.append(l)
+            parent = (0, *(row[l.head] for l in links))
+            inner = tuple(j for n, j in row.items() if n not in recv_set)
+            receivers = tuple(row[r] for r in sorted(recv_set.intersection(row)))
+            trees[s] = Tree(row, tuple(links), parent, inner, receivers)
         return trees
 
     @cached_property
     def tree_nodes(self) -> dict[int, frozenset[int]]:
-        """Node set of each source's multicast tree: the source and its tree_parent keys."""
-        return {s: frozenset(up).union((s,)) for s, up in self.tree_parent.items()}
+        """Node set of each source's multicast tree, the source included."""
+        return {s: frozenset(tree.row) for s, tree in self.trees.items()}
 
     @cached_property
     def tree_links(self) -> dict[int, frozenset[int]]:
-        return {s: frozenset(l.id for l in up.values()) for s, up in self.tree_parent.items()}
-
-    def sources_reaching(self, node: int) -> tuple[int, ...]:
-        return tuple(s for s in self.sources if node in self.tree_nodes[s])
+        return {s: frozenset(l.id for l in tree.links) for s, tree in self.trees.items()}
 
     @cached_property
     def descendants(self) -> dict[int, frozenset[int]]:
@@ -137,14 +126,14 @@ class Topology:
 
     def path_rate(self, source: int, node: int) -> float:
         """True pass rate A(source, node) of the path from source down to node."""
-        up = self.tree_parent[source]
-        if node != source and node not in up:
+        tree = self.trees[source]
+        j = tree.row.get(node)
+        if j is None:
             raise TopologyError(f"node {node} is not in the tree of source {source}")
         rate = 1.0
-        while node != source:
-            link = up[node]
-            rate *= link.pass_rate
-            node = link.head
+        while j:
+            rate *= tree.links[j - 1].pass_rate
+            j = tree.parent[j]
         return rate
 
     @cached_property
@@ -275,4 +264,4 @@ def validate(t: Topology) -> None:
             raise TopologyError(f"node {n} is a sink but not declared a receiver")
         if not t.in_degree[n] and n not in src_set:
             raise TopologyError(f"node {n} is a root but not declared a source")
-    t.tree_parent  # raises on a node with two parents in one tree
+    t.trees  # raises on a node with two parents in one tree

@@ -249,6 +249,17 @@ def test_malformed_topology_is_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_usage_error_is_config_error(capsys):
+    # argparse exits 2 on a usage error, and 2 means an unsupported topology here
+    code, out, err = run_cli(capsys, "run", "--setting", "2x2-equal", "--probes", "1,x")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("usage: losstomo run") and "--probes: invalid" in err
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: losstomo")
+
+
 def test_unsupported_topology_exit_code(tmp_path, capsys):
     p = tmp_path / "chain.txt"
     p.write_text(

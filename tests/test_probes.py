@@ -112,7 +112,7 @@ def test_counts_hierarchical(star22):
     obs = simulate(star22, 500, seed=11)
     counts = count_pass(obs, star22)
     for s in star22.sources:
-        for l in star22.tree_parent[s].values():
+        for l in star22.trees[s].links:
             assert counts.count(l.tail, s) <= counts.count(l.head, s)
 
 
@@ -304,7 +304,7 @@ def test_chunk_bits_are_column_slices_of_simulate(big_topology, chunk):
         obs = simulate(t, probes, seed)
         for s, n in obs.probes.items():
             full = np.unpackbits(_draw(t, s, seed, n, 0, n), axis=1)
-            assert np.array_equal(full[list(t.tree_rows[s].receivers), :n], obs.bits[s])
+            assert np.array_equal(full[list(t.trees[s].receivers), :n], obs.bits[s])
             for c0 in range(0, n, chunk):
                 m = min(chunk, n - c0)
                 part = np.unpackbits(_draw(t, s, seed, n, c0, m), axis=1)

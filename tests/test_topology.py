@@ -163,21 +163,19 @@ def test_tree_membership(big_topology):
         {16, 17, 18, 2, 19, 20, 4, 5, 21, 22, 23, 24, 8, 9, 10, 11}
     )
     assert 2 in t.tree_nodes[0] and 18 not in t.tree_nodes[0]
-    assert t.sources_reaching(2) == (0, 16)
-    assert t.sources_reaching(3) == (0,)
 
 
 def test_ancestors_paths(big_topology):
-    up = big_topology.tree_parent
     for node, source, expected in [(2, 16, [17, 16]), (8, 0, [4, 2, 1, 0]), (17, 16, [16])]:
+        tree = big_topology.trees[source]
         walk = [node]
         while walk[-1] != source:
-            walk.append(up[source][walk[-1]].head)
+            walk.append(tree.links[tree.row[walk[-1]] - 1].head)
         assert walk[1:] == expected
 
 
 def test_ancestors_outside_tree(big_topology):
-    assert 18 not in big_topology.tree_parent[0]
+    assert 18 not in big_topology.trees[0].row
     with pytest.raises(TopologyError, match="node 18 is not in the tree of source 0"):
         big_topology.path_rate(0, 18)
 
@@ -228,7 +226,7 @@ def test_cycle_rejected():
 
 
 def _tree_parent_by_order_walk(t):
-    """Reference tree_parent: per source, every member of t.order in turn, its links by id."""
+    """Reference trees (node -> link in): each member of t.order in turn, its links by id."""
     out = {n: sorted((l for l in t.links if l.head == n), key=lambda l: l.id) for n in t.nodes}
     trees = {}
     for s in t.sources:
@@ -242,7 +240,7 @@ def _tree_parent_by_order_walk(t):
 
 @settings(max_examples=100, deadline=None)
 @given(multi_source_dags())
-# tree_parent[0] is [1, 10, 3] here: node 1's links by id; sorting the members by rank gives [1, 3, 10]
+# trees[0].row runs 0, 1, 10, 3 here: node 1's links by id; sorting the members by rank gives 0, 1, 3, 10
 @example("node 0\nnode 1\nnode 3\nnode 10\nlink 1 0 1 0.01\nlink 5 1 10 0.01\nlink 6 1 3 0.01\n"
          "source 0\nreceiver 3\nreceiver 10\n")
 def test_link_maps_and_plan_on_generated_dags(text):
@@ -251,19 +249,26 @@ def test_link_maps_and_plan_on_generated_dags(text):
         assert [l.id for l in t.out_links[n]] == sorted(l.id for l in t.links if l.head == n)
         assert t.in_degree[n] == sum(1 for l in t.links if l.tail == n)
     reference = _tree_parent_by_order_walk(t)
-    assert list(t.tree_parent) == list(reference)
-    for s in t.sources:
-        assert list(t.tree_parent[s].items()) == list(reference[s].items())
-    # row form: rows in tree_parent order, and each tree's receivers as a scan of all receivers finds them
-    for s, rows in t.tree_rows.items():
-        up = t.tree_parent[s]
+    assert list(t.trees) == list(reference)
+    # rows in the reference's link order, and each tree's receivers as a scan of all receivers finds them
+    for s, tree in t.trees.items():
+        up = reference[s]
         nodes = (s, *up)
-        assert list(rows.row.items()) == [(n, j) for j, n in enumerate(nodes)]
-        assert [nodes[p] for p in rows.parent[1:]] == [l.head for l in up.values()]
-        assert [nodes[j] for j in rows.receivers] == [r for r in t.receivers if r in t.tree_nodes[s]]
-        assert {nodes[j] for j in rows.inner} == t.tree_nodes[s] - set(t.receivers)
+        assert list(tree.links) == list(up.values())
+        assert list(tree.row.items()) == [(n, j) for j, n in enumerate(nodes)]
+        assert [nodes[p] for p in tree.parent] == [s, *(l.head for l in up.values())]
+        assert [nodes[j] for j in tree.inner] == [n for n in nodes if n not in t.receivers]
+        assert [nodes[j] for j in tree.receivers] == [r for r in t.receivers if r in nodes]
+        for n in nodes:  # the exact product, from n upward
+            rate, m = 1.0, n
+            while m != s:
+                rate *= up[m].pass_rate
+                m = up[m].head
+            assert t.path_rate(s, n) == rate
 
     plan = decompose(t)
+    for mt in plan.msource_trees:
+        assert mt.sources == tuple(s for s in t.sources if mt.joint in reference[s])
     covered = sorted(i for l in plan.logical_links for i in l.link_ids)
     assert covered == [l.id for l in t.links]
 
