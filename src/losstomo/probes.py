@@ -178,11 +178,14 @@ def count_pass(obs: ObservationSet, t: Topology) -> PooledCounts:
     Packs each source's receiver rows into the layout of ``t.trees[s]`` and applies
     the OR rule bottom-up (``_or_counts``): a node's count is the number of probes that
     some receiver below it saw.  A receiver of T^s with no row counts 0, and rows of
-    other nodes are ignored."""
+    other nodes are ignored.  Raises ValueError unless each source's bits hold one row
+    per listed receiver and one column per probe, with at least one probe."""
     counts: dict[tuple[int, int], int] = {}
     for s, recv in obs.receivers.items():
         tree = t.trees[s]
-        observed = obs.bits[s]
+        observed, shape = obs.bits[s], (len(recv), obs.probes[s])
+        if shape[1] < 1 or observed.shape != shape:
+            raise ValueError(f"source {s}: bits of shape {observed.shape}, expected {shape}, n >= 1")
         bits = np.zeros((len(tree.parent), (observed.shape[1] + 7) // 8), dtype=np.uint8)
         for r, b in zip(recv, observed):
             if r in tree.row:

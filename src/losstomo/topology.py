@@ -100,30 +100,6 @@ class Topology:
             trees[s] = Tree(row, tuple(links), parent, inner, receivers)
         return trees
 
-    @cached_property
-    def tree_nodes(self) -> dict[int, frozenset[int]]:
-        """Node set of each source's multicast tree, the source included."""
-        return {s: frozenset(tree.row) for s, tree in self.trees.items()}
-
-    @cached_property
-    def tree_links(self) -> dict[int, frozenset[int]]:
-        return {s: frozenset(l.id for l in tree.links) for s, tree in self.trees.items()}
-
-    @cached_property
-    def descendants(self) -> dict[int, frozenset[int]]:
-        """All nodes strictly below each node."""
-        desc: dict[int, set[int]] = {n: set() for n in self.nodes}
-        for u in reversed(self.order):
-            for l in self.out_links[u]:
-                desc[u].add(l.tail)
-                desc[u] |= desc[l.tail]
-        return {n: frozenset(d) for n, d in desc.items()}
-
-    def receivers_under(self, node: int) -> tuple[int, ...]:
-        """R(node): receivers attached to the subtree rooted at node."""
-        below = self.descendants[node] | {node}
-        return tuple(r for r in self.receivers if r in below)
-
     def path_rate(self, source: int, node: int) -> float:
         """True pass rate A(source, node) of the path from source down to node."""
         tree = self.trees[source]

@@ -99,6 +99,26 @@ CHAIN_TREE = (
 )
 
 
+def reachable(t, node) -> set[int]:
+    """The nodes reachable from node along ``out_links``, node included.
+
+    An oracle that reads no ``Topology.trees``: taken from a source it is that
+    source's tree, and R(node) is the receivers in it, in ``receivers`` order."""
+    seen, stack = {node}, [node]
+    while stack:
+        for l in t.out_links[stack.pop()]:
+            if l.tail not in seen:
+                seen.add(l.tail)
+                stack.append(l.tail)
+    return seen
+
+
+def receivers_below(t, node) -> tuple[int, ...]:
+    """R(node) by ``reachable``."""
+    below = reachable(t, node)
+    return tuple(r for r in t.receivers if r in below)
+
+
 @pytest.fixture
 def big_topology():
     return parse_topology(BIG_NETWORK)

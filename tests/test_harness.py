@@ -270,7 +270,11 @@ def test_golden_csv_matches_desk_stars_reference(setting):
         estimators=METHODS,
     ))
     got = emit(table, "csv")
-    assert got == (root / f"tests/golden/desk-stars-seed42/{setting}.csv").read_text()
+    golden = root / "tests/golden/desk-stars-seed42"
+    assert got == (golden / f"{setting}.csv").read_text()
+    # the markdown report exactly as scripts/run_tables.py writes it
+    md = f"# setting {setting}\n\n" + emit(table, "markdown")
+    assert md == (golden / f"{setting}.md").read_text()
     want = (root / f"bench/reference/desk-stars/seed42/{setting}.csv").read_text()
     got_rows = [line.split(",") for line in got.splitlines()]
     want_rows = [line.split(",") for line in want.splitlines()]
@@ -288,11 +292,13 @@ def test_golden_csv_matches_desk_stars_reference(setting):
 def test_golden_lossy_big_network_csv_and_messages():
     # BIG_NETWORK at loss 0.3: every method fails some replications at 10
     # probes, so this pins the errors column, the empty mean and variance
-    # cells and the step/node text of both estimator walks byte for byte
+    # cells (in the CSV and the markdown report) and the step/node text of
+    # both estimator walks byte for byte
     golden = Path(__file__).resolve().parent / "golden/big-network-lossy-seed42"
     table = run_experiment(ExperimentConfig(
         topology_text=(golden / "topology.txt").read_text(), probe_counts=(10, 300), reps=3,
         seed=42, estimators=METHODS,
     ))
     assert emit(table, "csv") == (golden / "run.csv").read_text()
+    assert emit(table, "markdown") == (golden / "run.md").read_text()
     assert "".join(m + "\n" for m in table.messages) == (golden / "messages.txt").read_text()

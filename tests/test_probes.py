@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import BIG_NETWORK, CHAIN_TREE, SINGLE_TREE
+from conftest import BIG_NETWORK, CHAIN_TREE, SINGLE_TREE, reachable, receivers_below
 from hypothesis import given, settings, strategies as st
 
 from losstomo import probes as probes_module
@@ -65,7 +65,7 @@ def test_simulate_draws_each_tree_in_topological_order(big_topology):
     obs = simulate(t, n, seed)
     for s in t.sources:
         rng = source_stream(seed, s)
-        members = t.tree_nodes[s]
+        members = reachable(t, s)
         state = {s: np.ones(n, dtype=bool)}
         for u in t.order:
             if u in members:
@@ -98,8 +98,8 @@ def test_counts_match_brute_force_recount(star22):
     counts = count_pass(obs, star22)
     for s in star22.sources:
         row = dict(zip(obs.receivers[s], obs.bits[s]))
-        for node in star22.tree_nodes[s]:
-            under = star22.receivers_under(node)
+        for node in reachable(star22, s):
+            under = receivers_below(star22, node)
             expected = 0
             for o in range(300):
                 expected += any(
@@ -186,8 +186,8 @@ def test_bottom_up_counts_equal_or_over_receivers_under(request, fixture):
     counts = count_pass(obs, t)
     for s in t.sources:
         row = dict(zip(obs.receivers[s], obs.bits[s]))
-        for node in t.tree_nodes[s]:
-            rows = [row[r] for r in t.receivers_under(node)]
+        for node in reachable(t, s):
+            rows = [row[r] for r in receivers_below(t, node)]
             assert counts.count(node, s) == int(np.count_nonzero(np.any(rows, axis=0)))
 
 
@@ -379,18 +379,31 @@ def test_count_pass_leaves_the_bits_unchanged():
         assert np.array_equal(obs.bits[s], before[s])
 
 
+def test_count_pass_rejects_bits_of_the_wrong_shape(star22):
+    # source 0 of 2x2-equal reaches receivers 3 and 4; a 2x20 matrix for 10 probes
+    # would count 20 passes at the joint (gamma_hat 2.0), a 1x10 one would count 4 as 0
+    for probes, shape in [(10, (2, 20)), (10, (1, 10)), (0, (2, 0))]:
+        bits = np.ones(shape, dtype=bool)
+        obs = ObservationSet(probes={0: probes, 1: 10}, receivers={0: (3, 4)}, bits={0: bits})
+        with pytest.raises(ValueError, match=rf"source 0: bits of shape \({shape[0]}, {shape[1]}\)"):
+            count_pass(obs, star22)
+    obs = ObservationSet(probes={0: 10, 1: 10}, receivers={0: (3, 4)}, bits={0: np.ones((2, 10), bool)})
+    assert gamma_hat(count_pass(obs, star22), 2, 0) == 1.0
+
+
 def test_count_pass_missing_receiver_counts_zero(big_topology):
     # source 0's rows without receiver 8, plus a row of receiver 21, which is outside T^0
     t, s = big_topology, 0
     rng = np.random.default_rng(2)
-    recv = tuple(r for r in t.receivers if r in t.tree_nodes[s] and r != 8) + (21,)
+    members = reachable(t, s)
+    recv = tuple(r for r in t.receivers if r in members and r != 8) + (21,)
     bits = rng.random((len(recv), 60)) < 0.5
     row = dict(zip(recv, bits))
     counts = count_pass(ObservationSet(probes={s: 60}, receivers={s: recv}, bits={s: bits}), t)
     assert counts.count(8, s) == 0
     assert counts.count(4, s) == int(np.count_nonzero(row[9]))
-    for node in t.tree_nodes[s]:
-        rows = [row[r] for r in t.receivers_under(node) if r in row and r != 21]
+    for node in members:
+        rows = [row[r] for r in receivers_below(t, node) if r in row and r != 21]
         expected = int(np.count_nonzero(np.any(rows, axis=0))) if rows else 0
         assert counts.count(node, s) == expected, node
-    assert set(counts.counts) == {(n, s) for n in t.tree_nodes[s]}
+    assert set(counts.counts) == {(n, s) for n in members}

@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from conftest import multi_source_dags
+from conftest import multi_source_dags, reachable
 from hypothesis import example, given, settings
 
 from losstomo.decompose import decompose
@@ -159,10 +159,10 @@ def test_comments_and_blank_lines_ignored():
 
 def test_tree_membership(big_topology):
     t = big_topology
-    assert t.tree_nodes[16] == frozenset(
-        {16, 17, 18, 2, 19, 20, 4, 5, 21, 22, 23, 24, 8, 9, 10, 11}
-    )
-    assert 2 in t.tree_nodes[0] and 18 not in t.tree_nodes[0]
+    assert set(t.trees[16].row) == {16, 17, 18, 2, 19, 20, 4, 5, 21, 22, 23, 24, 8, 9, 10, 11}
+    assert 2 in t.trees[0].row and 18 not in t.trees[0].row
+    for s in t.sources:
+        assert set(t.trees[s].row) == reachable(t, s)
 
 
 def test_ancestors_paths(big_topology):
