@@ -40,7 +40,7 @@ class UpstreamFragment:
     source: int
     nodes: tuple[int, ...]  # fragment nodes; joint nodes appear as leaves
     links: tuple[LogicalLink, ...]
-    solve_order: tuple[int, ...]  # internal nodes, deepest first
+    solve_order: tuple[int, ...]  # internal nodes, in reverse tree-row order
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,9 @@ def decompose(t: Topology) -> DTreePlan:
     for s in t.sources:
         # a source's tree reaches an intersection only through its joint (no joint is nested)
         frag_nodes, frag_links = _walk(children, s, joint_set)
-        # internal nodes that need a path-rate solve, deepest first
-        internal = [n for n in frag_nodes[1:] if children[n] and n not in joint_set]
-        internal.sort(key=t.rank.__getitem__, reverse=True)
+        # internal nodes that need a path-rate solve, children before parents
+        inside = set(frag_nodes[1:]) - joint_set
+        internal = [n for n in reversed(t.trees[s].row) if n in inside and children[n]]
         fragments.append(
             UpstreamFragment(
                 source=s,

@@ -9,6 +9,8 @@ matter how cells are scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -127,18 +129,12 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
         if l.head == frag.source and l.tail in joint_set
     }
 
-    # each estimator's row keys (label, source), in emit order
-    keys = {
-        e: sorted(_expected_keys(plan, e), key=lambda k: (k[0], -1 if k[1] is None else k[1]))
-        for e in cfg.estimators
-    }
-
     table = ReplicationTable()
     for n in cfg.probe_counts:
         crlb_var = {label: _defined(var_upstream, a, beta, n) for label, (a, beta) in crlb.items()}
         # losses[estimator][(label, source)] -> list of per-rep loss estimates
-        losses = {e: {k: [] for k in keys[e]} for e in cfg.estimators}
-        clamped = {e: dict.fromkeys(keys[e], 0) for e in cfg.estimators}
+        losses = {e: {k: [] for k in _expected_keys(plan, e)} for e in cfg.estimators}
+        clamped = {e: dict.fromkeys(got, 0) for e, got in losses.items()}
         errors = dict.fromkeys(cfg.estimators, 0)
         for rep in range(cfg.reps):
             counts = simulate_counts(plan.topology, n, replication_seed(cfg.seed, rep))
@@ -154,18 +150,17 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
                     got[key].append(1.0 - rate)
                 for key in est.clamped:
                     clamps[key] += 1
-        for e in sorted(cfg.estimators):
-            for key, vals in losses[e].items():
+        for e in cfg.estimators:
+            for (label, src), vals in losses[e].items():
                 if len(vals) >= 2:
                     mean, var = empirical_moments(vals)
                 elif len(vals) == 1:
                     mean, var = vals[0], None
                 else:
                     mean = var = None
-                label, src = key
                 table.rows.append(TableRow(
                     label, e, src, n, len(vals), mean, var, true_loss[label],
-                    crlb_var.get(label), clamped[e][key], errors[e],
+                    crlb_var.get(label), clamped[e][label, src], errors[e],
                 ))
     return table
 
@@ -173,44 +168,35 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
 def emit(table: ReplicationTable, format: str = "csv") -> str:
     if not table.rows:
         raise ValueError("empty table")
+    rows = sorted(
+        table.rows,
+        key=lambda r: (r.estimator, r.link, r.source if r.source is not None else -1, r.probes),
+    )
     if format == "csv":
-        return csv_text(TableRow, sorted(
-            table.rows,
-            key=lambda r: (r.estimator, r.link, r.source if r.source is not None else -1, r.probes),
-        ))
+        return csv_text(TableRow, rows)
     if format == "markdown":
-        return _emit_markdown(table)
+        return _emit_markdown(rows)
     raise ValueError(f"unknown format {format!r}")
 
 
-def _emit_markdown(table: ReplicationTable) -> str:
-    """One table per estimator: links as rows, probe counts as column groups."""
-    by_est: dict[str, list[TableRow]] = {}
-    for r in table.rows:
-        by_est.setdefault(r.estimator, []).append(r)
+def _emit_markdown(rows: list[TableRow]) -> str:
+    """One table per estimator from ``emit``'s sorted rows: links as rows, probe counts as
+    column groups."""
     out = []
-    for est in sorted(by_est):
-        rows = by_est[est]
-        probes = sorted({r.probes for r in rows})
-        keys = sorted({(r.link, r.source) for r in rows},
-                      key=lambda k: (k[0], k[1] if k[1] is not None else -1))
+    for est, est_rows in groupby(rows, attrgetter("estimator")):
+        est_rows = list(est_rows)
+        probes = sorted({r.probes for r in est_rows})
+        header = ["link", *(f"{q}@{n}" for n in probes for q in ("mean", "var"))]
         out.append(f"## {est}\n")
-        header = ["link"]
-        for n in probes:
-            header.extend((f"mean@{n}", f"var@{n}"))
         out.append("| " + " | ".join(header) + " |")
         out.append("|" + "---|" * len(header))
-        cell = {(r.link, r.source, r.probes): r for r in rows}
-        for label, src in keys:
-            name = label if src is None else f"{label} (source {src})"
-            cols = [name]
-            for n in probes:
-                r = cell.get((label, src, n))
-                if r is None or r.mean_loss is None:
-                    cols.extend(("", ""))
-                else:
-                    var = "" if r.var_loss is None else f"{r.var_loss:.3g}"
-                    cols.extend((f"{r.mean_loss:.7f}", var))
+        for (label, src), key_rows in groupby(est_rows, attrgetter("link", "source")):
+            cols = [label if src is None else f"{label} (source {src})", *[""] * 2 * len(probes)]
+            for r in key_rows:
+                if r.mean_loss is not None:
+                    k = 1 + 2 * probes.index(r.probes)  # the probe count's mean column
+                    cols[k] = f"{r.mean_loss:.7f}"
+                    cols[k + 1] = "" if r.var_loss is None else f"{r.var_loss:.3g}"
             out.append("| " + " | ".join(cols) + " |")
         out.append("")
     return "\n".join(out) + "\n"

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .solvers import NoDataError
 from .topology import Topology, TopologyError, Tree
 
 CHUNK = 1 << 18  # probes in flight in simulate_counts, over all its windows
@@ -70,6 +71,8 @@ class PooledCounts:
         try:
             return self.counts[(node, source)]
         except KeyError:
+            if (source, source) not in self.counts:  # every counted source has its own row
+                raise NoDataError(f"no counts of source {source}") from None
             raise TopologyError(f"node {node} is not in the tree of source {source}") from None
 
     def pooled(self, node: int, sources) -> int:
@@ -178,14 +181,15 @@ def count_pass(obs: ObservationSet, t: Topology) -> PooledCounts:
     Packs each source's receiver rows into the layout of ``t.trees[s]`` and applies
     the OR rule bottom-up (``_or_counts``): a node's count is the number of probes that
     some receiver below it saw.  A receiver of T^s with no row counts 0, and rows of
-    other nodes are ignored.  Raises ValueError unless each source's bits hold one row
-    per listed receiver and one column per probe, with at least one probe."""
+    other nodes are ignored.  Raises ValueError unless each source is one of t's and its
+    bits hold one row per listed receiver and one column per probe, with at least one probe."""
     counts: dict[tuple[int, int], int] = {}
     for s, recv in obs.receivers.items():
-        tree = t.trees[s]
+        tree = t.trees.get(s)
         observed, shape = obs.bits[s], (len(recv), obs.probes[s])
-        if shape[1] < 1 or observed.shape != shape:
-            raise ValueError(f"source {s}: bits of shape {observed.shape}, expected {shape}, n >= 1")
+        if tree is None or shape[1] < 1 or observed.shape != shape:
+            raise ValueError(f"source {s}: not a source of the topology" if tree is None else
+                             f"source {s}: bits of shape {observed.shape}, expected {shape}, n >= 1")
         bits = np.zeros((len(tree.parent), (observed.shape[1] + 7) // 8), dtype=np.uint8)
         for r, b in zip(recv, observed):
             if r in tree.row:

@@ -36,9 +36,9 @@ class Tree(NamedTuple):
     row j >= 1 the tail of ``links[j - 1]``.
 
     The links are ordered by the position of each link's head in ``order``, then by link
-    id, so every parent's row precedes its children's (the member nodes are not sorted by
-    their own ``rank``).  This order is the probe stream layout (see the ``probes`` module
-    docstring): changing it changes every simulated probe."""
+    id, so every parent's row precedes its children's, and every per-source walk visits
+    children first in reverse row order.  This order is the probe stream layout (see the
+    ``probes`` module docstring): changing it changes every simulated probe."""
 
     row: dict[int, int]  # tree node -> its row, in row order
     links: tuple[Link, ...]  # links[j - 1] is the link into row j
@@ -71,11 +71,6 @@ class Topology:
     def order(self) -> tuple[int, ...]:
         """Topological order, smallest ready node first; computed once."""
         return tuple(toposort(self))
-
-    @cached_property
-    def rank(self) -> dict[int, int]:
-        """Each node's position in ``order``."""
-        return {n: k for k, n in enumerate(self.order)}
 
     @cached_property
     def trees(self) -> dict[int, Tree]:

@@ -1,5 +1,6 @@
 import pytest
-from conftest import BIG_NETWORK
+from conftest import BIG_NETWORK, multi_source_dags
+from hypothesis import given, settings
 
 from losstomo.cli import main
 from losstomo.decompose import decompose
@@ -69,6 +70,19 @@ def test_upstream_solve_order_bottom_up(big_plan):
     order = frag.solve_order
     # node 18 and 17 are both internal; 17 (closer to the source) comes last
     assert order.index(17) > order.index(18)
+
+
+@settings(max_examples=100, deadline=None)
+@given(multi_source_dags())
+def test_solve_order_holds_each_fragments_inner_nodes_children_first(text):
+    plan = decompose(parse_topology(text))
+    for frag in plan.fragments:
+        order = frag.solve_order
+        inner = [n for n in frag.nodes
+                 if n != frag.source and n not in plan.joint_nodes and plan.children[n]]
+        assert sorted(order) == inner  # frag.nodes is sorted
+        for k, n in enumerate(order):
+            assert all(order.index(l.tail) < k for l in plan.children[n] if l.tail in order), n
 
 
 def test_serial_chain_collapsed(serial_plan):

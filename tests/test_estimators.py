@@ -251,6 +251,22 @@ def test_sufficiency_shuffling_probes(star22_plan):
         assert a.paths == b.paths
 
 
+def test_unknown_method_rejected(star22_plan):
+    counts = simulate_counts(star22_plan.topology, 10, seed=1)
+    with pytest.raises(ValueError, match="unknown method 'em'"):
+        estimate_network(counts, star22_plan, "em")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_counts_without_a_source_raise_no_data_naming_it(star22_plan, method):
+    # counts of source 0 alone: every method also reads source 1, whose tree holds joint 2
+    t = star22_plan.topology
+    obs = simulate(t, 100, seed=5)
+    alone = ObservationSet(probes={0: 100}, receivers={0: obs.receivers[0]}, bits={0: obs.bits[0]})
+    with pytest.raises(NoDataError, match="no counts of source 1"):
+        estimate_network(count_pass(alone, t), star22_plan, method)
+
+
 def test_big_network_end_to_end(big_plan):
     obs = simulate(big_plan.topology, 5000, seed=33)
     est = estimate_network(count_pass(obs, big_plan.topology), big_plan, "mle")

@@ -158,6 +158,9 @@ def test_markdown_emission():
     assert "3 (source 0)" in md
     with pytest.raises(ValueError, match="unknown format"):
         emit(table, "latex")
+    for format in ("csv", "markdown"):
+        with pytest.raises(ValueError, match="empty table"):
+            emit(ReplicationTable(), format)
 
 
 def test_failed_replications_are_recorded():

@@ -387,6 +387,10 @@ def test_count_pass_rejects_bits_of_the_wrong_shape(star22):
         obs = ObservationSet(probes={0: probes, 1: 10}, receivers={0: (3, 4)}, bits={0: bits})
         with pytest.raises(ValueError, match=rf"source 0: bits of shape \({shape[0]}, {shape[1]}\)"):
             count_pass(obs, star22)
+    # bits of the right shape for a source the topology does not have
+    obs = ObservationSet(probes={7: 10}, receivers={7: (3, 4)}, bits={7: np.ones((2, 10), bool)})
+    with pytest.raises(ValueError, match="source 7: not a source of the topology"):
+        count_pass(obs, star22)
     obs = ObservationSet(probes={0: 10, 1: 10}, receivers={0: (3, 4)}, bits={0: np.ones((2, 10), bool)})
     assert gamma_hat(count_pass(obs, star22), 2, 0) == 1.0
 

@@ -80,10 +80,12 @@ def test_duplicate_ids_rejected():
             "node 0\nnode 1\n  link 1 0 one 0.1  # tail by name\n",
             "line 3: syntax error: 'link 1 0 one 0.1'",
         ),
+        ("node 0\nnode 1\nlink 1 0 1 0.1\nreceiver 1\n", "no sources declared"),
+        ("node 0\nnode 1\nlink 1 0 1 0.1\nsource 0\n", "no receivers declared"),
     ],
     ids=["duplicate-source", "duplicate-receiver", "undeclared-source", "undeclared-receiver",
          "undeclared-link-end", "negative-node", "negative-link", "unknown-directive",
-         "syntax-error-with-comment"],
+         "syntax-error-with-comment", "no-sources", "no-receivers"],
 )
 def test_parser_rejection_names_line(text, message):
     with pytest.raises(TopologyError) as exc:
@@ -240,7 +242,7 @@ def _tree_parent_by_order_walk(t):
 
 @settings(max_examples=100, deadline=None)
 @given(multi_source_dags())
-# trees[0].row runs 0, 1, 10, 3 here: node 1's links by id; sorting the members by rank gives 0, 1, 3, 10
+# trees[0].row runs 0, 1, 10, 3 here: node 1's links by id; sorting the members by their place in order gives 0, 1, 3, 10
 @example("node 0\nnode 1\nnode 3\nnode 10\nlink 1 0 1 0.01\nlink 5 1 10 0.01\nlink 6 1 3 0.01\n"
          "source 0\nreceiver 3\nreceiver 10\n")
 def test_link_maps_and_plan_on_generated_dags(text):
