@@ -2,15 +2,15 @@
 
 Fusion is the pooled MLE's walk with another beta rule: at every internal
 intersection node each source's counts alone give a subtree estimate (the
-pooled solve over that one source), and the rule returns a convex
-combination of them.  The schemes differ only in where the weights come
-from.  Both MVWA schemes weight by the inverse of one per-source variance,
-beta(1 - A beta)/(nA): ``mvwa-oracle`` takes the true beta and A,
-``mvwa-plugin`` the source's own estimate beta(s) and A = gamma(s)/beta(s)
-with the miss probability floored at 1/(n+1).  ``rbmvwa`` weights by
-end-to-end odds and ``mrbmvwa`` by plain end-to-end proportions.  Joint
-paths and link rates then come from ``estimators.solve_intersection``
-exactly as for the pooled MLE.
+pooled solve over that one source), kept in source order, and the rule
+returns a convex combination of them.  The schemes differ only in the
+per-source scores, which one normalisation turns into weights.  Both MVWA
+schemes score by the inverse of one per-source variance, beta(1 - A beta)/(nA):
+``mvwa-oracle`` takes the true beta and A, ``mvwa-plugin`` the source's own
+estimate beta(s) and A = gamma(s)/beta(s) with the miss probability floored
+at 1/(n+1).  ``rbmvwa`` scores by end-to-end odds and ``mrbmvwa`` by plain
+end-to-end proportions.  Joint paths and link rates then come from
+``estimators.solve_intersection`` exactly as for the pooled MLE.
 """
 
 from __future__ import annotations
@@ -21,6 +21,13 @@ from .solvers import FusionWeightError, NoDataError
 from .estimators import FUSION_METHODS, EstimateSet, solve_intersection, solve_multisource_beta
 
 
+def _normalised(scores) -> tuple[float, ...]:
+    total = sum(scores)
+    if total <= 0.0:
+        raise ValueError("all end-to-end rates are zero")
+    return tuple(v / total for v in scores)
+
+
 def mvwa_weights(variances) -> tuple[float, ...]:
     """Inverse-variance weights; minimize the combined variance."""
     if not variances:
@@ -28,9 +35,7 @@ def mvwa_weights(variances) -> tuple[float, ...]:
     for v in variances:
         if v <= 0.0:
             raise ValueError(f"variance must be strictly positive, got {v}")
-    inv = [1.0 / v for v in variances]
-    total = sum(inv)
-    return tuple(w / total for w in inv)
+    return _normalised([1.0 / v for v in variances])
 
 
 def rbmvwa_weights(gammas) -> tuple[float, ...]:
@@ -39,73 +44,54 @@ def rbmvwa_weights(gammas) -> tuple[float, ...]:
     for v in g:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"pass rate {v} outside [0, 1]")
-    saturated = [k for k, v in enumerate(g) if v == 1.0]
-    if saturated:
+    if 1.0 in g:
         # limit of the odds formula: all weight on the saturated sources
-        w = [0.0] * len(g)
-        for k in saturated:
-            w[k] = 1.0 / len(saturated)
-        return tuple(w)
-    odds = [v / (1.0 - v) for v in g]
-    total = sum(odds)
-    if total == 0.0:
-        raise ValueError("all end-to-end rates are zero")
-    return tuple(o / total for o in odds)
+        return _normalised([float(v == 1.0) for v in g])
+    return _normalised([v / (1.0 - v) for v in g])
 
 
 def mrbmvwa_weights(gammas) -> tuple[float, ...]:
     """Linearly proportional weights; robust when rates approach 1."""
-    g = [float(v) for v in gammas]
-    total = sum(g)
-    if total <= 0.0:
-        raise ValueError("all end-to-end rates are zero")
-    return tuple(v / total for v in g)
+    return _normalised([float(v) for v in gammas])
 
 
 def per_tree_estimates(counts: PooledCounts, node: int, children, sources) -> dict[int, float]:
-    """Per-source subtree estimates beta_i(s): the pooled solve over one source."""
+    """Per-source subtree estimates beta_i(s), each source's own pooled solve, in ``sources`` order."""
     out = {}
     for s in sources:
-        if counts.count(node, s) == 0:  # no probe of s reached node, so s has no estimate there
-            continue
-        out[s] = solve_multisource_beta(counts, node, children, (s,))
+        if counts.count(node, s):  # no probe of s reached node, so s has no estimate there
+            out[s] = solve_multisource_beta(counts, node, children, (s,))
     if not out:
         raise NoDataError(f"no source observed anything below node {node}")
     return out
-
-
-def _weights_for(scheme, counts, plan, node, per_source) -> tuple[float, ...]:
-    sources = sorted(per_source)
-    gammas = [gamma_hat(counts, node, s) for s in sources]
-    t = plan.topology
-    try:
-        if scheme == "rbmvwa":
-            return rbmvwa_weights(gammas)
-        if scheme == "mrbmvwa":
-            return mrbmvwa_weights(gammas)
-        # MVWA: each source's variance b(1 - ab)/(na), at the true rates or at plug-in ones
-        variances = []
-        for s, g in zip(sources, gammas):
-            n = counts.probes[s]
-            if scheme == "mvwa-oracle":
-                b, a, floor = t.subtree_rate[node], t.path_rate(s, node), 0.0
-            else:
-                # a lossless sample would give a zero plug-in variance; floor the
-                # miss probability at 1/(n+1) to keep the weight finite
-                b = per_source[s]
-                a, floor = min(g / b, 1.0), 1.0 / (n + 1)
-            variances.append(b * max(1.0 - a * b, floor) / (n * a))
-        return mvwa_weights(variances)
-    except ValueError as exc:
-        raise FusionWeightError(f"{scheme} weights at node {node}: {exc}") from exc
 
 
 def fuse_node(counts, plan, node, children, sources, scheme) -> float:
     """Fused subtree rate at ``node``: the weighted sum of the per-source estimates,
     held at or below the largest of them, which rounding can carry the sum past."""
     per_source = per_tree_estimates(counts, node, children, sources)
-    weights = _weights_for(scheme, counts, plan, node, per_source)
-    fused = sum(w * b for w, b in zip(weights, (per_source[s] for s in sorted(per_source))))
+    gammas = [gamma_hat(counts, node, s) for s in per_source]
+    t = plan.topology
+    try:
+        if scheme == "rbmvwa":
+            weights = rbmvwa_weights(gammas)
+        elif scheme == "mrbmvwa":
+            weights = mrbmvwa_weights(gammas)
+        else:  # MVWA: each source's variance b(1 - ab)/(na), at the true rates or at plug-in ones
+            variances = []
+            for (s, b), g in zip(per_source.items(), gammas):
+                n = counts.probes[s]
+                if scheme == "mvwa-oracle":
+                    b, a, floor = t.subtree_rate[node], t.path_rate(s, node), 0.0
+                else:
+                    # a lossless sample would give a zero plug-in variance; floor the
+                    # miss probability at 1/(n+1) to keep the weight finite
+                    a, floor = min(g / b, 1.0), 1.0 / (n + 1)
+                variances.append(b * max(1.0 - a * b, floor) / (n * a))
+            weights = mvwa_weights(variances)
+    except ValueError as exc:
+        raise FusionWeightError(f"{scheme} weights at node {node}: {exc}") from exc
+    fused = sum(w * b for w, b in zip(weights, per_source.values()))
     return min(fused, max(per_source.values()))
 
 

@@ -87,6 +87,9 @@ class PooledCounts:
 def _probe_counts(t: Topology, probes: dict[int, int] | int) -> dict[int, int]:
     if isinstance(probes, int):
         probes = {s: probes for s in t.sources}
+    unknown = sorted(set(probes) - set(t.sources))
+    if unknown:
+        raise ValueError(f"probe counts for sources {unknown}, which the topology does not have")
     for s in t.sources:
         if probes.get(s, 0) < 1:
             raise ValueError(f"source {s} needs a positive probe count")
@@ -182,11 +185,12 @@ def count_pass(obs: ObservationSet, t: Topology) -> PooledCounts:
     the OR rule bottom-up (``_or_counts``): a node's count is the number of probes that
     some receiver below it saw.  A receiver of T^s with no row counts 0, and rows of
     other nodes are ignored.  Raises ValueError unless each source is one of t's and its
-    bits hold one row per listed receiver and one column per probe, with at least one probe."""
+    bits hold one row per listed receiver and one column per probe, with at least one probe;
+    a missing ``obs.probes`` entry counts as 0 probes, a missing ``obs.bits`` one as 0x0 bits."""
     counts: dict[tuple[int, int], int] = {}
     for s, recv in obs.receivers.items():
-        tree = t.trees.get(s)
-        observed, shape = obs.bits[s], (len(recv), obs.probes[s])
+        tree, shape = t.trees.get(s), (len(recv), obs.probes.get(s, 0))
+        observed = obs.bits.get(s, np.empty((0, 0), dtype=bool))
         if tree is None or shape[1] < 1 or observed.shape != shape:
             raise ValueError(f"source {s}: not a source of the topology" if tree is None else
                              f"source {s}: bits of shape {observed.shape}, expected {shape}, n >= 1")

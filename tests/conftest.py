@@ -3,6 +3,7 @@ from hypothesis import strategies as st
 
 from losstomo.decompose import decompose
 from losstomo.harness import SETTINGS
+from losstomo.probes import PooledCounts
 from losstomo.topology import parse_topology
 
 # the 25-node two-source network used throughout: two binary trees whose
@@ -117,6 +118,33 @@ def receivers_below(t, node) -> tuple[int, ...]:
     """R(node) by ``reachable``."""
     below = reachable(t, node)
     return tuple(r for r in t.receivers if r in below)
+
+
+def scaled_counts(counts: PooledCounts, k: int) -> PooledCounts:
+    """``counts`` with every n_i(s) and every n^s multiplied by k: the same empirical rates."""
+    return PooledCounts(probes={s: k * n for s, n in counts.probes.items()},
+                        counts={key: k * c for key, c in counts.counts.items()})
+
+
+def relabelled_topology(text: str, node_map: dict[int, int], link_map: dict[int, int]) -> str:
+    """Topology text (directives only, no comments) with node u renamed node_map[u] and
+    link i renamed link_map[i]; loss rates are copied as written."""
+    lines = []
+    for line in text.splitlines():
+        kind, *args = line.split()
+        if kind == "link":
+            lid, head, tail, loss = args
+            args = [link_map[int(lid)], node_map[int(head)], node_map[int(tail)], loss]
+        else:
+            args = [node_map[int(args[0])]]
+        lines.append(" ".join(map(str, [kind, *args])))
+    return "\n".join(lines) + "\n"
+
+
+def relabelled_counts(counts: PooledCounts, node_map: dict[int, int]) -> PooledCounts:
+    """``counts`` with every node and source id u renamed node_map[u]."""
+    return PooledCounts(probes={node_map[s]: n for s, n in counts.probes.items()},
+                        counts={(node_map[i], node_map[s]): c for (i, s), c in counts.counts.items()})
 
 
 @pytest.fixture

@@ -34,6 +34,7 @@ def test_saturated_rates():
     # odds diverge at 1: the limit puts all weight on the saturated sources
     assert rbmvwa_weights([1.0, 0.8]) == (1.0, 0.0)
     assert rbmvwa_weights([1.0, 1.0]) == (0.5, 0.5)
+    assert rbmvwa_weights([1.0, 0.0, 1.0]) == (0.5, 0.0, 0.5)
     # the linear scheme needs no special casing
     assert mrbmvwa_weights([1.0, 0.5]) == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
 
@@ -45,6 +46,10 @@ def test_degenerate_rates_rejected():
         mrbmvwa_weights([0.0, 0.0])
     with pytest.raises(ValueError):
         rbmvwa_weights([1.2])
+    with pytest.raises(ValueError):
+        rbmvwa_weights([])
+    with pytest.raises(ValueError):
+        mrbmvwa_weights([])
 
 
 def test_mvwa_combine_inverse_variance():

@@ -1,0 +1,111 @@
+"""Metamorphic invariants: the estimates are the right function of the counts.
+
+Each test runs every method on one replication's counts and on a transform of
+those counts that must leave the estimates where they are, over generated
+multi-source DAGs at a few and at many probes.  The hypothesis seeds and the
+tolerances were fixed before any result was looked at."""
+
+import math
+
+from conftest import multi_source_dags, relabelled_counts, relabelled_topology, scaled_counts
+from hypothesis import given, seed, settings, strategies as st
+
+from losstomo.decompose import decompose
+from losstomo.estimators import METHODS, estimate_network
+from losstomo.fusion import per_tree_estimates
+from losstomo.probes import gamma_hat, simulate_counts
+from losstomo.solvers import EstimationError
+from losstomo.topology import parse_topology
+
+PROBES = (10, 300)
+
+
+def _methods(plan):
+    return METHODS if plan.msource_trees else ("mle", "tree-baseline")
+
+
+def _outcome(counts, plan, method):
+    """The method's EstimateSet, or the class of the EstimationError it raised."""
+    try:
+        return estimate_network(counts, plan, method)
+    except EstimationError as exc:
+        return type(exc)
+
+
+def _plugin_floor_binds(counts, plan) -> bool:
+    """Whether mvwa-plugin's miss-probability floor 1/(n+1) decides any of its variances.
+
+    Where 1 - A beta is above 1/(n+1) it is above 1/(2n+1) too, so the floor binds
+    at neither scale of a count-doubling comparison."""
+    for mt in plan.msource_trees:
+        for node in mt.nodes:
+            kids = [l.tail for l in plan.children[node]]
+            if not kids:
+                continue
+            try:
+                per_source = per_tree_estimates(counts, node, kids, mt.sources)
+            except EstimationError:
+                continue
+            for s, b in per_source.items():
+                a = min(gamma_hat(counts, node, s) / b, 1.0)
+                if 1.0 - a * b <= 1.0 / (counts.probes[s] + 1):
+                    return True
+    return False
+
+
+@seed(22)
+@settings(max_examples=200, deadline=None)
+@given(text=multi_source_dags(), rep_seed=st.integers(0, 2**32 - 1))
+def test_doubling_every_count_changes_no_estimate(text, rep_seed):
+    # every method reads the counts through ratios n_i(s)/n^s and n_c/n_i, and the MVWA
+    # variances scale by 1/2 alike, so doubling n_i(s) and n^s must change no bit and no
+    # failure class.  mvwa-plugin's floor 1/(n+1) moves with n, so where it binds the
+    # doubled counts may give other weights: it is compared only where the floor is free.
+    t = parse_topology(text)
+    plan = decompose(t)
+    for probes in PROBES:
+        counts = simulate_counts(t, probes, rep_seed)
+        doubled = scaled_counts(counts, 2)
+        for method in _methods(plan):
+            if method == "mvwa-plugin" and _plugin_floor_binds(counts, plan):
+                continue
+            assert _outcome(counts, plan, method) == _outcome(doubled, plan, method), method
+
+
+def _assert_within_2_ulp(got: dict, want: dict, what: str) -> None:
+    assert got.keys() == want.keys(), what
+    for key, x in got.items():
+        y = want[key]
+        assert abs(x - y) <= 2 * math.ulp(max(abs(x), abs(y))), (what, key, x, y)
+
+
+@seed(23)
+@settings(max_examples=200, deadline=None)
+@given(text=multi_source_dags(), rep_seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_relabelling_nodes_and_links_moves_no_estimate(text, rep_seed, data):
+    # new ids change every order the labels decide (sources, children, solve order), so
+    # sums and root solves may round differently: values agree within 2 ulp.  The same
+    # replications fail; which failure comes first follows the solve order, so its class
+    # is not compared.
+    t = parse_topology(text)
+    nodes, ids = sorted(t.nodes), [l.id for l in t.links]
+    node_map = dict(zip(nodes, data.draw(st.permutations(nodes))))
+    link_map = dict(zip(ids, data.draw(st.permutations(ids))))
+    plan = decompose(t)
+    relabelled = decompose(parse_topology(relabelled_topology(text, node_map, link_map)))
+    label = {l.label: "+".join(str(link_map[i]) for i in l.link_ids)
+             for kids in plan.children.values() for l in kids}
+    for probes in PROBES:
+        counts = simulate_counts(t, probes, rep_seed)
+        mapped = relabelled_counts(counts, node_map)
+        for method in _methods(plan):
+            est, other = _outcome(counts, plan, method), _outcome(mapped, relabelled, method)
+            assert isinstance(est, type) == isinstance(other, type), (method, est, other)
+            if isinstance(est, type):
+                continue
+            links = {(label[l], None if s is None else node_map[s]): v for (l, s), v in est.links.items()}
+            _assert_within_2_ulp(links, other.links, f"{method} links")
+            paths = {(node_map[s], node_map[n]): v for (s, n), v in est.paths.items()}
+            _assert_within_2_ulp(paths, other.paths, f"{method} paths")
+            betas = {node_map[n]: v for n, v in est.betas.items()}
+            _assert_within_2_ulp(betas, other.betas, f"{method} betas")

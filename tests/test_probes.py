@@ -83,6 +83,13 @@ def test_positive_probe_count_required(star22):
         simulate(star22, {0: 100}, seed=1)
 
 
+def test_probe_counts_for_unknown_sources_rejected(star22):
+    # 2x2-equal has sources 0 and 1; a count for source 99 must not be dropped silently
+    for run in (simulate, simulate_counts):
+        with pytest.raises(ValueError, match=r"sources \[99\], which the topology does not have"):
+            run(star22, {0: 10, 1: 10, 99: 5}, 1)
+
+
 def test_or_semantics_by_hand():
     t = lossy()
     bits = {0: np.array([[1, 1, 0], [0, 1, 0]], dtype=bool)}
@@ -391,6 +398,11 @@ def test_count_pass_rejects_bits_of_the_wrong_shape(star22):
     obs = ObservationSet(probes={7: 10}, receivers={7: (3, 4)}, bits={7: np.ones((2, 10), bool)})
     with pytest.raises(ValueError, match="source 7: not a source of the topology"):
         count_pass(obs, star22)
+    # a source listed in receivers but missing from probes (0 probes) or from bits (0x0 bits)
+    for probes, bits, shape in [({}, {0: np.ones((2, 10), bool)}, (2, 10)), ({0: 10}, {}, (0, 0))]:
+        obs = ObservationSet(probes=probes, receivers={0: (3, 4)}, bits=bits)
+        with pytest.raises(ValueError, match=rf"source 0: bits of shape \({shape[0]}, {shape[1]}\)"):
+            count_pass(obs, star22)
     obs = ObservationSet(probes={0: 10, 1: 10}, receivers={0: (3, 4)}, bits={0: np.ones((2, 10), bool)})
     assert gamma_hat(count_pass(obs, star22), 2, 0) == 1.0
 
