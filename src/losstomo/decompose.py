@@ -124,6 +124,9 @@ def decompose(t: Topology) -> DTreePlan:
             )
         )
     for j in joints:
+        if not children[j]:
+            raise UnsupportedTopologyError(f"joint node {j} is a receiver reached from several "
+                                           "sources; its intersection holds no link to estimate")
         if len(children[j]) < 2:
             raise UnsupportedTopologyError(
                 f"joint node {j} has a single descendant chain; its subtree rate "

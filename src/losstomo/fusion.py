@@ -15,6 +15,8 @@ end-to-end proportions.  Joint paths and link rates then come from
 
 from __future__ import annotations
 
+from functools import partial
+
 from .decompose import DTreePlan
 from .probes import PooledCounts, gamma_hat
 from .solvers import FusionWeightError, NoDataError
@@ -66,12 +68,12 @@ def per_tree_estimates(counts: PooledCounts, node: int, children, sources) -> di
     return out
 
 
-def fuse_node(counts, plan, node, children, sources, scheme) -> float:
+def fuse_node(counts, node, children, sources, t, scheme) -> float:
     """Fused subtree rate at ``node``: the weighted sum of the per-source estimates,
-    held at or below the largest of them, which rounding can carry the sum past."""
+    held at or below the largest of them, which rounding can carry the sum past.
+    ``mvwa-oracle`` reads its true rates from the topology ``t``."""
     per_source = per_tree_estimates(counts, node, children, sources)
     gammas = [gamma_hat(counts, node, s) for s in per_source]
-    t = plan.topology
     try:
         if scheme == "rbmvwa":
             weights = rbmvwa_weights(gammas)
@@ -105,10 +107,6 @@ def fused_estimate(counts: PooledCounts, plan: DTreePlan, scheme: str) -> Estima
     if scheme not in FUSION_METHODS:
         raise ValueError(f"unknown fusion scheme {scheme!r}")
     est = EstimateSet(method=scheme)
-
-    def fused_beta(counts, node, children, sources) -> float:
-        return fuse_node(counts, plan, node, children, sources, scheme)
-
     for mt in plan.msource_trees:
-        solve_intersection(est, counts, plan, mt, fused_beta)
+        solve_intersection(est, counts, plan, mt, partial(fuse_node, t=plan.topology, scheme=scheme))
     return est

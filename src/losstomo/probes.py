@@ -9,9 +9,12 @@ Stream layout: in source s's stream, link j of ``t.trees[s].links`` draws
 probe k of n at offset j*n + k, so any probe range can be drawn on its own by
 advancing the stream.  ``_draw`` draws one source's probe range into a bit
 matrix with one row per node of ``t.trees[s]``, eight probes a byte, and
-``_or_counts`` applies the OR rule to it in place.  ``simulate``
-unpacks the receivers' rows of ``_draw``; ``count_pass`` packs the observed
-rows and counts them with ``_or_counts``.  ``simulate_counts`` counts
+``_or_counts`` applies the OR rule to it in place.  An ``ObservationSet``
+holds each source's receiver bits: row k is row ``t.trees[s].receivers[k]`` of
+``_draw``, the k-th receiver of T^s in ``receivers`` order, and column k is
+probe k.  ``simulate`` unpacks those rows; ``count_pass`` packs them back and
+counts them with ``_or_counts``.  A source may be left out, a receiver may not.
+``simulate_counts`` counts
 each source's probes in windows of CHUNK // WORKERS, one task per (source,
 window), WORKERS at once on threads (numpy releases the GIL in the RNG fill
 and the ufuncs).  At most CHUNK probes are in flight: one bit per tree node and
@@ -43,11 +46,14 @@ def source_stream(seed: int, source: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Receiver bit matrices, one per source (receivers x probes)."""
+    """Receiver bits per source: row k is the k-th receiver of T^s, column k is probe k."""
 
-    probes: dict[int, int]  # source -> n^s
-    receivers: dict[int, tuple[int, ...]]  # source -> receivers of T^s, sorted
-    bits: dict[int, np.ndarray]  # source -> bool matrix, row order = receivers
+    bits: dict[int, np.ndarray]  # source -> bool matrix, rows in ``Topology.receivers`` order
+
+    @property
+    def probes(self) -> dict[int, int]:
+        """n^s of each source: its matrix's column count."""
+        return {s: np.shape(b)[1] for s, b in self.bits.items()}
 
 
 @dataclass(frozen=True)
@@ -136,15 +142,11 @@ def _keyed(s: int, tree: Tree, counts: np.ndarray) -> dict[tuple[int, int], int]
 
 def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> ObservationSet:
     """Run one probing experiment; fully determined by (t, probes, seed)."""
-    probes = _probe_counts(t, probes)
-    receivers, bits = {}, {}
-    for s, n in probes.items():
-        tree = t.trees[s]
-        nodes = tuple(tree.row)
-        receivers[s] = tuple(nodes[j] for j in tree.receivers)
-        packed = _draw(t, s, seed, n, 0, n)[list(tree.receivers)]
+    bits = {}
+    for s, n in _probe_counts(t, probes).items():
+        packed = _draw(t, s, seed, n, 0, n)[list(t.trees[s].receivers)]
         bits[s] = np.unpackbits(packed, axis=1, count=n).view(bool)
-    return ObservationSet(probes=probes, receivers=receivers, bits=bits)
+    return ObservationSet(bits)
 
 
 def simulate_counts(t: Topology, probes: dict[int, int] | int, seed: int) -> PooledCounts:
@@ -179,27 +181,23 @@ def simulate_counts(t: Topology, probes: dict[int, int] | int, seed: int) -> Poo
 
 
 def count_pass(obs: ObservationSet, t: Topology) -> PooledCounts:
-    """Reduce receiver bits to n_i(s) for every node i of every tree T^s.
+    """Reduce receiver bits to n_i(s) for every node i of every tree T^s in ``obs``.
 
-    Packs each source's receiver rows into the layout of ``t.trees[s]`` and applies
+    Packs each source's matrix into the receivers' rows of ``t.trees[s]`` and applies
     the OR rule bottom-up (``_or_counts``): a node's count is the number of probes that
-    some receiver below it saw.  A receiver of T^s with no row counts 0, and rows of
-    other nodes are ignored.  Raises ValueError unless each source is one of t's and its
-    bits hold one row per listed receiver and one column per probe, with at least one probe;
-    a missing ``obs.probes`` entry counts as 0 probes, a missing ``obs.bits`` one as 0x0 bits."""
+    some receiver below it saw.  Raises ValueError naming the source unless it is one of
+    t's and its bits are a 2-D matrix with one row per receiver of its tree and at least
+    one probe.  A source left out gets no counts; the estimators raise NoDataError for it."""
     counts: dict[tuple[int, int], int] = {}
-    for s, recv in obs.receivers.items():
-        tree, shape = t.trees.get(s), (len(recv), obs.probes.get(s, 0))
-        observed = obs.bits.get(s, np.empty((0, 0), dtype=bool))
-        if tree is None or shape[1] < 1 or observed.shape != shape:
+    for s, observed in obs.bits.items():
+        tree, shape = t.trees.get(s), np.shape(observed)
+        if tree is None or len(shape) != 2 or shape[0] != len(tree.receivers) or shape[1] < 1:
             raise ValueError(f"source {s}: not a source of the topology" if tree is None else
-                             f"source {s}: bits of shape {observed.shape}, expected {shape}, n >= 1")
-        bits = np.zeros((len(tree.parent), (observed.shape[1] + 7) // 8), dtype=np.uint8)
-        for r, b in zip(recv, observed):
-            if r in tree.row:
-                bits[tree.row[r]] = np.packbits(b)
+                             f"source {s}: bits of shape {shape}, expected ({len(tree.receivers)}, n >= 1)")
+        bits = np.zeros((len(tree.parent), (shape[1] + 7) // 8), dtype=np.uint8)
+        bits[list(tree.receivers)] = np.packbits(observed, axis=1)
         counts.update(_keyed(s, tree, _or_counts(tree, bits)))
-    return PooledCounts(probes=dict(obs.probes), counts=counts)
+    return PooledCounts(probes=obs.probes, counts=counts)
 
 
 def gamma_hat(counts: PooledCounts, node: int, source: int) -> float:

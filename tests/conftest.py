@@ -147,6 +147,32 @@ def relabelled_counts(counts: PooledCounts, node_map: dict[int, int]) -> PooledC
                         counts={(node_map[i], node_map[s]): c for (i, s), c in counts.counts.items()})
 
 
+def split_link(text: str, link_id: int) -> tuple[str, int, int]:
+    """Topology text (directives only, no comments) with link ``link_id`` h->u split through
+    a new node m: h->m keeps the link's id and loss rate, and a new lossless link m->u
+    follows, so the chain's pass rate p * 1.0 is p exactly.  Returns the text, m and the
+    new link's id, each one more than the largest id of its kind."""
+    lines = text.splitlines()
+    m = 1 + max(int(line.split()[1]) for line in lines if line.startswith("node "))
+    new = 1 + max(int(line.split()[1]) for line in lines if line.startswith("link "))
+    out = [f"node {m}"]
+    for line in lines:
+        kind, *args = line.split()
+        if kind == "link" and int(args[0]) == link_id:
+            lid, head, tail, loss = args
+            out += [f"link {lid} {head} {m} {loss}", f"link {new} {m} {tail} 0.0"]
+        else:
+            out.append(line)
+    return "\n".join(out) + "\n", m, new
+
+
+def split_counts(counts: PooledCounts, tail: int, m: int) -> PooledCounts:
+    """``counts`` with n_m(s) = n_tail(s) for every source that reaches ``tail``: the OR
+    rule, since the receivers below m are those below tail."""
+    below = {(m, s): c for (i, s), c in counts.counts.items() if i == tail}
+    return PooledCounts(probes=dict(counts.probes), counts={**counts.counts, **below})
+
+
 @pytest.fixture
 def big_topology():
     return parse_topology(BIG_NETWORK)

@@ -125,6 +125,26 @@ def test_single_chain_joint_rejected():
     )
 
 
+def test_receiver_joint_rejected_as_a_receiver(tmp_path, capsys):
+    # both sources' trees end at receivers 4 and 5, so each is a joint with no
+    # descendant at all, not one with a single descendant chain
+    p = tmp_path / "shared-receivers.txt"
+    p.write_text(
+        "node 0\nnode 1\nnode 2\nnode 3\nnode 4\nnode 5\n"
+        "link 0 0 2 0.01\nlink 1 1 3 0.01\nlink 2 2 4 0.01\nlink 3 3 4 0.01\n"
+        "link 4 2 5 0.01\nlink 5 3 5 0.01\n"
+        "source 0\nsource 1\nreceiver 4\nreceiver 5\n"
+    )
+    with pytest.raises(UnsupportedTopologyError) as exc:
+        decompose(parse_topology(p.read_text()))
+    assert str(exc.value) == (
+        "joint node 4 is a receiver reached from several sources; "
+        "its intersection holds no link to estimate"
+    )
+    assert main(["decompose", "--topology", str(p)]) == 2
+    assert capsys.readouterr().err == f"unsupported topology: {exc.value}\n"
+
+
 def test_nesting_reported_before_single_chain():
     # joint 1 has a single descendant chain and joint 4 lies inside joint 2's
     # intersection; the nesting is reported although joint 1 comes first

@@ -242,7 +242,7 @@ def test_sufficiency_shuffling_probes(star22_plan):
     rng = np.random.default_rng(4)
     obs = simulate(t, 400, seed=21)
     perm_bits = {s: m[:, rng.permutation(m.shape[1])] for s, m in obs.bits.items()}
-    shuffled = ObservationSet(probes=obs.probes, receivers=obs.receivers, bits=perm_bits)
+    shuffled = ObservationSet(perm_bits)
     for method in ("mle", "tree-baseline", "rbmvwa", "mrbmvwa", "mvwa-plugin"):
         a = estimate_network(count_pass(obs, star22_plan.topology), star22_plan, method)
         b = estimate_network(count_pass(shuffled, star22_plan.topology), star22_plan, method)
@@ -262,7 +262,7 @@ def test_counts_without_a_source_raise_no_data_naming_it(star22_plan, method):
     # counts of source 0 alone: every method also reads source 1, whose tree holds joint 2
     t = star22_plan.topology
     obs = simulate(t, 100, seed=5)
-    alone = ObservationSet(probes={0: 100}, receivers={0: obs.receivers[0]}, bits={0: obs.bits[0]})
+    alone = ObservationSet({0: obs.bits[0]})
     with pytest.raises(NoDataError, match="no counts of source 1"):
         estimate_network(count_pass(alone, t), star22_plan, method)
 

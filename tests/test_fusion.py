@@ -109,7 +109,7 @@ def test_fuse_node_star(star22_plan):
     lo, hi = min(per_source.values()), max(per_source.values())
     assert lo < hi
     for scheme in FUSION_METHODS:
-        beta = fuse_node(counts, star22_plan, 2, [3, 4], (0, 1), scheme)
+        beta = fuse_node(counts, 2, [3, 4], (0, 1), star22_plan.topology, scheme)
         assert lo <= beta <= hi
 
 
@@ -123,7 +123,7 @@ def test_fused_beta_never_exceeds_the_largest_per_source_estimate(star22_plan):
     })
     assert per_tree_estimates(counts, 2, [3, 4], (0, 1)) == {0: 1.0, 1: 1.0}
     for scheme in FUSION_METHODS:
-        assert fuse_node(counts, star22_plan, 2, [3, 4], (0, 1), scheme) <= 1.0
+        assert fuse_node(counts, 2, [3, 4], (0, 1), star22_plan.topology, scheme) <= 1.0
         assert all(0.0 <= b <= 1.0 for b in fused_estimate(counts, star22_plan, scheme).betas.values())
 
 

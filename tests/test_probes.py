@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 import tracemalloc
 
@@ -43,7 +44,7 @@ def test_dead_link_blinds_receiver():
     t = lossy(1.0)
     obs = simulate(t, 50, seed=1)
     for s in t.sources:
-        row = dict(zip(obs.receivers[s], obs.bits[s]))
+        row = dict(zip(receivers_below(t, s), obs.bits[s]))
         assert not row[3].any()
         assert row[4].all()
 
@@ -72,7 +73,6 @@ def test_simulate_draws_each_tree_in_topological_order(big_topology):
                 for l in t.out_links[u]:
                     state[l.tail] = state[u] & (rng.random(n) < l.pass_rate)
         recv = tuple(r for r in t.receivers if r in members)
-        assert obs.receivers[s] == recv
         assert np.array_equal(obs.bits[s], np.vstack([state[r] for r in recv]))
 
 
@@ -93,7 +93,7 @@ def test_probe_counts_for_unknown_sources_rejected(star22):
 def test_or_semantics_by_hand():
     t = lossy()
     bits = {0: np.array([[1, 1, 0], [0, 1, 0]], dtype=bool)}
-    obs = ObservationSet(probes={0: 3}, receivers={0: (3, 4)}, bits=bits)
+    obs = ObservationSet(bits)
     counts = count_pass(obs, t)
     assert counts.count(2, 0) == 2  # probe 1 via receiver 3, probe 2 via both
     assert counts.count(3, 0) == 2
@@ -104,7 +104,7 @@ def test_counts_match_brute_force_recount(star22):
     obs = simulate(star22, 300, seed=5)
     counts = count_pass(obs, star22)
     for s in star22.sources:
-        row = dict(zip(obs.receivers[s], obs.bits[s]))
+        row = dict(zip(receivers_below(star22, s), obs.bits[s]))
         for node in reachable(star22, s):
             under = receivers_below(star22, node)
             expected = 0
@@ -125,11 +125,7 @@ def test_counts_hierarchical(star22):
 
 def test_gamma_hat_values():
     t = lossy()
-    obs = ObservationSet(
-        probes={0: 1000},
-        receivers={0: (3, 4)},
-        bits={0: np.vstack([np.arange(1000) < 875, np.zeros(1000, dtype=bool)])},
-    )
+    obs = ObservationSet({0: np.vstack([np.arange(1000) < 875, np.zeros(1000, dtype=bool)])})
     counts = count_pass(obs, t)
     assert gamma_hat(counts, 3, 0) == 0.875
     assert gamma_hat(counts, 4, 0) == 0.0
@@ -192,7 +188,7 @@ def test_bottom_up_counts_equal_or_over_receivers_under(request, fixture):
     obs = simulate(t, 400, seed=13)
     counts = count_pass(obs, t)
     for s in t.sources:
-        row = dict(zip(obs.receivers[s], obs.bits[s]))
+        row = dict(zip(receivers_below(t, s), obs.bits[s]))
         for node in reachable(t, s):
             rows = [row[r] for r in receivers_below(t, node)]
             assert counts.count(node, s) == int(np.count_nonzero(np.any(rows, axis=0)))
@@ -387,39 +383,27 @@ def test_count_pass_leaves_the_bits_unchanged():
 
 
 def test_count_pass_rejects_bits_of_the_wrong_shape(star22):
-    # source 0 of 2x2-equal reaches receivers 3 and 4; a 2x20 matrix for 10 probes
-    # would count 20 passes at the joint (gamma_hat 2.0), a 1x10 one would count 4 as 0
-    for probes, shape in [(10, (2, 20)), (10, (1, 10)), (0, (2, 0))]:
-        bits = np.ones(shape, dtype=bool)
-        obs = ObservationSet(probes={0: probes, 1: 10}, receivers={0: (3, 4)}, bits={0: bits})
-        with pytest.raises(ValueError, match=rf"source 0: bits of shape \({shape[0]}, {shape[1]}\)"):
-            count_pass(obs, star22)
+    # source 0 of 2x2-equal reaches receivers 3 and 4: its matrix must be 2 x n with n >= 1
+    for shape in [(10,), (2, 10, 1), (2, 0), (1, 10), (3, 10)]:
+        expected = f"source 0: bits of shape {shape}, expected (2, n >= 1)"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            count_pass(ObservationSet({0: np.ones(shape, bool)}), star22)
     # bits of the right shape for a source the topology does not have
-    obs = ObservationSet(probes={7: 10}, receivers={7: (3, 4)}, bits={7: np.ones((2, 10), bool)})
     with pytest.raises(ValueError, match="source 7: not a source of the topology"):
-        count_pass(obs, star22)
-    # a source listed in receivers but missing from probes (0 probes) or from bits (0x0 bits)
-    for probes, bits, shape in [({}, {0: np.ones((2, 10), bool)}, (2, 10)), ({0: 10}, {}, (0, 0))]:
-        obs = ObservationSet(probes=probes, receivers={0: (3, 4)}, bits=bits)
-        with pytest.raises(ValueError, match=rf"source 0: bits of shape \({shape[0]}, {shape[1]}\)"):
-            count_pass(obs, star22)
-    obs = ObservationSet(probes={0: 10, 1: 10}, receivers={0: (3, 4)}, bits={0: np.ones((2, 10), bool)})
-    assert gamma_hat(count_pass(obs, star22), 2, 0) == 1.0
+        count_pass(ObservationSet({7: np.ones((2, 10), bool)}), star22)
+    # the probe count is the column count, so the two cannot disagree; a source may be left out
+    counts = count_pass(ObservationSet({0: np.ones((2, 20), bool)}), star22)
+    assert counts.probes == {0: 20} and gamma_hat(counts, 2, 0) == 1.0
+    assert {s for _, s in counts.counts} == {0}
 
 
-def test_count_pass_missing_receiver_counts_zero(big_topology):
-    # source 0's rows without receiver 8, plus a row of receiver 21, which is outside T^0
+def test_count_pass_rejects_a_missing_receiver_row(big_topology):
+    # a receiver of T^0 without a row would count 0, which biases its loss upward, and a
+    # row of a node outside T^0 has nothing to count: either gives the wrong row count
     t, s = big_topology, 0
+    recv = receivers_below(t, s)
     rng = np.random.default_rng(2)
-    members = reachable(t, s)
-    recv = tuple(r for r in t.receivers if r in members and r != 8) + (21,)
-    bits = rng.random((len(recv), 60)) < 0.5
-    row = dict(zip(recv, bits))
-    counts = count_pass(ObservationSet(probes={s: 60}, receivers={s: recv}, bits={s: bits}), t)
-    assert counts.count(8, s) == 0
-    assert counts.count(4, s) == int(np.count_nonzero(row[9]))
-    for node in members:
-        rows = [row[r] for r in receivers_below(t, node) if r in row and r != 21]
-        expected = int(np.count_nonzero(np.any(rows, axis=0))) if rows else 0
-        assert counts.count(node, s) == expected, node
-    assert set(counts.counts) == {(n, s) for n in members}
+    for rows in (len(recv) - 1, len(recv) + 1):
+        expected = f"source 0: bits of shape ({rows}, 60), expected ({len(recv)}, n >= 1)"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            count_pass(ObservationSet({s: rng.random((rows, 60)) < 0.5}), t)
