@@ -2,11 +2,12 @@
 """Reproduce the desk-scale replication tables for the built-in settings.
 
 Runs every estimator over the three star settings (two sources, one joint
-node, two or three receivers) at 100/500/1000 probes x 20 replications and
-writes one markdown report per setting.
+node, two or three receivers) at the harness's default probe counts
+(100/500/1000) and replications (20), and writes one markdown and one CSV
+report per setting.
 
 Usage:
-    python3 scripts/run_tables.py [--out-dir results] [--reps 20] [--seed 42]
+    python3 scripts/run_tables.py [--out-dir results] [--reps N] [--seed 42]
 """
 
 from __future__ import annotations
@@ -15,23 +16,20 @@ import argparse
 from pathlib import Path
 
 from losstomo.estimators import METHODS
-from losstomo.harness import SETTINGS, ExperimentConfig, emit, run_experiment
+from losstomo.harness import DEFAULT_REPS, SETTINGS, ExperimentConfig, emit, run_experiment
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", type=Path, default=Path("results"))
-    ap.add_argument("--reps", type=int, default=20)
+    ap.add_argument("--reps", type=int, default=DEFAULT_REPS)
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--probes", default="100,500,1000")
     args = ap.parse_args()
 
-    probes = tuple(int(v) for v in args.probes.split(","))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in sorted(SETTINGS.items()):
         cfg = ExperimentConfig(
             topology_text=text,
-            probe_counts=probes,
             reps=args.reps,
             seed=args.seed,
             estimators=METHODS,

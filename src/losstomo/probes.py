@@ -7,21 +7,19 @@ a node, which is what the pass counts are built from.
 
 Stream layout: in source s's stream, link j of ``t.trees[s].links`` draws
 probe k of n at offset j*n + k, so any probe range can be drawn on its own by
-advancing the stream.  ``_draw`` draws one source's probe range into a bit
-matrix with one row per node of ``t.trees[s]``, eight probes a byte, and
-``_or_counts`` applies the OR rule to it in place.  An ``ObservationSet``
-holds each source's receiver bits: row k is row ``t.trees[s].receivers[k]`` of
-``_draw``, the k-th receiver of T^s in ``receivers`` order, and column k is
-probe k.  ``simulate`` unpacks those rows; ``count_pass`` packs them back and
-counts them with ``_or_counts``.  A source may be left out, a receiver may not.
-``simulate_counts`` counts
-each source's probes in windows of CHUNK // WORKERS, one task per (source,
-window), WORKERS at once on threads (numpy releases the GIL in the RNG fill
-and the ufuncs).  At most CHUNK probes are in flight: one bit per tree node and
-probe of the window's source, plus one float64 and one bool per probe for each
-thread's draws, so memory grows with neither n, the number of sources nor the
-CPU count; the windows' integer counts are summed, so it returns exactly
-``count_pass(simulate(...))``.
+advancing the stream.  ``_draw`` draws one source's probe range at every node of
+``t.trees[s]`` and returns the receivers' rows only, eight probes a byte.  An
+``ObservationSet`` holds the same rows unpacked: row k is the k-th receiver of
+T^s in ``receivers`` order, column k is probe k.  ``simulate`` unpacks
+``_draw``'s rows and ``count_pass`` packs them back, so ``_or_counts``, the OR
+rule, reads one form.  A source may be left out, a receiver may not.
+``simulate_counts`` counts each source's probes in windows of CHUNK // WORKERS,
+one task per (source, window), WORKERS at once on threads (numpy releases the
+GIL in the RNG fill and the ufuncs).  At most CHUNK probes are in flight: two
+bits per receiver and one per other tree node and probe of the window's source,
+plus one float64 and one bool per probe for each thread's draws, so memory grows
+with neither n, the number of sources nor the CPU count; the windows' integer
+counts are summed, so it returns exactly ``count_pass(simulate(...))``.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ def source_stream(seed: int, source: int) -> np.random.Generator:
 class ObservationSet:
     """Receiver bits per source: row k is the k-th receiver of T^s, column k is probe k."""
 
-    bits: dict[int, np.ndarray]  # source -> bool matrix, rows in ``Topology.receivers`` order
+    bits: dict[int, np.ndarray]  # source -> 0/1 matrix, rows in ``Topology.receivers`` order
 
     @property
     def probes(self) -> dict[int, int]:
@@ -103,8 +101,9 @@ def _probe_counts(t: Topology, probes: dict[int, int] | int) -> dict[int, int]:
 
 
 def _draw(t: Topology, s: int, seed: int, n: int, c0: int, m: int) -> np.ndarray:
-    """States of probes [c0, c0 + m) of the n source s sends at every node of T^s, packed
-    eight probes a byte in the rows of ``t.trees[s]`` (row 0, the source's, is all ones)."""
+    """What the receivers of T^s see of probes [c0, c0 + m) of the n source s sends: one
+    row per receiver in ``t.trees[s].receivers`` order, packed eight probes a byte, with
+    zero padding past m.  The states of the other nodes are drawn but not returned."""
     tree = t.trees[s]
     rng = source_stream(seed, s)
     stream = rng.bit_generator
@@ -119,41 +118,40 @@ def _draw(t: Topology, s: int, seed: int, n: int, c0: int, m: int) -> np.ndarray
         np.bitwise_and(np.packbits(passed), bits[tree.parent[j]], out=bits[j])
         if m < n:
             stream.advance(n - m)  # to the same probe of the next link
-    return bits
+    return bits.take(tree.receivers, axis=0)
 
 
-def _or_counts(tree: Tree, bits: np.ndarray) -> np.ndarray:
-    """n_i(s) for every row of packed bits: the OR rule, bottom-up over the receivers' rows.
+def _or_counts(tree: Tree, received: np.ndarray) -> np.ndarray:
+    """n_i(s) for every row of ``tree``: the OR rule over the receivers' packed rows.
 
-    Clears every row but the receivers', then ORs each row into its parent's in
-    reverse row order, children before parents; the padding bits past the last probe
-    must be 0 in the receivers' rows.  Writes into ``bits``."""
-    bits[list(tree.inner)] = 0
+    ``received`` is what ``_draw`` returns, one row per receiver in ``tree.receivers``
+    order, with padding bits past the last probe 0.  Writes them into a zeroed row per
+    tree node and ORs each row into its parent's in reverse row order, children first."""
+    bits = np.zeros((len(tree.parent), received.shape[1]), dtype=np.uint8)
+    bits[list(tree.receivers)] = received
     parent = tree.parent
     for j in range(len(parent) - 1, 0, -1):
         np.bitwise_or(bits[parent[j]], bits[j], out=bits[parent[j]])
     return np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
 
 
-def _keyed(s: int, tree: Tree, counts: np.ndarray) -> dict[tuple[int, int], int]:
-    """{(node, s): n_i(s)} from per-row counts, children before parents and the source last."""
-    return dict(zip(((node, s) for node in reversed(tree.row)), reversed(counts.tolist())))
+def _pooled(t: Topology, probes: dict[int, int], rows: dict[int, np.ndarray]) -> PooledCounts:
+    """``PooledCounts`` from each source's per-row counts, keyed children before parents."""
+    return PooledCounts(probes, {(node, s): n for s, c in rows.items()
+                                 for node, n in zip(reversed(t.trees[s].row), reversed(c.tolist()))})
 
 
 def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> ObservationSet:
     """Run one probing experiment; fully determined by (t, probes, seed)."""
-    bits = {}
-    for s, n in _probe_counts(t, probes).items():
-        packed = _draw(t, s, seed, n, 0, n)[list(t.trees[s].receivers)]
-        bits[s] = np.unpackbits(packed, axis=1, count=n).view(bool)
-    return ObservationSet(bits)
+    return ObservationSet({s: np.unpackbits(_draw(t, s, seed, n, 0, n), axis=1, count=n).view(bool)
+                           for s, n in _probe_counts(t, probes).items()})
 
 
 def simulate_counts(t: Topology, probes: dict[int, int] | int, seed: int) -> PooledCounts:
     """``count_pass(simulate(t, probes, seed), t)``, drawn and counted in windows of
-    CHUNK // WORKERS probes of one source, one bit per tree node and probe, up to WORKERS
-    windows at once on threads.  Each thread also holds one float64 and one bool per probe
-    of its window.  When every source fits in one window, they run in the calling thread."""
+    CHUNK // WORKERS probes of one source, up to WORKERS windows at once on threads (the
+    module docstring gives what a window holds).  When every source fits in one window,
+    they run in the calling thread."""
     probes = _probe_counts(t, probes)
     trees = t.trees  # a cached_property: build it here, not racing in the workers
     width = max(1, CHUNK // WORKERS)
@@ -174,30 +172,30 @@ def simulate_counts(t: Topology, probes: dict[int, int] | int, seed: int) -> Poo
     totals = dict.fromkeys(probes, 0)
     for (s, _), c in zip(windows, per_window):
         totals[s] = totals[s] + c
-    counts: dict[tuple[int, int], int] = {}
-    for s, c in totals.items():
-        counts.update(_keyed(s, trees[s], c))
-    return PooledCounts(probes=probes, counts=counts)
+    return _pooled(t, probes, totals)
 
 
 def count_pass(obs: ObservationSet, t: Topology) -> PooledCounts:
     """Reduce receiver bits to n_i(s) for every node i of every tree T^s in ``obs``.
 
-    Packs each source's matrix into the receivers' rows of ``t.trees[s]`` and applies
-    the OR rule bottom-up (``_or_counts``): a node's count is the number of probes that
-    some receiver below it saw.  Raises ValueError naming the source unless it is one of
-    t's and its bits are a 2-D matrix with one row per receiver of its tree and at least
+    Packs each source's matrix and applies the OR rule bottom-up (``_or_counts``): a
+    node's count is the number of probes that some receiver below it saw.  Raises
+    ValueError naming the source unless it is one of t's and its bits are a 2-D matrix
+    of 0s and 1s (bool, int or float) with one row per receiver of its tree and at least
     one probe.  A source left out gets no counts; the estimators raise NoDataError for it."""
-    counts: dict[tuple[int, int], int] = {}
+    rows = {}
     for s, observed in obs.bits.items():
-        tree, shape = t.trees.get(s), np.shape(observed)
+        tree, observed = t.trees.get(s), np.asarray(observed)
+        shape = observed.shape
         if tree is None or len(shape) != 2 or shape[0] != len(tree.receivers) or shape[1] < 1:
             raise ValueError(f"source {s}: not a source of the topology" if tree is None else
                              f"source {s}: bits of shape {shape}, expected ({len(tree.receivers)}, n >= 1)")
-        bits = np.zeros((len(tree.parent), (shape[1] + 7) // 8), dtype=np.uint8)
-        bits[list(tree.receivers)] = np.packbits(observed, axis=1)
-        counts.update(_keyed(s, tree, _or_counts(tree, bits)))
-    return PooledCounts(probes=obs.probes, counts=counts)
+        seen = observed == 1
+        bad = observed[~seen & (observed != 0)]
+        if bad.size:
+            raise ValueError(f"source {s}: bit value {bad[0]}, expected 0 or 1")
+        rows[s] = _or_counts(tree, np.packbits(seen, axis=1))
+    return _pooled(t, obs.probes, rows)
 
 
 def gamma_hat(counts: PooledCounts, node: int, source: int) -> float:

@@ -33,7 +33,8 @@ class Link(NamedTuple):
 
 class Tree(NamedTuple):
     """One source's multicast tree as the rows of a bit matrix: row 0 is the source and
-    row j >= 1 the tail of ``links[j - 1]``.
+    row j >= 1 the tail of ``links[j - 1]``.  Probes are drawn over every row, but only
+    the ``receivers`` rows leave the draw; the OR rule rebuilds the rest from them.
 
     The links are ordered by the position of each link's head in ``order``, then by link
     id, so every parent's row precedes its children's, and every per-source walk visits
@@ -43,7 +44,6 @@ class Tree(NamedTuple):
     row: dict[int, int]  # tree node -> its row, in row order
     links: tuple[Link, ...]  # links[j - 1] is the link into row j
     parent: tuple[int, ...]  # each row's parent row (parent[0] = 0)
-    inner: tuple[int, ...]  # rows of the nodes that are not receivers
     receivers: tuple[int, ...]  # rows of the tree's receivers, in ``receivers`` order
 
 
@@ -90,9 +90,8 @@ class Topology:
                     row[l.tail] = len(row)
                     links.append(l)
             parent = (0, *(row[l.head] for l in links))
-            inner = tuple(j for n, j in row.items() if n not in recv_set)
             receivers = tuple(row[r] for r in sorted(recv_set.intersection(row)))
-            trees[s] = Tree(row, tuple(links), parent, inner, receivers)
+            trees[s] = Tree(row, tuple(links), parent, receivers)
         return trees
 
     def path_rate(self, source: int, node: int) -> float:

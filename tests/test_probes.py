@@ -301,18 +301,19 @@ def test_worker_exception_reaches_the_caller(big_topology, monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 7, 12])
 def test_chunk_bits_are_column_slices_of_simulate(big_topology, chunk):
     # link j of tree s draws probe k at offset j*n + k, so probes [c0, c0 + m)
-    # drawn alone are columns c0 .. c0 + m - 1 of the one-shot bits, at every node
+    # drawn alone are columns c0 .. c0 + m - 1 of the one-shot bits, at every receiver
     t, seed = big_topology, 3
     for probes in probe_specs(t):
         obs = simulate(t, probes, seed)
         for s, n in obs.probes.items():
             full = np.unpackbits(_draw(t, s, seed, n, 0, n), axis=1)
-            assert np.array_equal(full[list(t.trees[s].receivers), :n], obs.bits[s])
+            assert len(full) == len(t.trees[s].receivers)  # the draw hands out no inner node's state
+            assert np.array_equal(full[:, :n], obs.bits[s])
             for c0 in range(0, n, chunk):
                 m = min(chunk, n - c0)
                 part = np.unpackbits(_draw(t, s, seed, n, c0, m), axis=1)
                 assert np.array_equal(part[:, :m], full[:, c0:c0 + m]), (s, c0)
-                assert not part[1:, m:].any()  # _or_counts needs zero padding below the source
+                assert not part[:, m:].any()  # _or_counts needs zero padding in every row
 
 
 @pytest.mark.parametrize("probes", [0, {0: 100}, {0: 100, 1: 0}])
@@ -340,9 +341,10 @@ def test_simulate_counts_memory_is_bounded_by_the_chunk(big_topology, monkeypatc
 
 
 def test_simulate_counts_memory_is_one_bit_per_tree_node_and_probe(big_topology, monkeypatch):
-    # each worker holds its window's float64 draws and bool passes, 9 bytes a probe, and
-    # one bit per probe for each of the 16 nodes of a BIG_NETWORK tree: for windows of
-    # 2**15 probes that is 2 * (9 + 16 / 8) * 2**15 bytes, about 0.7 MiB for two workers
+    # each worker holds its window's float64 draws and bool passes, 9 bytes a probe,
+    # one bit per probe for each of the 16 nodes of a BIG_NETWORK tree, and one more for
+    # each of its 8 receivers, whose rows leave the draw as a copy: for windows of 2**15
+    # probes that is 2 * (9 + 24 / 8) * 2**15 bytes, about 0.75 MiB for two workers
     n = 2 * 10**6
     monkeypatch.setattr(probes_module, "CHUNK", 2**16)
     monkeypatch.setattr(probes_module, "WORKERS", 2)
@@ -395,6 +397,19 @@ def test_count_pass_rejects_bits_of_the_wrong_shape(star22):
     counts = count_pass(ObservationSet({0: np.ones((2, 20), bool)}), star22)
     assert counts.probes == {0: 20} and gamma_hat(counts, 2, 0) == 1.0
     assert {s for _, s in counts.counts} == {0}
+
+
+def test_count_pass_reads_0_and_1_of_any_dtype_and_rejects_other_values():
+    # np.loadtxt gives floats; a 2 or a -1 is no observation, not a seen probe
+    t = lossy()
+    bits = np.array([[1, 1, 0], [0, 1, 0]], dtype=bool)
+    expected = count_pass(ObservationSet({0: bits}), t)
+    for dtype in (int, np.uint8, float):
+        assert count_pass(ObservationSet({0: bits.astype(dtype)}), t) == expected, dtype
+    for bad, value in [(2 * bits.astype(int), "2"), (-bits.astype(int), "-1"),
+                       (np.where(bits, 0.5, 0.0), "0.5"), (np.where(bits, np.nan, 1.0), "nan")]:
+        with pytest.raises(ValueError, match=re.escape(f"source 0: bit value {value}, expected 0 or 1")):
+            count_pass(ObservationSet({0: bad}), t)
 
 
 def test_count_pass_rejects_a_missing_receiver_row(big_topology):

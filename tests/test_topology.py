@@ -259,7 +259,6 @@ def test_link_maps_and_plan_on_generated_dags(text):
         assert list(tree.links) == list(up.values())
         assert list(tree.row.items()) == [(n, j) for j, n in enumerate(nodes)]
         assert [nodes[p] for p in tree.parent] == [s, *(l.head for l in up.values())]
-        assert [nodes[j] for j in tree.inner] == [n for n in nodes if n not in t.receivers]
         assert [nodes[j] for j in tree.receivers] == [r for r in t.receivers if r in nodes]
         for n in nodes:  # the exact product, from n upward
             rate, m = 1.0, n
