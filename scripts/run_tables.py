@@ -16,14 +16,14 @@ import argparse
 from pathlib import Path
 
 from losstomo.estimators import METHODS
-from losstomo.harness import DEFAULT_REPS, SETTINGS, ExperimentConfig, emit, run_experiment
+from losstomo.harness import SETTINGS, ExperimentConfig, emit, run_experiment
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", type=Path, default=Path("results"))
-    ap.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--reps", type=int, default=ExperimentConfig.reps)
+    ap.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     args = ap.parse_args()
 
     args.out_dir.mkdir(parents=True, exist_ok=True)

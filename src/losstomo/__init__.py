@@ -2,7 +2,7 @@
 
 from .topology import Topology, TopologyError, UnsupportedTopologyError, parse_topology
 from .decompose import DTreePlan, decompose
-from .probes import ObservationSet, PooledCounts, count_pass, gamma_hat, simulate, simulate_counts
+from .probes import PooledCounts, count_pass, gamma_hat, simulate, simulate_counts
 from .estimators import EstimateSet, estimate_network
 from .harness import ExperimentConfig, emit, run_experiment
 
@@ -13,7 +13,6 @@ __all__ = [
     "parse_topology",
     "DTreePlan",
     "decompose",
-    "ObservationSet",
     "PooledCounts",
     "count_pass",
     "gamma_hat",

@@ -8,14 +8,7 @@ from pathlib import Path
 
 from .analysis import InfoRow, csv_text, info_report
 from .decompose import decompose
-from .harness import (
-    DEFAULT_PROBES,
-    DEFAULT_REPS,
-    SETTINGS,
-    ExperimentConfig,
-    emit,
-    run_experiment,
-)
+from .harness import SETTINGS, ExperimentConfig, emit, run_experiment
 from .estimators import METHODS
 from .topology import TopologyError, UnsupportedTopologyError, parse_topology
 
@@ -45,11 +38,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a replication experiment")
     _add_topology_args(run)
-    run.add_argument("--probes", type=_int_list, default=DEFAULT_PROBES,
+    run.add_argument("--probes", type=_int_list, default=ExperimentConfig.probe_counts,
                      help="comma-separated per-source probe counts (default 100,500,1000)")
-    run.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--estimators", type=lambda s: tuple(s.split(",")), default=("mle",),
+    run.add_argument("--reps", type=int, default=ExperimentConfig.reps)
+    run.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    run.add_argument("--estimators", type=lambda s: tuple(s.split(",")), default=ExperimentConfig.estimators,
                      help=f"comma-separated subset of {','.join(METHODS)}")
     run.add_argument("--format", choices=("csv", "markdown"), default="csv")
     run.add_argument("--out", type=Path, help="output path (default stdout)")

@@ -148,8 +148,8 @@ def _solve_paths(est: EstimateSet, counts: PooledCounts, plan: DTreePlan, source
 def estimate_network(counts: PooledCounts, plan: DTreePlan, method: str) -> EstimateSet:
     """Run one estimator over the pass counts of one replication.
 
-    The counts (from ``simulate_counts``, or ``count_pass`` of an observation
-    set) are the sufficient statistic, so one count serves every method.
+    The counts (from ``simulate_counts``, or ``count_pass`` of receiver bits)
+    are the sufficient statistic, so one count serves every method.
     Multi-source trees are solved first, then each fragment's ``solve_order``."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -85,6 +85,8 @@ def fuse_node(counts, node, children, sources, t, scheme) -> float:
                 n = counts.probes[s]
                 if scheme == "mvwa-oracle":
                     b, a, floor = t.subtree_rate[node], t.path_rate(s, node), 0.0
+                    if a == 0.0:  # observed bits may pass where the declared rates do not
+                        raise ValueError(f"source {s} reaches the node at true path rate 0")
                 else:
                     # a lossless sample would give a zero plug-in variance; floor the
                     # miss probability at 1/(n+1) to keep the weight finite

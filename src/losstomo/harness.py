@@ -22,9 +22,6 @@ from .probes import simulate_counts
 from .solvers import EstimationError
 from .topology import parse_topology
 
-DEFAULT_PROBES = (100, 500, 1000)
-DEFAULT_REPS = 20
-
 # the three settings used for the desk-scale statistical checks:
 # two sources feeding one joint node with 2 or 3 receivers
 def _star_setting(source_losses, receiver_losses) -> str:
@@ -61,8 +58,8 @@ def replication_seed(master_seed: int, rep: int) -> int:
 @dataclass(frozen=True)
 class ExperimentConfig:
     topology_text: str
-    probe_counts: tuple[int, ...] = DEFAULT_PROBES
-    reps: int = DEFAULT_REPS
+    probe_counts: tuple[int, ...] = (100, 500, 1000)
+    reps: int = 20
     seed: int = 42
     estimators: tuple[str, ...] = ("mle",)
 

@@ -9,10 +9,11 @@ Stream layout: in source s's stream, link j of ``t.trees[s].links`` draws
 probe k of n at offset j*n + k, so any probe range can be drawn on its own by
 advancing the stream.  ``_draw`` draws one source's probe range at every node of
 ``t.trees[s]`` and returns the receivers' rows only, eight probes a byte.  An
-``ObservationSet`` holds the same rows unpacked: row k is the k-th receiver of
-T^s in ``receivers`` order, column k is probe k.  ``simulate`` unpacks
-``_draw``'s rows and ``count_pass`` packs them back, so ``_or_counts``, the OR
-rule, reads one form.  A source may be left out, a receiver may not.
+observation is a plain dict of the same rows unpacked, source -> 0/1 matrix: row
+k is the k-th receiver of T^s in ``receivers`` order, column k is probe k.
+``simulate`` unpacks ``_draw``'s rows and ``count_pass`` packs them back, so
+``_or_counts``, the OR rule, reads one form.  A source may be left out, a
+receiver may not.
 ``simulate_counts`` counts each source's probes in windows of CHUNK // WORKERS,
 one task per (source, window), WORKERS at once on threads (numpy releases the
 GIL in the RNG fill and the ufuncs).  At most CHUNK probes are in flight: two
@@ -40,18 +41,6 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 def source_stream(seed: int, source: int) -> np.random.Generator:
     """Independent per-source RNG stream derived from one experiment seed."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(source,)))
-
-
-@dataclass(frozen=True)
-class ObservationSet:
-    """Receiver bits per source: row k is the k-th receiver of T^s, column k is probe k."""
-
-    bits: dict[int, np.ndarray]  # source -> 0/1 matrix, rows in ``Topology.receivers`` order
-
-    @property
-    def probes(self) -> dict[int, int]:
-        """n^s of each source: its matrix's column count."""
-        return {s: np.shape(b)[1] for s, b in self.bits.items()}
 
 
 @dataclass(frozen=True)
@@ -141,10 +130,12 @@ def _pooled(t: Topology, probes: dict[int, int], rows: dict[int, np.ndarray]) ->
                                  for node, n in zip(reversed(t.trees[s].row), reversed(c.tolist()))})
 
 
-def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> ObservationSet:
-    """Run one probing experiment; fully determined by (t, probes, seed)."""
-    return ObservationSet({s: np.unpackbits(_draw(t, s, seed, n, 0, n), axis=1, count=n).view(bool)
-                           for s, n in _probe_counts(t, probes).items()})
+def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> dict[int, np.ndarray]:
+    """Run one probing experiment; fully determined by (t, probes, seed).  Returns the
+    receiver bits, source -> bool matrix: row k is the k-th receiver of T^s in
+    ``t.receivers`` order, column k is probe k."""
+    return {s: np.unpackbits(_draw(t, s, seed, n, 0, n), axis=1, count=n).view(bool)
+            for s, n in _probe_counts(t, probes).items()}
 
 
 def simulate_counts(t: Topology, probes: dict[int, int] | int, seed: int) -> PooledCounts:
@@ -175,16 +166,17 @@ def simulate_counts(t: Topology, probes: dict[int, int] | int, seed: int) -> Poo
     return _pooled(t, probes, totals)
 
 
-def count_pass(obs: ObservationSet, t: Topology) -> PooledCounts:
-    """Reduce receiver bits to n_i(s) for every node i of every tree T^s in ``obs``.
+def count_pass(bits: dict[int, np.ndarray], t: Topology) -> PooledCounts:
+    """Reduce receiver bits, as ``simulate`` returns them, to n_i(s) for every node i of
+    every tree T^s in ``bits``; n^s is the column count of source s's matrix.
 
     Packs each source's matrix and applies the OR rule bottom-up (``_or_counts``): a
     node's count is the number of probes that some receiver below it saw.  Raises
     ValueError naming the source unless it is one of t's and its bits are a 2-D matrix
     of 0s and 1s (bool, int or float) with one row per receiver of its tree and at least
     one probe.  A source left out gets no counts; the estimators raise NoDataError for it."""
-    rows = {}
-    for s, observed in obs.bits.items():
+    probes, rows = {}, {}
+    for s, observed in bits.items():
         tree, observed = t.trees.get(s), np.asarray(observed)
         shape = observed.shape
         if tree is None or len(shape) != 2 or shape[0] != len(tree.receivers) or shape[1] < 1:
@@ -194,8 +186,8 @@ def count_pass(obs: ObservationSet, t: Topology) -> PooledCounts:
         bad = observed[~seen & (observed != 0)]
         if bad.size:
             raise ValueError(f"source {s}: bit value {bad[0]}, expected 0 or 1")
-        rows[s] = _or_counts(tree, np.packbits(seen, axis=1))
-    return _pooled(t, obs.probes, rows)
+        probes[s], rows[s] = shape[1], _or_counts(tree, np.packbits(seen, axis=1))
+    return _pooled(t, probes, rows)
 
 
 def gamma_hat(counts: PooledCounts, node: int, source: int) -> float:

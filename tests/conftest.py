@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -124,6 +125,33 @@ def scaled_counts(counts: PooledCounts, k: int) -> PooledCounts:
     """``counts`` with every n_i(s) and every n^s multiplied by k: the same empirical rates."""
     return PooledCounts(probes={s: k * n for s, n in counts.probes.items()},
                         counts={key: k * c for key, c in counts.counts.items()})
+
+
+def expected_counts(t, n: int) -> PooledCounts:
+    """E[n_i(s)] = n * A(s, i) * beta_i for every node i of every tree T^s, n probes per
+    source, as float counts with no rounding."""
+    return PooledCounts(probes={s: n for s in t.sources},
+                        counts={(i, s): n * t.path_rate(s, i) * t.subtree_rate[i]
+                                for s, tree in t.trees.items() for i in tree.row})
+
+
+# each mode gives the pass rates of k receiver rows: the bit modes of the observed-bits fuzz
+BIT_MODES = {
+    "independent": lambda rng, k: rng.random(k),
+    "all-0.97": lambda rng, k: np.full(k, 0.97),
+    "all-0.05": lambda rng, k: np.full(k, 0.05),
+    "from-0-0.5-1": lambda rng, k: rng.choice((0.0, 0.5, 1.0), k),
+}
+
+
+def random_bits(t, n: int, mode: str, rng) -> dict:
+    """Random 0/1 receiver matrices, n probes for every source of t, as ``simulate`` lays
+    them out; receiver row k passes each probe with the k-th rate of ``BIT_MODES[mode]``."""
+    bits = {}
+    for s, tree in t.trees.items():
+        k = len(tree.receivers)
+        bits[s] = rng.random((k, n)) < BIT_MODES[mode](rng, k)[:, None]
+    return bits
 
 
 def relabelled_topology(text: str, node_map: dict[int, int], link_map: dict[int, int]) -> str:
@@ -266,3 +294,12 @@ def multi_source_dags(draw):
     lines += [f"source {label[s]}" for s in sources]
     lines += [f"receiver {label[r]}" for r in receivers]
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def lossy_multi_source_dags(draw):
+    """``multi_source_dags`` with every link's loss redrawn in [0.01, 0.5], so every rate
+    is identifiable; ``multi_source_dags``'s own example stream is left as it is."""
+    lines = draw(multi_source_dags()).splitlines()
+    return "\n".join(f"{line.rsplit(' ', 1)[0]} {draw(st.floats(0.01, 0.5))}"
+                     if line.startswith("link ") else line for line in lines) + "\n"

@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from conftest import BIG_NETWORK, CHAIN_TREE, SINGLE_TREE, multi_source_dags
-from hypothesis import given, settings, strategies as st
+from conftest import (
+    BIG_NETWORK,
+    BIT_MODES,
+    CHAIN_TREE,
+    SINGLE_TREE,
+    expected_counts,
+    lossy_multi_source_dags,
+    multi_source_dags,
+    random_bits,
+)
+from hypothesis import given, seed, settings, strategies as st
 
 from losstomo import estimators
 from losstomo.decompose import decompose
@@ -18,7 +27,6 @@ from losstomo.estimators import (
 )
 from losstomo.harness import SETTINGS, _expected_keys, _star_setting
 from losstomo.probes import (
-    ObservationSet,
     PooledCounts,
     count_pass,
     gamma_hat,
@@ -241,8 +249,7 @@ def test_sufficiency_shuffling_probes(star22_plan):
     t = star22_plan.topology
     rng = np.random.default_rng(4)
     obs = simulate(t, 400, seed=21)
-    perm_bits = {s: m[:, rng.permutation(m.shape[1])] for s, m in obs.bits.items()}
-    shuffled = ObservationSet(perm_bits)
+    shuffled = {s: m[:, rng.permutation(m.shape[1])] for s, m in obs.items()}
     for method in ("mle", "tree-baseline", "rbmvwa", "mrbmvwa", "mvwa-plugin"):
         a = estimate_network(count_pass(obs, star22_plan.topology), star22_plan, method)
         b = estimate_network(count_pass(shuffled, star22_plan.topology), star22_plan, method)
@@ -262,7 +269,7 @@ def test_counts_without_a_source_raise_no_data_naming_it(star22_plan, method):
     # counts of source 0 alone: every method also reads source 1, whose tree holds joint 2
     t = star22_plan.topology
     obs = simulate(t, 100, seed=5)
-    alone = ObservationSet({0: obs.bits[0]})
+    alone = {0: obs[0]}
     with pytest.raises(NoDataError, match="no counts of source 1"):
         estimate_network(count_pass(alone, t), star22_plan, method)
 
@@ -513,8 +520,12 @@ def test_root_memo_leaves_counts_equal_and_out_of_repr(big_plan):
 @given(text=multi_source_dags(), probes=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
 def test_generated_dags_give_valid_estimates_or_an_error_naming_the_node(text, probes, seed):
     t = parse_topology(text)
-    plan = decompose(t)
-    counts = simulate_counts(t, probes, seed)
+    _assert_valid_or_an_error_naming_the_node(simulate_counts(t, probes, seed), decompose(t))
+
+
+def _assert_valid_or_an_error_naming_the_node(counts, plan):
+    """Each method gives finite values in [0, 1] with exactly its expected link keys, or
+    raises an ``EstimationError`` subclass whose message names the step and node."""
     for method in _methods(plan):
         try:
             est = estimate_network(counts, plan, method)
@@ -528,3 +539,53 @@ def test_generated_dags_give_valid_estimates_or_an_error_naming_the_node(text, p
         values = [*est.links.values(), *est.paths.values(), *est.betas.values()]
         for v in values:
             assert math.isfinite(v) and 0.0 <= v <= 1.0, f"{method}: {v}"
+
+
+@seed(26)
+@settings(max_examples=200, deadline=None)
+@given(text=multi_source_dags(), probes=st.integers(1, 3000), mode=st.sampled_from(sorted(BIT_MODES)),
+       bits_seed=st.integers(0, 2**32 - 1))
+def test_observed_bits_give_valid_estimates_or_an_error_naming_the_node(text, probes, mode, bits_seed):
+    # observed bits need not follow the declared rates: a source may reach a node whose
+    # declared path rate is 0, or pass every probe where the declared loss is high
+    t = parse_topology(text)
+    bits = random_bits(t, probes, mode, np.random.default_rng(bits_seed))
+    _assert_valid_or_an_error_naming_the_node(count_pass(bits, t), decompose(t))
+
+
+def _true_rate_misses(counts, plan, methods):
+    """The largest distance of each method's link rates from the true ones."""
+    true = {l.label: l.pass_rate for l in plan.logical_links}
+    return {m: max(abs(rate - true[label]) for (label, _), rate in estimate_network(counts, plan, m).links.items())
+            for m in methods}
+
+
+@seed(2026)
+@settings(max_examples=400, deadline=None)
+@given(text=lossy_multi_source_dags())
+def test_expected_counts_give_the_true_link_rates(text):
+    # the estimators are consistent: at the expected counts they return the true rates
+    t = parse_topology(text)
+    misses = _true_rate_misses(expected_counts(t, 10**6), decompose(t), ("tree-baseline", *FUSION_METHODS))
+    assert max(misses.values()) <= 1e-12, misses
+
+
+# source 0 -> 2 -> joint 4; source 1 -> 3 -> {4, receiver 7}; 4 -> receivers 5 and 6:
+# source 1's fragment branches at node 3, above the joint
+BRANCH_ABOVE_JOINT = (
+    "node 0\nnode 1\nnode 2\nnode 3\nnode 4\nnode 5\nnode 6\nnode 7\n"
+    "link 1 0 2 0.2\nlink 2 1 3 0.2\nlink 3 2 4 0.2\nlink 4 3 4 0.2\nlink 5 3 7 0.2\n"
+    "link 6 4 5 0.2\nlink 7 4 6 0.2\n"
+    "source 0\nsource 1\nreceiver 5\nreceiver 6\nreceiver 7\n"
+)
+
+
+@pytest.mark.parametrize("method", [
+    pytest.param("mle", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1: mle embeds the "
+                                                "joint's path estimate where its end-to-end rate belongs")),
+    "tree-baseline", *FUSION_METHODS,
+])
+def test_expected_counts_give_the_true_link_rates_where_a_fragment_branches_above_a_joint(method):
+    t = parse_topology(BRANCH_ABOVE_JOINT)
+    misses = _true_rate_misses(expected_counts(t, 10**6), decompose(t), (method,))
+    assert misses[method] <= 1e-12, misses

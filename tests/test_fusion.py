@@ -11,7 +11,7 @@ from losstomo.fusion import (
     per_tree_estimates,
     rbmvwa_weights,
 )
-from losstomo.harness import SETTINGS
+from losstomo.harness import SETTINGS, _star_setting
 from losstomo.probes import PooledCounts, count_pass, simulate
 from losstomo.solvers import FusionWeightError
 from losstomo.topology import parse_topology
@@ -177,3 +177,13 @@ def test_weight_failure_is_an_estimation_error_naming_scheme_and_node():
         match="multi-source subtree solve at node 2: mvwa-oracle weights at node 2",
     ):
         fused_estimate(counts, decompose(t), "mvwa-oracle")
+
+
+def test_oracle_weight_at_a_zero_true_path_rate_is_a_fusion_weight_error():
+    # link 2 is declared dead, yet the observed bits show source 1's probes at the joint,
+    # so the oracle variance b(1 - ab)/(na) would divide by A(1, 2) = 0
+    t = parse_topology(_star_setting((0.01, 1.0), (0.01, 0.01)))
+    bits = {0: [[1, 1, 0, 1], [1, 0, 1, 1]], 1: [[1, 0, 1, 0], [0, 1, 1, 0]]}
+    with pytest.raises(FusionWeightError, match="mvwa-oracle weights at node 2: source 1 reaches"
+                                                " the node at true path rate 0"):
+        estimate_network(count_pass(bits, t), decompose(t), "mvwa-oracle")

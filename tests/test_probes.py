@@ -2,6 +2,7 @@ import math
 import re
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from losstomo import probes as probes_module
 from losstomo.harness import SETTINGS
 from losstomo.probes import (
-    ObservationSet,
     _draw,
     _or_counts,
     count_pass,
@@ -44,7 +44,7 @@ def test_dead_link_blinds_receiver():
     t = lossy(1.0)
     obs = simulate(t, 50, seed=1)
     for s in t.sources:
-        row = dict(zip(receivers_below(t, s), obs.bits[s]))
+        row = dict(zip(receivers_below(t, s), obs[s]))
         assert not row[3].any()
         assert row[4].all()
 
@@ -54,9 +54,9 @@ def test_determinism():
     a = simulate(t, 200, seed=99)
     b = simulate(t, 200, seed=99)
     for s in t.sources:
-        assert np.array_equal(a.bits[s], b.bits[s])
+        assert np.array_equal(a[s], b[s])
     c = simulate(t, 200, seed=100)
-    assert any(not np.array_equal(a.bits[s], c.bits[s]) for s in t.sources)
+    assert any(not np.array_equal(a[s], c[s]) for s in t.sources)
 
 
 def test_simulate_draws_each_tree_in_topological_order(big_topology):
@@ -73,7 +73,7 @@ def test_simulate_draws_each_tree_in_topological_order(big_topology):
                 for l in t.out_links[u]:
                     state[l.tail] = state[u] & (rng.random(n) < l.pass_rate)
         recv = tuple(r for r in t.receivers if r in members)
-        assert np.array_equal(obs.bits[s], np.vstack([state[r] for r in recv]))
+        assert np.array_equal(obs[s], np.vstack([state[r] for r in recv]))
 
 
 def test_positive_probe_count_required(star22):
@@ -92,8 +92,7 @@ def test_probe_counts_for_unknown_sources_rejected(star22):
 
 def test_or_semantics_by_hand():
     t = lossy()
-    bits = {0: np.array([[1, 1, 0], [0, 1, 0]], dtype=bool)}
-    obs = ObservationSet(bits)
+    obs = {0: np.array([[1, 1, 0], [0, 1, 0]], dtype=bool)}
     counts = count_pass(obs, t)
     assert counts.count(2, 0) == 2  # probe 1 via receiver 3, probe 2 via both
     assert counts.count(3, 0) == 2
@@ -104,7 +103,7 @@ def test_counts_match_brute_force_recount(star22):
     obs = simulate(star22, 300, seed=5)
     counts = count_pass(obs, star22)
     for s in star22.sources:
-        row = dict(zip(receivers_below(star22, s), obs.bits[s]))
+        row = dict(zip(receivers_below(star22, s), obs[s]))
         for node in reachable(star22, s):
             under = receivers_below(star22, node)
             expected = 0
@@ -125,7 +124,7 @@ def test_counts_hierarchical(star22):
 
 def test_gamma_hat_values():
     t = lossy()
-    obs = ObservationSet({0: np.vstack([np.arange(1000) < 875, np.zeros(1000, dtype=bool)])})
+    obs = {0: np.vstack([np.arange(1000) < 875, np.zeros(1000, dtype=bool)])}
     counts = count_pass(obs, t)
     assert gamma_hat(counts, 3, 0) == 0.875
     assert gamma_hat(counts, 4, 0) == 0.0
@@ -188,7 +187,7 @@ def test_bottom_up_counts_equal_or_over_receivers_under(request, fixture):
     obs = simulate(t, 400, seed=13)
     counts = count_pass(obs, t)
     for s in t.sources:
-        row = dict(zip(receivers_below(t, s), obs.bits[s]))
+        row = dict(zip(receivers_below(t, s), obs[s]))
         for node in reachable(t, s):
             rows = [row[r] for r in receivers_below(t, node)]
             assert counts.count(node, s) == int(np.count_nonzero(np.any(rows, axis=0)))
@@ -305,10 +304,11 @@ def test_chunk_bits_are_column_slices_of_simulate(big_topology, chunk):
     t, seed = big_topology, 3
     for probes in probe_specs(t):
         obs = simulate(t, probes, seed)
-        for s, n in obs.probes.items():
+        for s, observed in obs.items():
+            n = observed.shape[1]
             full = np.unpackbits(_draw(t, s, seed, n, 0, n), axis=1)
             assert len(full) == len(t.trees[s].receivers)  # the draw hands out no inner node's state
-            assert np.array_equal(full[:, :n], obs.bits[s])
+            assert np.array_equal(full[:, :n], observed)
             for c0 in range(0, n, chunk):
                 m = min(chunk, n - c0)
                 part = np.unpackbits(_draw(t, s, seed, n, c0, m), axis=1)
@@ -375,13 +375,13 @@ def test_workers_share_the_memory_budget(big_topology, monkeypatch):
 
 
 def test_count_pass_leaves_the_bits_unchanged():
-    # receiver rows are views of obs.bits, so no OR may write into one
+    # receiver rows are views of the matrices in obs, so no OR may write into one
     t = parse_topology(with_loss(BIG_NETWORK, 0.5))
     obs = simulate(t, 200, seed=6)
-    before = {s: b.copy() for s, b in obs.bits.items()}
+    before = {s: b.copy() for s, b in obs.items()}
     count_pass(obs, t)
     for s in t.sources:
-        assert np.array_equal(obs.bits[s], before[s])
+        assert np.array_equal(obs[s], before[s])
 
 
 def test_count_pass_rejects_bits_of_the_wrong_shape(star22):
@@ -389,12 +389,12 @@ def test_count_pass_rejects_bits_of_the_wrong_shape(star22):
     for shape in [(10,), (2, 10, 1), (2, 0), (1, 10), (3, 10)]:
         expected = f"source 0: bits of shape {shape}, expected (2, n >= 1)"
         with pytest.raises(ValueError, match=re.escape(expected)):
-            count_pass(ObservationSet({0: np.ones(shape, bool)}), star22)
+            count_pass({0: np.ones(shape, bool)}, star22)
     # bits of the right shape for a source the topology does not have
     with pytest.raises(ValueError, match="source 7: not a source of the topology"):
-        count_pass(ObservationSet({7: np.ones((2, 10), bool)}), star22)
+        count_pass({7: np.ones((2, 10), bool)}, star22)
     # the probe count is the column count, so the two cannot disagree; a source may be left out
-    counts = count_pass(ObservationSet({0: np.ones((2, 20), bool)}), star22)
+    counts = count_pass({0: np.ones((2, 20), bool)}, star22)
     assert counts.probes == {0: 20} and gamma_hat(counts, 2, 0) == 1.0
     assert {s for _, s in counts.counts} == {0}
 
@@ -403,13 +403,13 @@ def test_count_pass_reads_0_and_1_of_any_dtype_and_rejects_other_values():
     # np.loadtxt gives floats; a 2 or a -1 is no observation, not a seen probe
     t = lossy()
     bits = np.array([[1, 1, 0], [0, 1, 0]], dtype=bool)
-    expected = count_pass(ObservationSet({0: bits}), t)
+    expected = count_pass({0: bits}, t)
     for dtype in (int, np.uint8, float):
-        assert count_pass(ObservationSet({0: bits.astype(dtype)}), t) == expected, dtype
+        assert count_pass({0: bits.astype(dtype)}, t) == expected, dtype
     for bad, value in [(2 * bits.astype(int), "2"), (-bits.astype(int), "-1"),
                        (np.where(bits, 0.5, 0.0), "0.5"), (np.where(bits, np.nan, 1.0), "nan")]:
         with pytest.raises(ValueError, match=re.escape(f"source 0: bit value {value}, expected 0 or 1")):
-            count_pass(ObservationSet({0: bad}), t)
+            count_pass({0: bad}, t)
 
 
 def test_count_pass_rejects_a_missing_receiver_row(big_topology):
@@ -421,4 +421,12 @@ def test_count_pass_rejects_a_missing_receiver_row(big_topology):
     for rows in (len(recv) - 1, len(recv) + 1):
         expected = f"source 0: bits of shape ({rows}, 60), expected ({len(recv)}, n >= 1)"
         with pytest.raises(ValueError, match=re.escape(expected)):
-            count_pass(ObservationSet({s: rng.random((rows, 60)) < 0.5}), t)
+            count_pass({s: rng.random((rows, 60)) < 0.5}, t)
+
+
+def test_readme_python_block_runs(capsys):
+    # the README's "Python API" example is the documented observation call
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(block, {})
+    assert "('3', None)" in capsys.readouterr().out
