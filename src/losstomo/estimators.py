@@ -106,11 +106,10 @@ def solve_intersection(est: EstimateSet, counts: PooledCounts, plan: DTreePlan,
     # A-hat(s, joint) = gamma_joint(s) / beta_joint, clamped to 1; every beta rule gives beta_joint > 0
     for s in mt.sources:
         est.paths[(s, mt.joint)] = min(gamma_hat(counts, mt.joint, s) / betas[mt.joint], 1.0)
+    pooled = {node: counts.pooled(node, mt.sources) for node in mt.nodes}
     for head in mt.nodes:
-        n_head = counts.pooled(head, mt.sources)
         for l in plan.children[head]:
-            n_c = counts.pooled(l.tail, mt.sources)
-            est.add_link(l.label, (n_c / n_head) * betas[head] / betas[l.tail])
+            est.add_link(l.label, (pooled[l.tail] / pooled[head]) * betas[head] / betas[l.tail])
 
 
 def _solve_paths(est: EstimateSet, counts: PooledCounts, plan: DTreePlan, source: int,

@@ -127,14 +127,15 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
     }
 
     table = ReplicationTable()
+    seeds = [replication_seed(cfg.seed, rep) for rep in range(cfg.reps)]
     for n in cfg.probe_counts:
         crlb_var = {label: _defined(var_upstream, a, beta, n) for label, (a, beta) in crlb.items()}
         # losses[estimator][(label, source)] -> list of per-rep loss estimates
         losses = {e: {k: [] for k in _expected_keys(plan, e)} for e in cfg.estimators}
         clamped = {e: dict.fromkeys(got, 0) for e, got in losses.items()}
         errors = dict.fromkeys(cfg.estimators, 0)
-        for rep in range(cfg.reps):
-            counts = simulate_counts(plan.topology, n, replication_seed(cfg.seed, rep))
+        for rep, seed in enumerate(seeds):
+            counts = simulate_counts(plan.topology, n, seed)
             for e in cfg.estimators:
                 try:
                     est = estimate_network(counts, plan, e)

@@ -51,14 +51,11 @@ class PooledCounts:
     key each successful ``subtree_root`` / ``path_root`` return by the
     solver and its exact inputs, so every method run on one replication's
     counts solves each distinct root once.  A failing solve is not stored
-    and runs again.  ``sums`` memoises ``pooled`` by node and sources, so
-    ``counts`` must not change after the first ``pooled`` call.  Neither
-    memo takes part in equality or ``repr``."""
+    and runs again.  The memo takes part in neither equality nor ``repr``."""
 
     probes: dict[int, int]  # source -> n^s
     counts: dict[tuple[int, int], int]  # (node, source) -> n_i(s)
     roots: dict[tuple, float] = field(default_factory=dict, compare=False, repr=False)
-    sums: dict[tuple, int] = field(default_factory=dict, compare=False, repr=False)
 
     def count(self, node: int, source: int) -> int:
         try:
@@ -70,11 +67,7 @@ class PooledCounts:
 
     def pooled(self, node: int, sources) -> int:
         """n_i = sum of n_i(s) over the given sources."""
-        key = (node, tuple(sources))
-        total = self.sums.get(key)
-        if total is None:
-            total = self.sums[key] = sum(self.count(node, s) for s in key[1])
-        return total
+        return sum(self.count(node, s) for s in sources)
 
 
 def _probe_counts(t: Topology, probes: dict[int, int] | int) -> dict[int, int]:
@@ -115,13 +108,14 @@ def _or_counts(tree: Tree, received: np.ndarray) -> np.ndarray:
 
     ``received`` is what ``_draw`` returns, one row per receiver in ``tree.receivers``
     order, with padding bits past the last probe 0.  Writes them into a zeroed row per
-    tree node and ORs each row into its parent's in reverse row order, children first."""
+    tree node, ORs each row into its parent's in reverse row order, children first, and
+    counts the set bits in place, so the window's rows are all it holds."""
     bits = np.zeros((len(tree.parent), received.shape[1]), dtype=np.uint8)
     bits[list(tree.receivers)] = received
     parent = tree.parent
     for j in range(len(parent) - 1, 0, -1):
         np.bitwise_or(bits[parent[j]], bits[j], out=bits[parent[j]])
-    return np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(bits, out=bits).sum(axis=1, dtype=np.int64)
 
 
 def _pooled(t: Topology, probes: dict[int, int], rows: dict[int, np.ndarray]) -> PooledCounts:

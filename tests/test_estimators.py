@@ -508,12 +508,12 @@ def test_root_memo_leaves_counts_equal_and_out_of_repr(big_plan):
     counts = simulate_counts(t, 400, seed=8)
     for m in METHODS:
         estimate_network(counts, big_plan, m)
-    assert counts.roots and counts.sums
+    assert counts.roots
     fresh = count_pass(simulate(t, 400, seed=8), t)
-    assert not fresh.roots and not fresh.sums
+    assert not fresh.roots
     assert counts == fresh
     assert repr(counts) == repr(fresh)
-    assert "roots" not in repr(counts) and "sums" not in repr(counts)
+    assert "roots" not in repr(counts)
 
 
 @settings(max_examples=100, deadline=None)

@@ -250,6 +250,19 @@ def test_probes_are_counted_once_per_replication(monkeypatch):
     }
 
 
+def test_replication_seeds_are_derived_once_per_run(monkeypatch):
+    # a replication's seed does not depend on the probe count, so each rep's is derived once
+    calls = []
+
+    def counting(master_seed, rep):
+        calls.append(rep)
+        return replication_seed(master_seed, rep)
+
+    monkeypatch.setattr(harness, "replication_seed", counting)
+    run_experiment(cfg(probe_counts=(100, 200), reps=3))
+    assert calls == [0, 1, 2]
+
+
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
 def test_crlb_column_is_closed_form_for_source_links_into_joints(setting):
     t = parse_topology(SETTINGS[setting])

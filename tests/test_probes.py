@@ -6,8 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import BIG_NETWORK, CHAIN_TREE, SINGLE_TREE, reachable, receivers_below
-from hypothesis import given, settings, strategies as st
+from conftest import BIG_NETWORK, CHAIN_TREE, SINGLE_TREE, multi_source_dags, reachable, receivers_below
+from hypothesis import given, seed, settings, strategies as st
 
 from losstomo import probes as probes_module
 from losstomo.harness import SETTINGS
@@ -141,12 +141,10 @@ def test_gamma_hat_outside_tree(star22):
 @pytest.mark.parametrize("kind", [list, tuple, lambda xs: (x for x in xs)],
                          ids=["list", "tuple", "generator"])
 def test_pooled_sums_any_iterable_of_sources_once(big_topology, kind):
-    # the memo key takes the sources as a tuple; the sum must run over that
-    # tuple, not over an iterator the key already consumed
+    # the sum reads the sources once, so a generator counts every source
     counts = simulate_counts(big_topology, 60, seed=4)
     want = counts.count(2, 16) + counts.count(2, 0)
     assert counts.pooled(2, kind([16, 0])) == want
-    assert counts.sums == {(2, (16, 0)): want}
     assert counts.pooled(2, kind([16, 0])) == want
     with pytest.raises(TopologyError):
         counts.pooled(99, kind([16, 0]))
@@ -224,6 +222,20 @@ def test_simulate_counts_equals_count_pass_of_simulate(name, loss, monkeypatch):
                 monkeypatch.setattr(probes_module, "CHUNK", chunk)
                 monkeypatch.setattr(probes_module, "WORKERS", workers)
                 assert simulate_counts(t, probes, seed) == expected, (probes, chunk, workers)
+
+
+@seed(27)
+@settings(max_examples=100, deadline=None)
+@given(text=multi_source_dags(), data=st.data(), chunk=st.sampled_from((1, 3, 8, 13, 64)),
+       workers=st.sampled_from((1, 2, 3)))
+def test_simulate_counts_equals_count_pass_of_simulate_on_generated_dags(text, data, chunk, workers):
+    t = parse_topology(text)
+    probes = {s: data.draw(st.integers(1, 40)) for s in t.sources}
+    expected = count_pass(simulate(t, probes, 5), t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(probes_module, "CHUNK", chunk)
+        mp.setattr(probes_module, "WORKERS", workers)
+        assert simulate_counts(t, probes, 5) == expected
 
 
 def spy_windows(monkeypatch):
@@ -356,6 +368,31 @@ def test_simulate_counts_memory_is_one_bit_per_tree_node_and_probe(big_topology,
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20, peak
+
+
+def test_simulate_counts_memory_holds_no_second_bit_per_tree_row(monkeypatch):
+    # one source over a binary tree of depth 8 below its one link: 512 tree rows, 256 of
+    # them receivers.  A window of w probes may hold 9 bytes a probe for its draws, one
+    # bit per tree row and one more per receiver; counting the OR rule's bits into a new
+    # array would add another bit per tree row
+    lines = ["node 0", "node 1", "link 0 0 1 0.01", "source 0"]
+    for i in range(1, 256):
+        lines += [f"node {2 * i}", f"node {2 * i + 1}",
+                  f"link {2 * i - 1} {i} {2 * i} 0.01", f"link {2 * i} {i} {2 * i + 1} 0.01"]
+    lines += [f"receiver {r}" for r in range(256, 512)]
+    t = parse_topology("\n".join(lines) + "\n")
+    rows, receivers, window = len(t.trees[0].parent), len(t.trees[0].receivers), 2**15
+    assert (rows, receivers) == (512, 256)
+    monkeypatch.setattr(probes_module, "CHUNK", window)
+    monkeypatch.setattr(probes_module, "WORKERS", 1)
+    simulate_counts(t, window + 5, seed=4)  # builds the trees and imports the thread pool
+    tracemalloc.start()
+    try:
+        simulate_counts(t, window + 5, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (9 + (rows + receivers) / 8) * window, peak
 
 
 def test_workers_share_the_memory_budget(big_topology, monkeypatch):
