@@ -25,7 +25,7 @@ def _add_topology_args(p):
 def _topology_text(args) -> str:
     if args.setting:
         return SETTINGS[args.setting]
-    return args.topology.read_text()
+    return args.topology.read_text(encoding="utf-8-sig")  # with or without a BOM
 
 
 def _int_list(text: str):

@@ -2,10 +2,11 @@
 
 Fusion is the pooled MLE's walk with another beta rule: at every internal
 intersection node each source's counts alone give a subtree estimate (the
-pooled solve over that one source), kept in source order, and the rule
-returns a convex combination of them.  The schemes differ only in the
-per-source scores, which one normalisation turns into weights.  Both MVWA
-schemes score by the inverse of one per-source variance, beta(1 - A beta)/(nA):
+subtree root on the ratios n_c(s)/n_i(s), under the memo key of the pooled
+solve over that one source), kept in source order, and the rule returns a
+convex combination of them.  The schemes differ only in the per-source
+scores, which one normalisation turns into weights.  Both MVWA schemes score
+by the inverse of one per-source variance, beta(1 - A beta)/(nA):
 ``mvwa-oracle`` takes the true beta and A, ``mvwa-plugin`` the source's own
 estimate beta(s) and A = gamma(s)/beta(s) with the miss probability floored
 at 1/(n+1).  ``rbmvwa`` scores by end-to-end odds and ``mrbmvwa`` by plain
@@ -18,9 +19,9 @@ from __future__ import annotations
 from functools import partial
 
 from .decompose import DTreePlan
-from .probes import PooledCounts, gamma_hat
+from .probes import PooledCounts
 from .solvers import FusionWeightError, NoDataError
-from .estimators import FUSION_METHODS, EstimateSet, solve_intersection, solve_multisource_beta
+from .estimators import FUSION_METHODS, EstimateSet, _root, solve_intersection
 
 
 def _normalised(scores) -> tuple[float, ...]:
@@ -57,23 +58,18 @@ def mrbmvwa_weights(gammas) -> tuple[float, ...]:
     return _normalised([float(v) for v in gammas])
 
 
-def per_tree_estimates(counts: PooledCounts, node: int, children, sources) -> dict[int, float]:
-    """Per-source subtree estimates beta_i(s), each source's own pooled solve, in ``sources`` order."""
-    out = {}
-    for s in sources:
-        if counts.count(node, s):  # no probe of s reached node, so s has no estimate there
-            out[s] = solve_multisource_beta(counts, node, children, (s,))
-    if not out:
-        raise NoDataError(f"no source observed anything below node {node}")
-    return out
-
-
 def fuse_node(counts, node, children, sources, t, scheme) -> float:
     """Fused subtree rate at ``node``: the weighted sum of the per-source estimates,
     held at or below the largest of them, which rounding can carry the sum past.
     ``mvwa-oracle`` reads its true rates from the topology ``t``."""
-    per_source = per_tree_estimates(counts, node, children, sources)
-    gammas = [gamma_hat(counts, node, s) for s in per_source]
+    per_source, gammas = {}, []
+    for s in sources:
+        n_i = counts.count(node, s)
+        if n_i:  # a source none of whose probes reached node has no estimate there
+            per_source[s] = _root(counts, ("subtree", tuple(counts.count(c, s) / n_i for c in children)))
+            gammas.append(n_i / counts.probes[s])
+    if not per_source:
+        raise NoDataError(f"no source observed anything below node {node}")
     try:
         if scheme == "rbmvwa":
             weights = rbmvwa_weights(gammas)

@@ -25,6 +25,7 @@ counts are summed, so it returns exactly ``count_pass(simulate(...))``.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -71,15 +72,17 @@ class PooledCounts:
 
 
 def _probe_counts(t: Topology, probes: dict[int, int] | int) -> dict[int, int]:
-    if isinstance(probes, int):
-        probes = {s: probes for s in t.sources}
+    """Source -> probe count as a Python int; a count that is not a dict is every source's."""
+    if not isinstance(probes, dict):
+        probes = dict.fromkeys(t.sources, probes)
     unknown = sorted(set(probes) - set(t.sources))
     if unknown:
         raise ValueError(f"probe counts for sources {unknown}, which the topology does not have")
     for s in t.sources:
-        if probes.get(s, 0) < 1:
-            raise ValueError(f"source {s} needs a positive probe count")
-    return {s: probes[s] for s in t.sources}
+        n = probes.get(s)
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"source {s} needs a positive probe count, got {n!r}")
+    return {s: int(probes[s]) for s in t.sources}
 
 
 def _draw(t: Topology, s: int, seed: int, n: int, c0: int, m: int) -> np.ndarray:

@@ -326,6 +326,19 @@ def test_run_prints_each_failure_note_on_stderr(capsys):
     assert err == "".join(f"note: {m}" for m in messages)
 
 
+def test_topology_file_with_a_utf8_bom_reads_like_one_without(tmp_path, capsys):
+    # editors on some platforms save UTF-8 with a byte-order mark before the first directive
+    golden = GOLDEN / "big-network-lossy-seed42"
+    p = tmp_path / "topology.txt"
+    p.write_bytes(b"\xef\xbb\xbf" + (golden / "topology.txt").read_bytes())
+    code, out, _ = run_cli(
+        capsys, "run", "--topology", str(p), "--probes", "10,300", "--reps", "3", "--seed", "42",
+        "--estimators", "mle,tree-baseline,mvwa-oracle,mvwa-plugin,rbmvwa,mrbmvwa",
+    )
+    assert (code, out) == (0, (golden / "run.csv").read_text())
+    assert run_cli(capsys, "decompose", "--topology", str(p)) == (0, (golden / "decompose.txt").read_text(), "")
+
+
 def test_dead_source_link_leaves_crlb_empty(tmp_path, capsys):
     # link 1 drops every probe: the path rate into the joint is 0, so the
     # closed-form variance of link 1 is undefined and is written as empty

@@ -1,19 +1,19 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import multi_source_dags
+from hypothesis import given, seed, settings, strategies as st
 
 from losstomo.decompose import decompose
-from losstomo.estimators import FUSION_METHODS, estimate_network
+from losstomo.estimators import FUSION_METHODS, estimate_network, solve_multisource_beta
 from losstomo.fusion import (
     fuse_node,
     fused_estimate,
     mrbmvwa_weights,
     mvwa_weights,
-    per_tree_estimates,
     rbmvwa_weights,
 )
 from losstomo.harness import SETTINGS, _star_setting
-from losstomo.probes import PooledCounts, count_pass, simulate
-from losstomo.solvers import FusionWeightError
+from losstomo.probes import PooledCounts, count_pass, gamma_hat, simulate, simulate_counts
+from losstomo.solvers import EstimationError, FusionWeightError, NoDataError
 from losstomo.topology import parse_topology
 
 
@@ -104,9 +104,8 @@ def test_combined_estimate_is_convex_mean(estimates, data):
 def test_fuse_node_star(star22_plan):
     t = star22_plan.topology
     counts = count_pass(simulate(t, 2000, seed=8), t)
-    per_source = per_tree_estimates(counts, 2, [3, 4], (0, 1))
-    assert set(per_source) == {0, 1}
-    lo, hi = min(per_source.values()), max(per_source.values())
+    per_source = [solve_multisource_beta(counts, 2, [3, 4], (s,)) for s in (0, 1)]
+    lo, hi = min(per_source), max(per_source)
     assert lo < hi
     for scheme in FUSION_METHODS:
         beta = fuse_node(counts, 2, [3, 4], (0, 1), star22_plan.topology, scheme)
@@ -121,7 +120,7 @@ def test_fused_beta_never_exceeds_the_largest_per_source_estimate(star22_plan):
         (0, 0): 500, (1, 1): 500, (2, 0): 264, (2, 1): 327,
         (3, 0): 264, (3, 1): 327, (4, 0): 200, (4, 1): 250,
     })
-    assert per_tree_estimates(counts, 2, [3, 4], (0, 1)) == {0: 1.0, 1: 1.0}
+    assert {s: solve_multisource_beta(counts, 2, [3, 4], (s,)) for s in (0, 1)} == {0: 1.0, 1: 1.0}
     for scheme in FUSION_METHODS:
         assert fuse_node(counts, 2, [3, 4], (0, 1), star22_plan.topology, scheme) <= 1.0
         assert all(0.0 <= b <= 1.0 for b in fused_estimate(counts, star22_plan, scheme).betas.values())
@@ -187,3 +186,60 @@ def test_oracle_weight_at_a_zero_true_path_rate_is_a_fusion_weight_error():
     with pytest.raises(FusionWeightError, match="mvwa-oracle weights at node 2: source 1 reaches"
                                                 " the node at true path rate 0"):
         estimate_network(count_pass(bits, t), decompose(t), "mvwa-oracle")
+
+
+def _reference_fuse(counts, node, kids, sources, t, scheme):
+    """fuse_node as the README and the module docstring describe it, from public pieces."""
+    per_source = {s: solve_multisource_beta(counts, node, kids, (s,)) for s in sources if counts.count(node, s)}
+    if not per_source:
+        raise NoDataError(f"no source observed anything below node {node}")
+    gammas = [gamma_hat(counts, node, s) for s in per_source]
+    try:
+        if scheme == "rbmvwa":
+            weights = rbmvwa_weights(gammas)
+        elif scheme == "mrbmvwa":
+            weights = mrbmvwa_weights(gammas)
+        elif scheme == "mvwa-oracle":  # beta(1 - A beta)/(nA) at the true rates
+            variances = []
+            for s in per_source:
+                b, a = t.subtree_rate[node], t.path_rate(s, node)
+                if a == 0.0:
+                    raise ValueError(f"source {s} reaches the node at true path rate 0")
+                variances.append(b * (1.0 - a * b) / (counts.probes[s] * a))
+            weights = mvwa_weights(variances)
+        else:  # plug-in: beta(s), A = min(gamma(s)/beta(s), 1), miss probability floored at 1/(n+1)
+            variances = []
+            for (s, b), g in zip(per_source.items(), gammas):
+                n, a = counts.probes[s], min(g / b, 1.0)
+                variances.append(b * max(1.0 - a * b, 1.0 / (n + 1)) / (n * a))
+            weights = mvwa_weights(variances)
+    except ValueError as exc:
+        raise FusionWeightError(f"{scheme} weights at node {node}: {exc}") from exc
+    return min(sum(w * b for w, b in zip(weights, per_source.values())), max(per_source.values()))
+
+
+@seed(28)
+@settings(max_examples=100, deadline=None)
+@given(text=multi_source_dags(), rep_seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_fuse_node_equals_a_reference_built_from_public_pieces(text, rep_seed, data):
+    # 1-30 probes per source and links that drop everything leave some sources without
+    # a probe at some nodes; each side solves on its own copy of the counts, so neither
+    # reads a root the other memoised
+    t = parse_topology(text)
+    plan = decompose(t)
+    counts = simulate_counts(t, {s: data.draw(st.integers(1, 30)) for s in t.sources}, rep_seed)
+    for mt in plan.msource_trees:
+        for node in mt.nodes:
+            kids = [l.tail for l in plan.children[node]]
+            if not kids:
+                continue
+            for scheme in FUSION_METHODS:
+                args = (node, kids, mt.sources, t, scheme)
+                try:
+                    want = _reference_fuse(PooledCounts(counts.probes, counts.counts), *args)
+                except EstimationError as exc:
+                    with pytest.raises(type(exc)) as got:
+                        fuse_node(PooledCounts(counts.probes, counts.counts), *args)
+                    assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+                    continue
+                assert fuse_node(PooledCounts(counts.probes, counts.counts), *args) == want, (node, scheme)

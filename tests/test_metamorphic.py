@@ -14,8 +14,7 @@ from conftest import (
 from hypothesis import given, seed, settings, strategies as st
 
 from losstomo.decompose import decompose
-from losstomo.estimators import METHODS, EstimateSet, estimate_network
-from losstomo.fusion import per_tree_estimates
+from losstomo.estimators import METHODS, EstimateSet, estimate_network, solve_multisource_beta
 from losstomo.probes import gamma_hat, simulate_counts
 from losstomo.solvers import EstimationError
 from losstomo.topology import parse_topology
@@ -46,7 +45,8 @@ def _plugin_floor_binds(counts, plan) -> bool:
             if not kids:
                 continue
             try:
-                per_source = per_tree_estimates(counts, node, kids, mt.sources)
+                per_source = {s: solve_multisource_beta(counts, node, kids, (s,))
+                              for s in mt.sources if counts.count(node, s)}
             except EstimationError:
                 continue
             for s, b in per_source.items():

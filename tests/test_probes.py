@@ -328,13 +328,34 @@ def test_chunk_bits_are_column_slices_of_simulate(big_topology, chunk):
                 assert not part[:, m:].any()  # _or_counts needs zero padding in every row
 
 
-@pytest.mark.parametrize("probes", [0, {0: 100}, {0: 100, 1: 0}])
+@pytest.mark.parametrize("probes", [
+    0, {0: 100}, {0: 100, 1: 0}, 100.0, True, np.int64(0), np.bool_(True), "100", None,
+    {0: 100, 1: 2.5}, {0: 100, 1: False}, {0: np.float64(100), 1: 100},
+])
 def test_simulate_counts_rejects_probe_counts_like_simulate(star22, probes):
     with pytest.raises(ValueError, match="needs a positive probe count") as one_shot:
         simulate(star22, probes, seed=1)
     with pytest.raises(ValueError) as chunked:
         simulate_counts(star22, probes, seed=1)
     assert str(chunked.value) == str(one_shot.value)
+
+
+def test_probe_count_errors_name_the_source_and_the_value(star22):
+    with pytest.raises(ValueError, match=r"^source 1 needs a positive probe count, got 2\.5$"):
+        simulate(star22, {0: 100, 1: 2.5}, seed=1)
+    with pytest.raises(ValueError, match=r"^source 0 needs a positive probe count, got True$"):
+        simulate_counts(star22, True, seed=1)
+
+
+@pytest.mark.parametrize("probes", [np.int64(100), np.uint16(100), {0: np.int64(100), 1: 100}])
+def test_integer_probe_counts_of_any_integer_type_run_the_same_experiment(star22, probes):
+    bits, counts = simulate(star22, 100, seed=4), simulate_counts(star22, 100, seed=4)
+    got = simulate(star22, probes, seed=4)
+    assert got.keys() == bits.keys()
+    assert all(np.array_equal(got[s], bits[s]) for s in bits)
+    got_counts = simulate_counts(star22, probes, seed=4)
+    assert got_counts == counts
+    assert all(type(n) is int for n in got_counts.probes.values())
 
 
 def test_simulate_counts_memory_is_bounded_by_the_chunk(big_topology, monkeypatch):
