@@ -57,6 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
+    # a path the table cannot be written to fails before any replication runs
+    if args.out and args.out.is_dir():
+        raise ValueError(f"--out {args.out} is a directory")
+    if args.out and not args.out.parent.is_dir():
+        raise ValueError(f"--out {args.out}: no directory {args.out.parent}")
     cfg = ExperimentConfig(
         topology_text=_topology_text(args),
         probe_counts=args.probes,
@@ -86,7 +91,7 @@ def cmd_decompose(args) -> int:
         print(f"  virtual links = {[f'{s}->{mt.joint}' for s in mt.sources]}")
     for frag in plan.fragments:
         print(f"fragment of source {frag.source}:")
-        print(f"  nodes = {list(frag.nodes)}")
+        print(f"  nodes = {sorted({frag.source, *(l.tail for l in frag.links)})}")
         print(f"  links = {[l.label for l in frag.links]}")
     serial = [l.label for l in plan.logical_links if len(l.link_ids) > 1]
     if serial:

@@ -38,7 +38,6 @@ class MultiSourceTree:
 @dataclass(frozen=True)
 class UpstreamFragment:
     source: int
-    nodes: tuple[int, ...]  # fragment nodes; joint nodes appear as leaves
     links: tuple[LogicalLink, ...]
     solve_order: tuple[int, ...]  # internal nodes, in reverse tree-row order
 
@@ -143,7 +142,6 @@ def decompose(t: Topology) -> DTreePlan:
         fragments.append(
             UpstreamFragment(
                 source=s,
-                nodes=tuple(sorted(frag_nodes)),
                 links=tuple(sorted(frag_links, key=by_ids)),
                 solve_order=tuple(internal),
             )

@@ -8,6 +8,7 @@ matter how cells are scheduled.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
@@ -18,7 +19,7 @@ import numpy as np
 from .analysis import _defined, csv_text, empirical_moments, var_upstream
 from .decompose import DTreePlan, decompose
 from .estimators import METHODS, FUSION_METHODS, estimate_network
-from .probes import simulate_counts
+from .probes import integral, simulate_counts
 from .solvers import EstimationError
 from .topology import parse_topology
 
@@ -64,11 +65,17 @@ class ExperimentConfig:
     estimators: tuple[str, ...] = ("mle",)
 
     def validate(self) -> None:
+        counts = self.probe_counts
+        if not isinstance(counts, (tuple, list)):
+            raise ValueError(f"probe_counts must be a tuple of integers, got {counts!r}")
+        for name, value in (("reps", self.reps), ("seed", self.seed), *(("probe count", n) for n in counts)):
+            if not integral(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.reps < 1:
             raise ValueError("replication count must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.probe_counts or any(n < 1 for n in self.probe_counts):
+        if not counts or any(n < 1 for n in counts):
             raise ValueError("probe counts must be positive")
         if not self.estimators:
             raise ValueError("estimator list must be non-empty")
@@ -128,37 +135,30 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
 
     table = ReplicationTable()
     seeds = [replication_seed(cfg.seed, rep) for rep in range(cfg.reps)]
+    keys = {e: _expected_keys(plan, e) for e in cfg.estimators}
     for n in cfg.probe_counts:
         crlb_var = {label: _defined(var_upstream, a, beta, n) for label, (a, beta) in crlb.items()}
-        # losses[estimator][(label, source)] -> list of per-rep loss estimates
-        losses = {e: {k: [] for k in _expected_keys(plan, e)} for e in cfg.estimators}
-        clamped = {e: dict.fromkeys(got, 0) for e, got in losses.items()}
-        errors = dict.fromkeys(cfg.estimators, 0)
+        # per estimator: one list of losses, in keys[e] order, per successful replication
+        runs = {e: [] for e in cfg.estimators}
+        clamped = {e: Counter() for e in cfg.estimators}
         for rep, seed in enumerate(seeds):
             counts = simulate_counts(plan.topology, n, seed)
             for e in cfg.estimators:
                 try:
                     est = estimate_network(counts, plan, e)
                 except EstimationError as exc:
-                    errors[e] += 1
                     table.messages.append(f"probes={n} rep={rep} {e}: {exc}")
                     continue
-                got, clamps = losses[e], clamped[e]
-                for key, rate in est.links.items():
-                    got[key].append(1.0 - rate)
-                for key in est.clamped:
-                    clamps[key] += 1
+                runs[e].append([1.0 - est.links[k] for k in keys[e]])
+                clamped[e].update(est.clamped)
         for e in cfg.estimators:
-            for (label, src), vals in losses[e].items():
-                if len(vals) >= 2:
-                    mean, var = empirical_moments(vals)
-                elif len(vals) == 1:
-                    mean, var = vals[0], None
-                else:
-                    mean = var = None
+            ok = len(runs[e])
+            for i, (label, src) in enumerate(keys[e]):
+                vals = [run[i] for run in runs[e]]
+                mean, var = empirical_moments(vals) if ok >= 2 else (vals[0] if ok else None, None)
                 table.rows.append(TableRow(
-                    label, e, src, n, len(vals), mean, var, true_loss[label],
-                    crlb_var.get(label), clamped[e][label, src], errors[e],
+                    label, e, src, n, ok, mean, var, true_loss[label],
+                    crlb_var.get(label), clamped[e][label, src], cfg.reps - ok,
                 ))
     return table
 

@@ -71,6 +71,11 @@ class PooledCounts:
         return sum(self.count(node, s) for s in sources)
 
 
+def integral(value) -> bool:
+    """Whether ``value`` is an integer count: any ``numbers.Integral`` except a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _probe_counts(t: Topology, probes: dict[int, int] | int) -> dict[int, int]:
     """Source -> probe count as a Python int; a count that is not a dict is every source's."""
     if not isinstance(probes, dict):
@@ -80,7 +85,7 @@ def _probe_counts(t: Topology, probes: dict[int, int] | int) -> dict[int, int]:
         raise ValueError(f"probe counts for sources {unknown}, which the topology does not have")
     for s in t.sources:
         n = probes.get(s)
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        if not integral(n) or n < 1:
             raise ValueError(f"source {s} needs a positive probe count, got {n!r}")
     return {s: int(probes[s]) for s in t.sources}
 

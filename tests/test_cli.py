@@ -11,6 +11,7 @@ import pytest
 from conftest import BIG_NETWORK, CHAIN_TREE, SINGLE_TREE
 
 import losstomo
+from losstomo import cli
 from losstomo.cli import EXIT_CONFIG, EXIT_UNSUPPORTED, main
 from losstomo.harness import SETTINGS
 
@@ -217,6 +218,20 @@ def test_missing_file_is_config_error(capsys):
     code, _, err = run_cli(capsys, "run", "--topology", "/nonexistent/net.txt")
     assert code == EXIT_CONFIG
     assert "error:" in err
+
+
+def test_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    # a missing --out directory, or an --out that is a directory, is found before any replication
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: calls.append(cfg))
+    missing = tmp_path / "nonexistent" / "x.csv"
+    for out, why in ((missing, f"no directory {missing.parent}"), (tmp_path, "is a directory")):
+        code, stdout, err = run_cli(capsys, "run", "--setting", "2x2-equal", "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err.startswith(f"error: --out {out}") and why in err
+    assert calls == []
+    assert not missing.parent.exists()
 
 
 def test_malformed_topology_is_config_error(tmp_path, capsys):

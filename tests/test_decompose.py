@@ -15,7 +15,8 @@ def test_big_network_three_dtrees(big_plan):
     assert set(mt.nodes) == {2, 4, 5, 8, 9, 10, 11}
     assert len(plan.fragments) == 2
     frag16 = next(f for f in plan.fragments if f.source == 16)
-    assert 2 in frag16.nodes and 4 not in frag16.nodes
+    tails = {l.tail for l in frag16.links}
+    assert 2 in tails and 4 not in tails
 
 
 def test_joint_detection_matches_indegree_scan(big_topology, big_plan):
@@ -37,7 +38,7 @@ def test_single_source_tree_trivial_plan(single_tree):
     assert plan.msource_trees == ()
     assert len(plan.fragments) == 1
     frag = plan.fragments[0]
-    assert set(frag.nodes) == set(single_tree.nodes)
+    assert {frag.source, *(l.tail for l in frag.links)} == set(single_tree.nodes)
     assert frag.solve_order == (3, 1)
 
 
@@ -78,9 +79,9 @@ def test_solve_order_holds_each_fragments_inner_nodes_children_first(text):
     plan = decompose(parse_topology(text))
     for frag in plan.fragments:
         order = frag.solve_order
-        inner = [n for n in frag.nodes
-                 if n != frag.source and n not in plan.joint_nodes and plan.children[n]]
-        assert sorted(order) == inner  # frag.nodes is sorted
+        inner = sorted(l.tail for l in frag.links
+                       if l.tail not in plan.joint_nodes and plan.children[l.tail])
+        assert sorted(order) == inner
         for k, n in enumerate(order):
             assert all(order.index(l.tail) < k for l in plan.children[n] if l.tail in order), n
 

@@ -1,8 +1,10 @@
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import multi_source_dags
-from hypothesis import given, settings
+from hypothesis import given, seed, settings, strategies as st
 
 from losstomo import harness
 from losstomo.analysis import empirical_moments, var_upstream
@@ -58,6 +60,24 @@ def test_config_validation():
         cfg(estimators=("mle", "rbmvwa", "mle")).validate()
     with pytest.raises(ValueError, match="probe count listed more than once: 100, 500"):
         cfg(probe_counts=(500, 100, 1000, 100, 500)).validate()
+    # a value of the wrong type is named with its field, not left to fail (or pass) further in
+    with pytest.raises(ValueError, match=r"reps must be an integer, got 2\.5"):
+        cfg(reps=2.5).validate()
+    with pytest.raises(ValueError, match="reps must be an integer, got '3'"):
+        cfg(reps="3").validate()
+    with pytest.raises(ValueError, match="reps must be an integer, got True"):
+        cfg(reps=True).validate()
+    with pytest.raises(ValueError, match=r"seed must be an integer, got 1\.5"):
+        cfg(seed=1.5).validate()
+    with pytest.raises(ValueError, match="seed must be an integer, got True"):
+        cfg(seed=True).validate()
+    with pytest.raises(ValueError, match="probe_counts must be a tuple of integers, got 100"):
+        cfg(probe_counts=100).validate()
+    with pytest.raises(ValueError, match=r"probe count must be an integer, got 100\.0"):
+        cfg(probe_counts=(50, 100.0)).validate()
+    with pytest.raises(ValueError, match="probe count must be an integer, got False"):
+        cfg(probe_counts=(False,)).validate()
+    cfg(reps=np.int64(3), seed=np.uint32(7), probe_counts=(np.int32(10), 20)).validate()
 
 
 def test_run_is_deterministic():
@@ -224,6 +244,25 @@ def test_run_experiment_on_generated_dags_keeps_every_row_consistent(text):
             assert 0.0 <= r.mean_loss <= 1.0
         assert r.var_loss is None or r.var_loss >= 0.0
         assert r.clamped <= r.reps
+
+
+@seed(29)
+@settings(max_examples=30, deadline=None)
+@given(text=multi_source_dags(), probes=st.integers(1, 30))
+def test_row_tallies_agree_with_the_failure_notes(text, probes):
+    # a row's errors are the replications without a record; each failure also leaves one note
+    table = run_experiment(ExperimentConfig(
+        topology_text=text, probe_counts=(probes,), reps=3, estimators=METHODS,
+    ))
+    notes = Counter()
+    for msg in table.messages:
+        n, rep, method = msg.split(":", 1)[0].split(" ")
+        assert (n, rep[:4]) == (f"probes={probes}", "rep=")
+        notes[method] += 1
+    for r in table.rows:
+        assert r.reps + r.errors == 3
+        assert 0 <= r.clamped <= r.reps
+        assert r.errors == notes[r.estimator], (r.estimator, table.messages)
 
 
 def test_probes_are_counted_once_per_replication(monkeypatch):
