@@ -2,7 +2,7 @@
 
 from .topology import Topology, TopologyError, UnsupportedTopologyError, parse_topology
 from .decompose import DTreePlan, decompose
-from .probes import PooledCounts, count_pass, gamma_hat, simulate, simulate_counts
+from .probes import PooledCounts, count_pass, gamma_hat, simulate, simulate_counts, simulate_runs
 from .estimators import EstimateSet, estimate_network
 from .harness import ExperimentConfig, emit, run_experiment
 
@@ -18,6 +18,7 @@ __all__ = [
     "gamma_hat",
     "simulate",
     "simulate_counts",
+    "simulate_runs",
     "EstimateSet",
     "estimate_network",
     "ExperimentConfig",

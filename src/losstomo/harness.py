@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import _defined, csv_text, empirical_moments, var_upstream
 from .decompose import DTreePlan, decompose
 from .estimators import METHODS, FUSION_METHODS, estimate_network
-from .probes import integral, simulate_counts
+from .probes import integral, simulate_runs
 from .solvers import EstimationError
 from .topology import parse_topology
 
@@ -66,8 +66,10 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         counts = self.probe_counts
-        if not isinstance(counts, (tuple, list)):
-            raise ValueError(f"probe_counts must be a tuple of integers, got {counts!r}")
+        for name, values, kind in (("probe_counts", counts, "integers"),
+                                   ("estimators", self.estimators, "names")):
+            if not isinstance(values, (tuple, list)):
+                raise ValueError(f"{name} must be a tuple of {kind}, got {values!r}")
         for name, value in (("reps", self.reps), ("seed", self.seed), *(("probe count", n) for n in counts)):
             if not integral(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -141,8 +143,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
         # per estimator: one list of losses, in keys[e] order, per successful replication
         runs = {e: [] for e in cfg.estimators}
         clamped = {e: Counter() for e in cfg.estimators}
-        for rep, seed in enumerate(seeds):
-            counts = simulate_counts(plan.topology, n, seed)
+        for rep, counts in enumerate(simulate_runs(plan.topology, n, seeds)):
             for e in cfg.estimators:
                 try:
                     est = estimate_network(counts, plan, e)

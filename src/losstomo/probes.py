@@ -14,13 +14,14 @@ k is the k-th receiver of T^s in ``receivers`` order, column k is probe k.
 ``simulate`` unpacks ``_draw``'s rows and ``count_pass`` packs them back, so
 ``_or_counts``, the OR rule, reads one form.  A source may be left out, a
 receiver may not.
-``simulate_counts`` counts each source's probes in windows of CHUNK // WORKERS,
+``simulate_runs`` counts each source's probes in windows of CHUNK // WORKERS,
 one task per (source, window), WORKERS at once on threads (numpy releases the
-GIL in the RNG fill and the ufuncs).  At most CHUNK probes are in flight: two
-bits per receiver and one per other tree node and probe of the window's source,
-plus one float64 and one bool per probe for each thread's draws, so memory grows
-with neither n, the number of sources nor the CPU count; the windows' integer
-counts are summed, so it returns exactly ``count_pass(simulate(...))``.
+GIL in the RNG fill and the ufuncs); a window holds as many replications as fit.
+At most CHUNK probes are in flight: two bits per receiver and one per other tree
+node and probe of the window's source, plus one float64 and one bool per probe
+for each thread's draws, so memory grows with neither n, the number of sources or
+replications nor the CPU count; the windows' integer counts are summed, so each
+replication gets exactly ``count_pass(simulate(...))``.
 """
 
 from __future__ import annotations
@@ -90,40 +91,42 @@ def _probe_counts(t: Topology, probes: dict[int, int] | int) -> dict[int, int]:
     return {s: int(probes[s]) for s in t.sources}
 
 
-def _draw(t: Topology, s: int, seed: int, n: int, c0: int, m: int) -> np.ndarray:
-    """What the receivers of T^s see of probes [c0, c0 + m) of the n source s sends: one
-    row per receiver in ``t.trees[s].receivers`` order, packed eight probes a byte, with
-    zero padding past m.  The states of the other nodes are drawn but not returned."""
+def _draw(t: Topology, s: int, seeds, n: int, c0: int, m: int) -> np.ndarray:
+    """What the receivers of T^s see of probes [c0, c0 + m) of the n source s sends, for
+    each seed: (receiver, seed, byte), receivers in ``t.trees[s].receivers`` order, packed
+    eight probes a byte, with zero padding past m.  Each seed draws its row from its own
+    stream.  The states of the other nodes are drawn but not returned."""
     tree = t.trees[s]
-    rng = source_stream(seed, s)
-    stream = rng.bit_generator
-    if c0:
-        stream.advance(c0)
-    draws, passed = np.empty(m), np.empty(m, dtype=bool)
-    bits = np.empty((len(tree.parent), (m + 7) // 8), dtype=np.uint8)
+    streams = [source_stream(seed, s) for seed in seeds]
+    draws, passed = np.empty((len(seeds), m)), np.empty((len(seeds), m), dtype=bool)
+    bits = np.empty((len(tree.parent), len(seeds), (m + 7) // 8), dtype=np.uint8)
     bits[0] = 0xFF
+    if c0:
+        for rng in streams:
+            rng.bit_generator.advance(c0)
     for j, l in enumerate(tree.links, 1):  # parents first, in topological order
-        rng.random(out=draws)
+        for rng, row in zip(streams, draws):
+            rng.random(out=row)
+            if m < n:
+                rng.bit_generator.advance(n - m)  # to the same probe of the next link
         np.less(draws, l.pass_rate, out=passed)
-        np.bitwise_and(np.packbits(passed), bits[tree.parent[j]], out=bits[j])
-        if m < n:
-            stream.advance(n - m)  # to the same probe of the next link
+        np.bitwise_and(np.packbits(passed, axis=-1), bits[tree.parent[j]], out=bits[j])
     return bits.take(tree.receivers, axis=0)
 
 
 def _or_counts(tree: Tree, received: np.ndarray) -> np.ndarray:
     """n_i(s) for every row of ``tree``: the OR rule over the receivers' packed rows.
 
-    ``received`` is what ``_draw`` returns, one row per receiver in ``tree.receivers``
-    order, with padding bits past the last probe 0.  Writes them into a zeroed row per
+    ``received`` is packed like ``_draw``'s, per seed (row, seed counts) or not (row
+    counts), with padding bits past the last probe 0.  Writes it into a zeroed row per
     tree node, ORs each row into its parent's in reverse row order, children first, and
     counts the set bits in place, so the window's rows are all it holds."""
-    bits = np.zeros((len(tree.parent), received.shape[1]), dtype=np.uint8)
+    bits = np.zeros((len(tree.parent), *received.shape[1:]), dtype=np.uint8)
     bits[list(tree.receivers)] = received
     parent = tree.parent
     for j in range(len(parent) - 1, 0, -1):
         np.bitwise_or(bits[parent[j]], bits[j], out=bits[parent[j]])
-    return np.bitwise_count(bits, out=bits).sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(bits, out=bits).sum(axis=-1, dtype=np.int64)
 
 
 def _pooled(t: Topology, probes: dict[int, int], rows: dict[int, np.ndarray]) -> PooledCounts:
@@ -136,36 +139,46 @@ def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> dict[int, 
     """Run one probing experiment; fully determined by (t, probes, seed).  Returns the
     receiver bits, source -> bool matrix: row k is the k-th receiver of T^s in
     ``t.receivers`` order, column k is probe k."""
-    return {s: np.unpackbits(_draw(t, s, seed, n, 0, n), axis=1, count=n).view(bool)
+    return {s: np.unpackbits(_draw(t, s, [seed], n, 0, n)[:, 0], axis=1, count=n).view(bool)
             for s, n in _probe_counts(t, probes).items()}
 
 
-def simulate_counts(t: Topology, probes: dict[int, int] | int, seed: int) -> PooledCounts:
-    """``count_pass(simulate(t, probes, seed), t)``, drawn and counted in windows of
-    CHUNK // WORKERS probes of one source, up to WORKERS windows at once on threads (the
-    module docstring gives what a window holds).  When every source fits in one window,
-    they run in the calling thread."""
+def simulate_runs(t: Topology, probes: dict[int, int] | int, seeds):
+    """``simulate_counts(t, probes, seed)`` for each of ``seeds``, in order.  A window
+    holds as many seeds as fit in CHUNK // WORKERS probes of the longest source, counting
+    a seed's stream as 128 probes; when each source has one window, they run in the
+    calling thread."""
     probes = _probe_counts(t, probes)
     trees = t.trees  # a cached_property: build it here, not racing in the workers
     width = max(1, CHUNK // WORKERS)
-    windows = [(s, c0) for s, n in probes.items() for c0 in range(0, n, width)]
+    seeds, k = list(seeds), max(1, width // (max(probes.values()) + 128))
 
-    def count(window: tuple[int, int]) -> np.ndarray:
-        s, c0 = window
+    def count(window: tuple[int, int, list]) -> np.ndarray:
+        s, c0, group = window
         n = probes[s]
-        return _or_counts(trees[s], _draw(t, s, seed, n, c0, min(width, n - c0)))
+        return _or_counts(trees[s], _draw(t, s, group, n, c0, min(width, n - c0)))
 
-    if len(windows) == len(probes):
-        per_window = map(count, windows)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    for g in range(0, len(seeds), k):
+        group = seeds[g:g + k]
+        windows = [(s, c0, group) for s, n in probes.items() for c0 in range(0, n, width)]
+        if len(windows) == len(probes):
+            per_window = map(count, windows)
+        else:
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(min(len(windows), WORKERS)) as pool:
-            per_window = list(pool.map(count, windows))
-    totals = dict.fromkeys(probes, 0)
-    for (s, _), c in zip(windows, per_window):
-        totals[s] = totals[s] + c
-    return _pooled(t, probes, totals)
+            with ThreadPoolExecutor(min(len(windows), WORKERS)) as pool:
+                per_window = list(pool.map(count, windows))
+        totals = dict.fromkeys(probes, 0)
+        for (s, _, _), c in zip(windows, per_window):
+            totals[s] = totals[s] + c
+        for i in range(len(group)):
+            yield _pooled(t, probes, {s: c[:, i] for s, c in totals.items()})
+
+
+def simulate_counts(t: Topology, probes: dict[int, int] | int, seed: int) -> PooledCounts:
+    """``count_pass(simulate(t, probes, seed), t)``, drawn and counted in windows (the
+    module docstring gives what a window holds): ``simulate_runs`` of the one seed."""
+    return next(simulate_runs(t, probes, [seed]))
 
 
 def count_pass(bits: dict[int, np.ndarray], t: Topology) -> PooledCounts:

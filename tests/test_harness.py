@@ -8,7 +8,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from losstomo import harness
 from losstomo.analysis import empirical_moments, var_upstream
-from losstomo.estimators import METHODS, EstimateSet
+from losstomo.estimators import METHODS, EstimateSet, estimate_network
 from losstomo.harness import (
     SETTINGS,
     ExperimentConfig,
@@ -19,8 +19,8 @@ from losstomo.harness import (
     replication_seed,
     run_experiment,
 )
-from losstomo.probes import _draw, _or_counts
-from losstomo.solvers import NoDataError
+from losstomo.probes import _draw, _or_counts, simulate_counts
+from losstomo.solvers import EstimationError, NoDataError
 from losstomo.topology import parse_topology
 from losstomo.decompose import decompose
 
@@ -73,6 +73,11 @@ def test_config_validation():
         cfg(seed=True).validate()
     with pytest.raises(ValueError, match="probe_counts must be a tuple of integers, got 100"):
         cfg(probe_counts=100).validate()
+    # a bare string is not a list of its characters
+    with pytest.raises(ValueError, match="estimators must be a tuple of names, got 'mle'"):
+        cfg(estimators="mle").validate()
+    with pytest.raises(ValueError, match="estimators must be a tuple of names, got 'mrbmvwa'"):
+        cfg(estimators="mrbmvwa").validate()
     with pytest.raises(ValueError, match=r"probe count must be an integer, got 100\.0"):
         cfg(probe_counts=(50, 100.0)).validate()
     with pytest.raises(ValueError, match="probe count must be an integer, got False"):
@@ -265,15 +270,35 @@ def test_row_tallies_agree_with_the_failure_notes(text, probes):
         assert r.errors == notes[r.estimator], (r.estimator, table.messages)
 
 
+@seed(30)
+@settings(max_examples=100, deadline=None)
+@given(text=multi_source_dags(), probes=st.integers(1, 300), rep_seed=st.integers(0, 2**32 - 1))
+def test_each_estimate_has_exactly_the_expected_keys(text, probes, rep_seed):
+    # run_experiment reads a method's losses at _expected_keys only: an extra key would be
+    # dropped without notice and a missing one would end the run in a bare KeyError
+    plan = decompose(parse_topology(text))
+    counts = simulate_counts(plan.topology, probes, rep_seed)
+    for method in METHODS:
+        keys = _expected_keys(plan, method)
+        try:
+            est = estimate_network(counts, plan, method)
+        except EstimationError:
+            continue
+        assert len(set(keys)) == len(keys) == len(est.links), method
+        assert set(est.links) == set(keys), method
+
+
 def test_probes_are_counted_once_per_replication(monkeypatch):
-    # each replication draws and counts one window per source, whatever the estimators
+    # each replication draws each source's probes once, in one window that may hold other
+    # replications too, and each drawn window is counted once, whatever the estimators
     from losstomo import probes
 
     drawn, counted = [], []
 
-    def drawing(t, s, seed, n, c0, m):
-        drawn.append((seed, s, n, c0, m))
-        return _draw(t, s, seed, n, c0, m)
+    def drawing(t, s, seeds, n, c0, m):
+        bits = _draw(t, s, seeds, n, c0, m)
+        drawn.append((bits, [(seed, s, n, c0, m) for seed in seeds]))
+        return bits
 
     def counting(rows, bits):
         counted.append(bits)
@@ -281,12 +306,16 @@ def test_probes_are_counted_once_per_replication(monkeypatch):
 
     monkeypatch.setattr(probes, "_draw", drawing)
     monkeypatch.setattr(probes, "_or_counts", counting)
-    run_experiment(cfg(estimators=METHODS, probe_counts=(100, 200), reps=3))
+    config = cfg(estimators=METHODS, probe_counts=(100, 200), reps=3)
+    run_experiment(config)
     sources = parse_topology(SETTINGS["2x2-equal"]).sources
-    assert len(set(drawn)) == len(drawn) == len(counted) == 2 * 3 * len(sources)
-    assert {(s, n, c0, m) for _, s, n, c0, m in drawn} == {
+    per_seed = [w for _, windows in drawn for w in windows]
+    assert len(set(per_seed)) == len(per_seed) == 2 * 3 * len(sources)
+    assert {(s, n, c0, m) for _, s, n, c0, m in per_seed} == {
         (s, n, 0, n) for s in sources for n in (100, 200)
     }
+    assert {w[0] for w in per_seed} == {replication_seed(config.seed, rep) for rep in range(3)}
+    assert sorted(map(id, counted)) == sorted(id(bits) for bits, _ in drawn)
 
 
 def test_replication_seeds_are_derived_once_per_run(monkeypatch):

@@ -18,6 +18,7 @@ from losstomo.probes import (
     gamma_hat,
     simulate,
     simulate_counts,
+    simulate_runs,
     source_stream,
 )
 from losstomo.topology import TopologyError, parse_topology
@@ -238,15 +239,38 @@ def test_simulate_counts_equals_count_pass_of_simulate_on_generated_dags(text, d
         assert simulate_counts(t, probes, 5) == expected
 
 
+@seed(30)
+@settings(max_examples=100, deadline=None)
+@given(text=multi_source_dags(), data=st.data(), chunk=st.sampled_from((1, 3, 8, 64, 2**18)),
+       workers=st.sampled_from((1, 2, 3)))
+def test_simulate_runs_equals_simulate_counts_of_each_seed(text, data, chunk, workers):
+    # a window of 2**18 probes holds many replications of a short source; a long one,
+    # sized so that a window holds 2-4 replications, makes a short seed list span several
+    t = parse_topology(text)
+    width = max(1, chunk // workers)
+    if chunk == 2**18 and data.draw(st.booleans()):
+        per_window = data.draw(st.integers(2, 4))
+        longest, most = width // per_window - 128, 2 * per_window + 1
+    else:
+        longest, most = data.draw(st.integers(1, 40)), 12
+    probes = {s: data.draw(st.integers(1, longest)) for s in t.sources}
+    probes[data.draw(st.sampled_from(t.sources))] = longest
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=most))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(probes_module, "CHUNK", chunk)
+        mp.setattr(probes_module, "WORKERS", workers)
+        assert list(simulate_runs(t, probes, seeds)) == [simulate_counts(t, probes, s) for s in seeds]
+
+
 def spy_windows(monkeypatch):
-    """Record (source, c0, m) of every window ``_draw`` draws, and check that
-    ``_or_counts`` counts each drawn matrix once."""
+    """Record (source, c0, m, seeds) of every window ``_draw`` draws, and check that
+    ``_or_counts`` counts each drawn array once."""
     drawn, counted, lock = [], [], threading.Lock()
 
-    def draw(t, s, seed, n, c0, m):
-        bits = _draw(t, s, seed, n, c0, m)
+    def draw(t, s, seeds, n, c0, m):
+        bits = _draw(t, s, seeds, n, c0, m)
         with lock:
-            drawn.append(((s, c0, m), bits))
+            drawn.append(((s, c0, m, tuple(seeds)), bits))
         return bits
 
     def count(rows, bits):
@@ -275,7 +299,7 @@ def test_simulate_counts_counts_each_window_once(big_topology, monkeypatch, chun
     simulate_counts(big_topology, {first: 13, second: 1}, seed=3)
     starts = range(0, 13, chunk)
     assert len(starts) == windows
-    assert seen() == sorted([(first, c0, min(chunk, 13 - c0)) for c0 in starts] + [(second, 0, 1)])
+    assert seen() == sorted([(first, c0, min(chunk, 13 - c0), (3,)) for c0 in starts] + [(second, 0, 1, (3,))])
 
 
 def test_workers_share_the_chunk(big_topology, monkeypatch):
@@ -286,19 +310,53 @@ def test_workers_share_the_chunk(big_topology, monkeypatch):
     first, second = big_topology.sources
     simulate_counts(big_topology, {first: 13, second: 1}, seed=3)
     # the workers may draw in either order
-    assert seen() == sorted([(first, 0, 6), (first, 6, 6), (first, 12, 1), (second, 0, 1)])
+    assert seen() == sorted([(first, 0, 6, (3,)), (first, 6, 6, (3,)), (first, 12, 1, (3,)), (second, 0, 1, (3,))])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_replications_share_windows_as_far_as_they_fit(big_topology, monkeypatch, workers):
+    # a window holds the replications whose probes of the longest source, 13, and streams,
+    # counted as 128 probes each, fit in CHUNK // WORKERS: two here, so five seeds take
+    # three windows per source, the last with one seed
+    monkeypatch.setattr(probes_module, "CHUNK", workers * (2 * (13 + 128) + 5))
+    monkeypatch.setattr(probes_module, "WORKERS", workers)
+    first, second = big_topology.sources
+    probes, seeds = {first: 13, second: 1}, [5, 1, 4, 2, 3]
+    expected = [simulate_counts(big_topology, probes, s) for s in seeds]
+    seen = spy_windows(monkeypatch)
+    assert list(simulate_runs(big_topology, probes, seeds)) == expected
+    groups = ((5, 1), (4, 2), (3,))
+    assert seen() == sorted([(first, 0, 13, g) for g in groups] + [(second, 0, 1, g) for g in groups])
+
+
+def test_simulate_runs_memory_counts_each_stream(big_topology, monkeypatch):
+    # a seed's stream takes about 1 KB, so 5,000 replications of 2 probes stay within
+    # the bound of one replication's windows of 2**15 probes (see the test above) only
+    # if each stream counts toward its window's budget
+    monkeypatch.setattr(probes_module, "CHUNK", 2**16)
+    monkeypatch.setattr(probes_module, "WORKERS", 2)
+    seeds = range(5000)
+    next(simulate_runs(big_topology, 2, seeds))  # builds the trees
+    tracemalloc.start()
+    try:
+        runs = sum(1 for _ in simulate_runs(big_topology, 2, seeds))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert runs == 5000
+    assert peak < 1.5 * 2**20, peak
 
 
 def test_worker_exception_reaches_the_caller(big_topology, monkeypatch):
     calls, lock = [], threading.Lock()
 
-    def failing(t, s, seed, n, c0, m):
+    def failing(t, s, seeds, n, c0, m):
         with lock:
             calls.append((s, c0))
             second = len(calls) == 2
         if second:
             raise TopologyError("second window")
-        return _draw(t, s, seed, n, c0, m)
+        return _draw(t, s, seeds, n, c0, m)
 
     monkeypatch.setattr(probes_module, "CHUNK", 4)
     monkeypatch.setattr(probes_module, "WORKERS", 2)
@@ -311,21 +369,22 @@ def test_worker_exception_reaches_the_caller(big_topology, monkeypatch):
 
 @pytest.mark.parametrize("chunk", [1, 7, 12])
 def test_chunk_bits_are_column_slices_of_simulate(big_topology, chunk):
-    # link j of tree s draws probe k at offset j*n + k, so probes [c0, c0 + m)
-    # drawn alone are columns c0 .. c0 + m - 1 of the one-shot bits, at every receiver
-    t, seed = big_topology, 3
+    # link j of tree s draws probe k at offset j*n + k of each seed's stream, so probes
+    # [c0, c0 + m) drawn alone are columns c0 .. c0 + m - 1 of the one-shot bits, at every
+    # receiver, and seed i's row of a window of several seeds is what that seed draws alone
+    t, seeds = big_topology, (3, 8, 3)
     for probes in probe_specs(t):
-        obs = simulate(t, probes, seed)
-        for s, observed in obs.items():
-            n = observed.shape[1]
-            full = np.unpackbits(_draw(t, s, seed, n, 0, n), axis=1)
-            assert len(full) == len(t.trees[s].receivers)  # the draw hands out no inner node's state
-            assert np.array_equal(full[:, :n], observed)
-            for c0 in range(0, n, chunk):
-                m = min(chunk, n - c0)
-                part = np.unpackbits(_draw(t, s, seed, n, c0, m), axis=1)
-                assert np.array_equal(part[:, :m], full[:, c0:c0 + m]), (s, c0)
-                assert not part[:, m:].any()  # _or_counts needs zero padding in every row
+        for i, seed in enumerate(seeds):
+            for s, observed in simulate(t, probes, seed).items():
+                n = observed.shape[1]
+                full = np.unpackbits(_draw(t, s, seeds, n, 0, n), axis=-1)[:, i]
+                assert len(full) == len(t.trees[s].receivers)  # the draw hands out no inner node's state
+                assert np.array_equal(full[:, :n], observed)
+                for c0 in range(0, n, chunk):
+                    m = min(chunk, n - c0)
+                    part = np.unpackbits(_draw(t, s, seeds, n, c0, m), axis=-1)[:, i]
+                    assert np.array_equal(part[:, :m], full[:, c0:c0 + m]), (s, c0)
+                    assert not part[:, m:].any()  # _or_counts needs zero padding in every row
 
 
 @pytest.mark.parametrize("probes", [
