@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numbers
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,7 +92,7 @@ def _probe_counts(t: Topology, probes: dict[int, int] | int) -> dict[int, int]:
     return {s: int(probes[s]) for s in t.sources}
 
 
-def _draw(t: Topology, s: int, seeds, n: int, c0: int, m: int) -> np.ndarray:
+def _draw(t: Topology, s: int, seeds: list[int], n: int, c0: int, m: int) -> np.ndarray:
     """What the receivers of T^s see of probes [c0, c0 + m) of the n source s sends, for
     each seed: (receiver, seed, byte), receivers in ``t.trees[s].receivers`` order, packed
     eight probes a byte, with zero padding past m.  Each seed draws its row from its own
@@ -143,7 +144,7 @@ def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> dict[int, 
             for s, n in _probe_counts(t, probes).items()}
 
 
-def simulate_runs(t: Topology, probes: dict[int, int] | int, seeds):
+def simulate_runs(t: Topology, probes: dict[int, int] | int, seeds: Iterable[int]) -> Iterator[PooledCounts]:
     """``simulate_counts(t, probes, seed)`` for each of ``seeds``, in order.  A window
     holds as many seeds as fit in CHUNK // WORKERS probes of the longest source, counting
     a seed's stream as 128 probes; when each source has one window, they run in the
@@ -153,7 +154,7 @@ def simulate_runs(t: Topology, probes: dict[int, int] | int, seeds):
     width = max(1, CHUNK // WORKERS)
     seeds, k = list(seeds), max(1, width // (max(probes.values()) + 128))
 
-    def count(window: tuple[int, int, list]) -> np.ndarray:
+    def count(window: tuple[int, int, list[int]]) -> np.ndarray:
         s, c0, group = window
         n = probes[s]
         return _or_counts(trees[s], _draw(t, s, group, n, c0, min(width, n - c0)))

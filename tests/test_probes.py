@@ -299,7 +299,8 @@ def test_simulate_counts_counts_each_window_once(big_topology, monkeypatch, chun
     simulate_counts(big_topology, {first: 13, second: 1}, seed=3)
     starts = range(0, 13, chunk)
     assert len(starts) == windows
-    assert seen() == sorted([(first, c0, min(chunk, 13 - c0), (3,)) for c0 in starts] + [(second, 0, 1, (3,))])
+    assert seen() == sorted([(first, c0, min(chunk, 13 - c0), (3,)) for c0 in starts]
+                            + [(second, 0, 1, (3,))])
 
 
 def test_workers_share_the_chunk(big_topology, monkeypatch):
@@ -310,7 +311,8 @@ def test_workers_share_the_chunk(big_topology, monkeypatch):
     first, second = big_topology.sources
     simulate_counts(big_topology, {first: 13, second: 1}, seed=3)
     # the workers may draw in either order
-    assert seen() == sorted([(first, 0, 6, (3,)), (first, 6, 6, (3,)), (first, 12, 1, (3,)), (second, 0, 1, (3,))])
+    assert seen() == sorted([(first, 0, 6, (3,)), (first, 6, 6, (3,)), (first, 12, 1, (3,)),
+                             (second, 0, 1, (3,))])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -331,8 +333,8 @@ def test_replications_share_windows_as_far_as_they_fit(big_topology, monkeypatch
 
 def test_simulate_runs_memory_counts_each_stream(big_topology, monkeypatch):
     # a seed's stream takes about 1 KB, so 5,000 replications of 2 probes stay within
-    # the bound of one replication's windows of 2**15 probes (see the test above) only
-    # if each stream counts toward its window's budget
+    # test_simulate_counts_memory_is_one_bit_per_tree_node_and_probe's bound for one
+    # replication's windows of 2**15 probes only if each stream counts toward its window
     monkeypatch.setattr(probes_module, "CHUNK", 2**16)
     monkeypatch.setattr(probes_module, "WORKERS", 2)
     seeds = range(5000)
