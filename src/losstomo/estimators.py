@@ -13,12 +13,13 @@ links.
 
 Both root solves go through ``_root``, which memoises each successful
 ``subtree_root`` / ``path_root`` return in ``PooledCounts.roots`` keyed by
-the solver and its exact inputs.  The methods run on one replication's
-counts share many solves: the four fusion schemes fuse the same per-source
-subtree estimates, and the per-tree baseline repeats every path solve of the
-pooled MLE that has no embedded term.  Each distinct root is therefore solved
-once per replication, with bit-identical results.  Failures are not stored:
-a failing solve runs again and raises afresh.
+the solver and its exact inputs, a subtree solve's counts or a path solve's
+rates.  The methods run on one replication's counts share many solves: the
+four fusion schemes fuse the same per-source subtree estimates, and the
+per-tree baseline repeats every path solve of the pooled MLE that has no
+embedded term.  Each distinct root is therefore solved once per replication,
+with bit-identical results.  Failures are not stored: a failing solve runs
+again and raises afresh.
 """
 
 from __future__ import annotations
@@ -65,12 +66,10 @@ def solve_multisource_beta(counts: PooledCounts, node: int, children, sources) -
     """Pooled-count MLE of the subtree pass rate at ``node``.
 
     ``children`` are the direct descendants inside the intersection; counts
-    from every source in ``sources`` are pooled before forming the ratios.
+    from every source in ``sources`` are pooled before the solve.
     """
-    n_i = counts.pooled(node, sources)
-    if n_i == 0:
-        raise NoDataError(f"no probes observed below node {node}")
-    return _root(counts, ("subtree", tuple(counts.pooled(c, sources) / n_i for c in children)))
+    kids = tuple(counts.pooled(c, sources) for c in children)
+    return _root(counts, ("subtree", counts.pooled(node, sources), kids))
 
 
 def beta_sample_mean(counts: PooledCounts, node: int, sources, true_paths) -> float:

@@ -2,7 +2,7 @@
 
 Both estimating forms reduce to the nonzero root of the subtree polynomial
 ``f(y) = 1 - y - prod_c(1 - r_c y)``: ``subtree_root`` for y in [1e-9, 1] and
-descendant count ratios r_c, ``path_root`` for the path form
+descendant count ratios r_c = n_c/n_i, ``path_root`` for the path form
 ``1 - g/A - prod_c(1 - t_c/A)``, which is f with y = g/A and r_c = t_c/g, for
 y in [g, 1]; it returns A = g/y.
 
@@ -13,10 +13,12 @@ h = (1 - P)/y - 1, the mean of -P' over [0, y] less 1, is convex and
 decreasing, and Newton from the lower end climbs monotonically onto the root
 (on f from the upper end it would halve its way down to a root near 0).  A
 step within 2 ulp of its point ends the search, a step outside the bracket
-bisects, and a bracket narrowed to 2 ulp ends it.  A subtree root in (0, 1]
-exists exactly when h(0) = sum(r) - 1 > 0, which ``math.fsum`` decides without
-rounding; a path root in [g, 1] when f(g) > 0.  Where h finds none above the
-lower end (for a subtree, a root below 1e-9), the lower end is returned.
+bisects, and a bracket narrowed to 2 ulp ends it.  A path root in [g, 1]
+exists when f(g) > 0, a subtree root in (0, 1] exactly when sum(n_c) > n_i,
+which ``math.fsum`` decides exactly, on integer counts (a probe seen below two
+children) and on float expected ones as given.  h is convex, so a root has
+y >= (S - 1) / sum_{i<j} r_i r_j >= 2(S - 1) / S^2, S = sum(r) >= 1 + 1/n_i
+on integer counts: the lower end 1e-9 binds only past 2e9 probes or children.
 
 Both solvers share one input rule: every descendant value lies in [0, 1], a
 zero (no probe reached that descendant) adds the factor 1 to the product and
@@ -124,16 +126,15 @@ def _solve(ratios, lo: float) -> float:
     return root
 
 
-def subtree_root(ratios) -> float:
-    """Nonzero root of 1 - x - prod(1 - r x) for descendant count ratios r.
-
-    Each ratio is a descendant's share of the probes seen at the parent, so
-    all lie in [0, 1].  A ratio of exactly 1 makes x = 1 the exact root.
-    """
-    r = _nonzero_descendants(ratios, "ratio")
+def subtree_root(parent, kids) -> float:
+    """Nonzero root of 1 - x - prod(1 - r x) for the ratios r = kids / parent of the
+    counts below a node and its children, all in [0, 1]; a ratio of 1 gives x = 1."""
+    if parent <= 0:
+        raise NoDataError("no probes observed below the node being estimated")
+    r = _nonzero_descendants([k / parent for k in kids], "ratio")
     if any(v == 1.0 for v in r):
         return 1.0
-    if math.fsum([*r, -1.0]) <= 0.0:  # f'(0) = sum(r) - 1 <= 0 and f'' < 0: no root
+    if math.fsum([*kids, -parent]) <= 0.0:  # sum(r) <= 1, exact on counts; f'' < 0: no root
         raise RootBracketError(
             "no sign change on (0, 1]: sum of descendant ratios "
             f"{sum(r):.6f} <= 1 (ratios {r})"
@@ -158,9 +159,9 @@ def path_root(gamma_parent: float, terms) -> float:
         return g
     top = max(t)
     if top > g:
-        # A term overshoots its parent (an embedded estimate or a finite sample
-        # can).  The polynomial is positive on the feasible A >= every term, so
-        # the constrained optimum is the boundary A = max(terms).
+        # A term overshoots its parent: an embedded estimate or float expected
+        # counts can, OR counts cannot (n_c <= n_i).  The polynomial is positive
+        # on the feasible A >= every term, so the optimum is A = max(terms).
         return top
     if 1.0 - g - math.prod(1.0 - v for v in t) <= 0.0:  # the polynomial at A = 1
         raise RootBracketError(

@@ -158,7 +158,7 @@ def test_accept_05_two_descendant_closed_form():
         if r1 + r2 <= 1.004:
             continue
         expected = (r1 + r2 - 1.0) / (r1 * r2)
-        worst = max(worst, abs(subtree_root([r1, r2]) - expected))
+        worst = max(worst, abs(subtree_root(1.0, [r1, r2]) - expected))
         checked += 1
     report(
         "closed-form agreement (two descendants)",

@@ -37,6 +37,7 @@ from losstomo.solvers import (
     EstimationError,
     FusionWeightError,
     NoDataError,
+    RootBracketError,
     UnidentifiableError,
     path_root,
 )
@@ -80,6 +81,53 @@ def test_zero_count_child_dropped():
     counts2 = make_counts({(2, 0): 500}, {(3, 0): 450, (4, 0): 0}, {0: 520})
     with pytest.raises(UnidentifiableError):
         solve_multisource_beta(counts2, 2, [3, 4], [0])
+
+
+def test_children_splitting_the_parent_count_have_no_root():
+    # 5 probes seen below node 2, of which its children saw 4 and 1, none both: the
+    # likelihood has no root in (0, 1], though the ratios 0.8 + 0.2 round above 1
+    counts = make_counts({(2, 0): 5}, {(3, 0): 4, (4, 0): 1}, {0: 10})
+    with pytest.raises(RootBracketError, match=r"ratios \[0.8, 0.2\]"):
+        solve_multisource_beta(counts, 2, [3, 4], [0])
+
+
+def _splits(n, k, top=None):
+    """Every way of writing n as a sum of k counts of at least 1 and at most ``top``,
+    largest first: the children's order, which no sum sees, is left out."""
+    if k == 1:
+        if n <= (top or n):
+            yield (n,)
+        return
+    for first in range(min(n - k + 1, top or n), 0, -1):
+        for rest in _splits(n - first, k - 1, first):
+            yield (first, *rest)
+
+
+def test_no_root_exactly_when_no_probe_was_seen_below_two_children():
+    # sum(n_c) - n_i counts the probes seen below more than one child, once for each
+    # child past the first: every split of n_i fails, and one probe more below the
+    # largest child solves.  Two children up to n_i = 399, three up to n_i = 59.  The
+    # memo keys each root by the solve's exact inputs, so one set of counts, rewritten
+    # in place, serves every case.
+    wrong = []
+    for k, top in ((2, 400), (3, 60)):
+        children = list(range(3, 3 + k))
+        counts = PooledCounts(probes={0: top}, counts={})
+        for n_i in range(k, top):
+            counts.counts[(2, 0)] = n_i
+            for kids in _splits(n_i, k):
+                counts.counts.update(zip([(c, 0) for c in children], kids))
+                for more in (0, 1):
+                    counts.counts[(3, 0)] = kids[0] + more
+                    try:
+                        solve_multisource_beta(counts, 2, children, [0])
+                    except RootBracketError:
+                        failed = True
+                    else:
+                        failed = False
+                    if failed != (more == 0):
+                        wrong.append((n_i, kids, more))
+    assert not wrong, f"{len(wrong)} wrong, e.g. {wrong[:5]}"
 
 
 def test_solve_intersection_joint_paths(star22_plan):

@@ -13,7 +13,7 @@ from losstomo.fusion import (
 )
 from losstomo.harness import SETTINGS, _star_setting
 from losstomo.probes import PooledCounts, count_pass, gamma_hat, simulate, simulate_counts
-from losstomo.solvers import EstimationError, FusionWeightError, NoDataError
+from losstomo.solvers import EstimationError, FusionWeightError, NoDataError, RootBracketError
 from losstomo.topology import parse_topology
 
 
@@ -124,6 +124,19 @@ def test_fused_beta_never_exceeds_the_largest_per_source_estimate(star22_plan):
     for scheme in FUSION_METHODS:
         assert fuse_node(counts, 2, [3, 4], (0, 1), star22_plan.topology, scheme) <= 1.0
         assert all(0.0 <= b <= 1.0 for b in fused_estimate(counts, star22_plan, scheme).betas.values())
+
+
+@pytest.mark.parametrize("scheme", FUSION_METHODS)
+def test_a_source_whose_children_split_its_probes_fails_every_scheme(star22_plan, scheme):
+    # source 0 saw 5 probes at the joint 2 and its receivers 3 and 4 saw 4 and 1 of
+    # them, none both: its subtree likelihood has no root, though 0.8 + 0.2 rounds
+    # above 1, so no per-source estimate of it may enter the fused average
+    counts = PooledCounts(probes={0: 10, 1: 10}, counts={
+        (0, 0): 10, (1, 1): 10, (2, 0): 5, (2, 1): 8,
+        (3, 0): 4, (3, 1): 7, (4, 0): 1, (4, 1): 6,
+    })
+    with pytest.raises(RootBracketError, match=r"ratios \[0.8, 0.2\]"):
+        fuse_node(counts, 2, [3, 4], (0, 1), star22_plan.topology, scheme)
 
 
 def test_fused_estimate_covers_intersection_links(star22_plan):

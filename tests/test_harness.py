@@ -8,7 +8,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from losstomo import harness
 from losstomo.analysis import empirical_moments, var_upstream
-from losstomo.estimators import METHODS, EstimateSet, estimate_network
+from losstomo.estimators import FUSION_METHODS, METHODS, EstimateSet, estimate_network
 from losstomo.harness import (
     SETTINGS,
     ExperimentConfig,
@@ -386,3 +386,20 @@ def test_golden_lossy_big_network_csv_and_messages():
     assert emit(table, "csv") == (golden / "run.csv").read_text()
     assert emit(table, "markdown") == (golden / "run.md").read_text()
     assert "".join(m + "\n" for m in table.messages) == (golden / "messages.txt").read_text()
+
+
+def test_fusion_fails_where_a_source_saw_no_probe_below_two_children():
+    # the lossy golden topology at seed 7: at 20 probes, in rep 7, source 0 saw 5
+    # probes at node 5 and its children 4 and 1 of them, none both, so every fusion
+    # scheme's per-source subtree solve there has no root
+    golden = Path(__file__).resolve().parent / "golden/big-network-lossy-seed42"
+    table = run_experiment(ExperimentConfig(
+        topology_text=(golden / "topology.txt").read_text(), probe_counts=(20,), reps=20,
+        seed=7, estimators=METHODS,
+    ))
+    rep7 = tuple(f"probes=20 rep=7 {m}:" for m in FUSION_METHODS)
+    assert [m for m in table.messages if m.startswith(rep7)] == [
+        f"probes=20 rep=7 {m}: multi-source subtree solve at node 5: no sign change on (0, 1]: "
+        "sum of descendant ratios 1.000000 <= 1 (ratios [0.8, 0.2])"
+        for m in FUSION_METHODS
+    ]

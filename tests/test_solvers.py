@@ -21,50 +21,52 @@ def quadratic_root(r1, r2):
 
 
 def test_two_descendants_against_quadratic():
-    assert subtree_root([0.9, 0.8]) == pytest.approx(0.7 / 0.72, abs=1e-12)
+    assert subtree_root(1.0, [0.9, 0.8]) == pytest.approx(0.7 / 0.72, abs=1e-12)
 
 
 def test_saturated_ratio_gives_one():
-    assert subtree_root([1.0, 1.0]) == 1.0
-    assert subtree_root([1.0, 0.5]) == 1.0
+    assert subtree_root(1.0, [1.0, 1.0]) == 1.0
+    assert subtree_root(1.0, [1.0, 0.5]) == 1.0
 
 
 def test_three_equal_ratios():
     # residual quadratic 0.729 x^2 - 2.43 x + 1.7 after factoring out x
     expected = (2.43 - math.sqrt(2.43**2 - 4 * 0.729 * 1.7)) / (2 * 0.729)
-    assert subtree_root([0.9, 0.9, 0.9]) == pytest.approx(expected, abs=1e-12)
+    assert subtree_root(1.0, [0.9, 0.9, 0.9]) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.99897, abs=1e-5)
 
 
 def test_too_few_ratios():
     with pytest.raises(UnidentifiableError):
-        subtree_root([0.9])
+        subtree_root(1.0, [0.9])
     # zeros are dropped before the count is checked
     with pytest.raises(UnidentifiableError):
-        subtree_root([0.9, 0.0])
+        subtree_root(1.0, [0.9, 0.0])
     with pytest.raises(UnidentifiableError):
         path_root(0.9, [0.0, 0.84, 0.0])
     with pytest.raises(NoDataError):
         path_root(0.0, [0.0, 0.0])
+    with pytest.raises(NoDataError):
+        subtree_root(0, [0, 0])
 
 
 def test_zero_descendants_dropped_exactly():
     # a zero adds the factor 1 - 0 x = 1 to the product, in either form
-    assert subtree_root([0.9, 0.0, 0.8]) == subtree_root([0.9, 0.8])
+    assert subtree_root(1.0, [0.9, 0.0, 0.8]) == subtree_root(1.0, [0.9, 0.8])
     assert path_root(0.9, [0.0, 0.84, 0.78]) == path_root(0.9, [0.84, 0.78])
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
 def test_descendant_value_outside_unit_interval(bad):
     with pytest.raises(EstimationError, match=r"outside \[0, 1\]"):
-        subtree_root([0.9, bad])
+        subtree_root(1.0, [0.9, bad])
     with pytest.raises(EstimationError, match=r"outside \[0, 1\]"):
         path_root(0.9, [0.84, bad])
 
 
 def test_no_sign_change_reported_with_diagnostics():
     with pytest.raises(RootBracketError, match="sum of descendant ratios"):
-        subtree_root([0.4, 0.4])
+        subtree_root(1.0, [0.4, 0.4])
 
 
 @pytest.mark.parametrize("ratios", [[0.5, 0.5], [0.25, 0.75], [0.5, 0.25, 0.25]])
@@ -72,7 +74,7 @@ def test_ratios_summing_to_exactly_one_have_no_root(ratios):
     # f'(0) = sum(r) - 1 = 0 and f'' < 0, so f < 0 on (0, 1]; the rounded
     # product form 1 - y - prod(1 - r y) at y = 1e-9 once let [0.5, 0.5] through
     with pytest.raises(RootBracketError, match="sum of descendant ratios"):
-        subtree_root(ratios)
+        subtree_root(1.0, ratios)
 
 
 @settings(max_examples=300, deadline=None)
@@ -83,7 +85,7 @@ def test_ratios_summing_to_exactly_one_have_no_root(ratios):
 def test_matches_quadratic_closed_form(r1, r2):
     if r1 + r2 <= 1.0 + 1e-6:
         return
-    assert abs(subtree_root([r1, r2]) - quadratic_root(r1, r2)) <= 1e-10
+    assert abs(subtree_root(1.0, [r1, r2]) - quadratic_root(r1, r2)) <= 1e-10
 
 
 @settings(max_examples=200, deadline=None)
@@ -94,9 +96,9 @@ def test_matches_quadratic_closed_form(r1, r2):
 def test_root_in_range_with_small_residual(ratios):
     if math.fsum([*ratios, -1.0]) <= 0.0:  # sum(ratios) <= 1 exactly: no root in (0, 1]
         with pytest.raises(RootBracketError):
-            subtree_root(ratios)
+            subtree_root(1.0, ratios)
         return
-    root = subtree_root(ratios)
+    root = subtree_root(1.0, ratios)
     assert 0.0 < root <= 1.0
     prod = 1.0
     for r in ratios:
@@ -146,9 +148,7 @@ def test_path_root_matches_closed_form(g1, g2, slack):
 
 def test_scale_invariance_of_count_ratios():
     # the polynomial depends only on ratios: scaling all counts is a no-op
-    base = [480 / 500, 460 / 500]
-    scaled = [4800 / 5000, 4600 / 5000]
-    assert subtree_root(base) == subtree_root(scaled)
+    assert subtree_root(500, [480, 460]) == subtree_root(5000, [4800, 4600])
 
 
 @st.composite
@@ -186,7 +186,7 @@ def test_every_root_stops_within_40_evaluations(ratios):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "_refine", counted_refine)
         try:
-            root = subtree_root(ratios)
+            root = subtree_root(1.0, ratios)
         except EstimationError:
             return
     assert 0.0 < root <= 1.0
