@@ -99,8 +99,9 @@ def cmd_decompose(args) -> int:
     print("estimation order:")
     for mt in plan.msource_trees:
         print(f"  solve multi-source tree at node {mt.joint}")
+    solved = {n for mt in plan.msource_trees for n in mt.nodes}
     for frag in plan.fragments:
-        for node in frag.solve_order:
+        for node in plan.path_walk(frag.source, solved):
             print(f"  solve upstream path of source {frag.source} at node {node}")
     return 0
 

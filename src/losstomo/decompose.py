@@ -39,7 +39,6 @@ class MultiSourceTree:
 class UpstreamFragment:
     source: int
     links: tuple[LogicalLink, ...]
-    solve_order: tuple[int, ...]  # internal nodes, in reverse tree-row order
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,12 @@ class DTreePlan:
         links = [l for mt in self.msource_trees for l in mt.links]
         links.extend(l for frag in self.fragments for l in frag.links)
         return tuple(sorted(links, key=lambda l: l.link_ids))
+
+    def path_walk(self, source: int, solved=()) -> list[int]:
+        """The source's inner collapsed nodes outside ``solved``, children first (reverse
+        tree-row order): the nodes whose path rates a per-source path solve sets."""
+        return [n for n in reversed(self.topology.trees[source].row)
+                if n != source and self.children.get(n) and n not in solved]
 
 
 def _collapse(t: Topology) -> dict[int, tuple[LogicalLink, ...]]:
@@ -135,15 +140,11 @@ def decompose(t: Topology) -> DTreePlan:
     fragments = []
     for s in t.sources:
         # a source's tree reaches an intersection only through its joint (no joint is nested)
-        frag_nodes, frag_links = _walk(children, s, joint_set)
-        # internal nodes that need a path-rate solve, children before parents
-        inside = set(frag_nodes[1:]) - joint_set
-        internal = [n for n in reversed(t.trees[s].row) if n in inside and children[n]]
+        _, frag_links = _walk(children, s, joint_set)
         fragments.append(
             UpstreamFragment(
                 source=s,
                 links=tuple(sorted(frag_links, key=by_ids)),
-                solve_order=tuple(internal),
             )
         )
 

@@ -6,10 +6,11 @@ rate beta at every node of an intersection through a pluggable rule, then
 derives the per-source joint paths and the intersection link rates; the
 pooled MLE plugs in ``solve_multisource_beta`` and the fusion schemes a
 weighted average of per-source estimates.  ``_solve_paths`` is the path MLE
-walk: the pooled MLE runs it over each upstream fragment with the joint
-paths embedded, and the per-tree baseline over each source's whole tree with
-nothing embedded, so it gives one estimate per covering source for shared
-links.
+walk, one per source along ``DTreePlan.path_walk``, for both path methods:
+the pooled MLE skips the intersection nodes it has already solved and embeds
+their joints' path estimates, and the per-tree baseline walks each source's
+whole tree with nothing embedded, so it gives one estimate per covering
+source for shared links.
 
 Both root solves go through ``_root``, which memoises each successful
 ``subtree_root`` / ``path_root`` return in ``PooledCounts.roots`` keyed by
@@ -112,24 +113,25 @@ def solve_intersection(est: EstimateSet, counts: PooledCounts, plan: DTreePlan,
 
 
 def _solve_paths(est: EstimateSet, counts: PooledCounts, plan: DTreePlan, source: int,
-                 order, embedded: dict[int, float], attribution: int | None) -> None:
-    """Path MLE A-hat(source, node) for each node of ``order``, then its link rates.
+                 attribution: int | None) -> None:
+    """Path MLE A-hat(source, node) along ``plan.path_walk(source, est.betas)``, then its link rates.
 
-    ``embedded`` maps intersection joints to their path estimates, which stand
-    in for the raw end-to-end rates and come first among a node's terms.
+    A child already in ``est.betas`` is an intersection joint: its path
+    estimate stands in for the raw end-to-end rate and comes first among a
+    node's terms.
     """
     paths: dict[int, float] = {source: 1.0}
 
     def term(child: int) -> float:
-        if child in embedded:
-            return embedded[child]
+        if child in est.betas:
+            return est.paths[(source, child)]
         return gamma_hat(counts, child, source)
 
     try:
-        for node in order:
+        for node in plan.path_walk(source, est.betas):
             links = plan.children[node]
-            if embedded:  # with none, every key is equal and the stable sort keeps the order
-                links = sorted(links, key=lambda l: l.tail not in embedded)
+            if est.betas:  # with none, every key is equal and the stable sort keeps the order
+                links = sorted(links, key=lambda l: l.tail not in est.betas)
             paths[node] = _root(counts, (
                 "path", gamma_hat(counts, node, source), tuple(term(l.tail) for l in links)
             ))
@@ -147,27 +149,19 @@ def estimate_network(counts: PooledCounts, plan: DTreePlan, method: str) -> Esti
     """Run one estimator over the pass counts of one replication.
 
     The counts (from ``simulate_counts``, or ``count_pass`` of receiver bits)
-    are the sufficient statistic, so one count serves every method.
-    Multi-source trees are solved first, then each fragment's ``solve_order``."""
+    are the sufficient statistic, so one count serves every method.  ``mle``
+    solves the multi-source trees first; it and ``tree-baseline`` then walk
+    each source's tree, ``mle`` past the nodes already solved."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method in FUSION_METHODS:
         from .fusion import fused_estimate
 
-        est = fused_estimate(counts, plan, method)
-    elif method == "mle":
-        est = EstimateSet(method=method)
+        return fused_estimate(counts, plan, method)
+    est = EstimateSet(method=method)
+    if method == "mle":
         for mt in plan.msource_trees:
             solve_intersection(est, counts, plan, mt, solve_multisource_beta)
-        for frag in plan.fragments:
-            s = frag.source
-            embedded = {mt.joint: est.paths[(s, mt.joint)]
-                        for mt in plan.msource_trees if s in mt.sources}
-            _solve_paths(est, counts, plan, s, frag.solve_order, embedded, None)
-    else:
-        # tree-baseline: every multicast tree on its own, intersections included
-        est = EstimateSet(method=method)
-        for s, tree in plan.topology.trees.items():
-            order = [n for n in reversed(tree.row) if n != s and plan.children.get(n)]
-            _solve_paths(est, counts, plan, s, order, {}, s)
+    for s in plan.topology.sources:
+        _solve_paths(est, counts, plan, s, s if method == "tree-baseline" else None)
     return est

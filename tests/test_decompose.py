@@ -39,7 +39,7 @@ def test_single_source_tree_trivial_plan(single_tree):
     assert len(plan.fragments) == 1
     frag = plan.fragments[0]
     assert {frag.source, *(l.tail for l in frag.links)} == set(single_tree.nodes)
-    assert frag.solve_order == (3, 1)
+    assert plan.path_walk(frag.source) == [3, 1]
 
 
 def test_shared_receiver_parent():
@@ -67,8 +67,8 @@ def test_estimation_order_msource_first(tmp_path, capsys):
 
 
 def test_upstream_solve_order_bottom_up(big_plan):
-    frag = next(f for f in big_plan.fragments if f.source == 16)
-    order = frag.solve_order
+    (mt,) = big_plan.msource_trees
+    order = big_plan.path_walk(16, mt.nodes)
     # node 18 and 17 are both internal; 17 (closer to the source) comes last
     assert order.index(17) > order.index(18)
 
@@ -77,8 +77,9 @@ def test_upstream_solve_order_bottom_up(big_plan):
 @given(multi_source_dags())
 def test_solve_order_holds_each_fragments_inner_nodes_children_first(text):
     plan = decompose(parse_topology(text))
+    solved = {n for mt in plan.msource_trees for n in mt.nodes}
     for frag in plan.fragments:
-        order = frag.solve_order
+        order = plan.path_walk(frag.source, solved)
         inner = sorted(l.tail for l in frag.links
                        if l.tail not in plan.joint_nodes and plan.children[l.tail])
         assert sorted(order) == inner

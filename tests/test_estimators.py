@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from conftest import (
 from hypothesis import given, seed, settings, strategies as st
 
 from losstomo import estimators
+from losstomo.cli import main
 from losstomo.decompose import decompose
 from losstomo.estimators import (
     FUSION_METHODS,
@@ -616,6 +619,33 @@ def test_expected_counts_give_the_true_link_rates(text):
     t = parse_topology(text)
     misses = _true_rate_misses(expected_counts(t, 10**6), decompose(t), ("tree-baseline", *FUSION_METHODS))
     assert max(misses.values()) <= 1e-12, misses
+
+
+@seed(33)
+@settings(max_examples=200, deadline=None)
+@given(text=multi_source_dags())
+def test_printed_estimation_order_is_the_solve_order(tmp_path_factory, text):
+    # `losstomo decompose` prints the path walk mle runs after the intersections, and
+    # tree-baseline runs the same walk over each whole tree: est.paths takes each source's
+    # path estimates in solve order
+    t = parse_topology(text)
+    plan = decompose(t)
+    path = tmp_path_factory.mktemp("dag") / "topology.txt"
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["decompose", "--topology", str(path)]) == 0
+    printed = [line.split() for line in out.getvalue().split("estimation order:\n")[1].splitlines()]
+    solved = {n for mt in plan.msource_trees for n in mt.nodes}
+    for s in t.sources:
+        assert [int(w[-1]) for w in printed if w[1] == "upstream" and int(w[5]) == s] == plan.path_walk(s, solved)
+    counts = expected_counts(t, 10**6)
+    for method, skip in (("mle", solved), ("tree-baseline", ())):
+        try:
+            est = estimate_network(counts, plan, method)
+        except EstimationError:
+            continue
+        for s in t.sources:
+            assert [n for (src, n) in est.paths if src == s and n not in skip] == plan.path_walk(s, skip), (method, s)
 
 
 # source 0 -> 2 -> joint 4; source 1 -> 3 -> {4, receiver 7}; 4 -> receivers 5 and 6:

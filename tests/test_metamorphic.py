@@ -116,11 +116,12 @@ def test_relabelling_nodes_and_links_moves_no_estimate(text, rep_seed, data):
 
 def _walk(plan, method):
     """The part of a method's node order that a serial split may change, which decides its
-    first failing node: tree-baseline walks the tree rows, mle also the solve orders, and
-    every method the intersections' nodes, which the split leaves."""
-    if method == "tree-baseline":
-        return [n for tree in plan.topology.trees.values() for n in reversed(tree.row) if plan.children.get(n)]
-    return [f.solve_order for f in plan.fragments] if method == "mle" else []
+    first failing node: tree-baseline walks each source's whole tree, mle the same walk past
+    the intersections' nodes, and every method those nodes, which the split leaves."""
+    if method not in ("mle", "tree-baseline"):
+        return []
+    solved = {n for mt in plan.msource_trees for n in mt.nodes} if method == "mle" else ()
+    return [plan.path_walk(s, solved) for s in plan.topology.sources]
 
 
 @seed(24)
@@ -131,7 +132,7 @@ def test_splitting_a_link_in_two_moves_no_estimate(text, rep_seed, data):
     # the old chain under a new label, and n_m(s) = n_u(s), so the plan and every estimate
     # stay.  mvwa-oracle also reads the true subtree rates, where beta_m = 1 - (1 - beta_u)
     # may round off beta_u: its values agree within 16 ulp.  The split moves u's tree row
-    # after h's other children, so a fragment's solve order may change (its nodes do not),
+    # after h's other children, so a source's path walk may change order (its nodes do not),
     # and with it the walk order of tree-baseline or mle.  The same replications fail; the
     # class of the first failure is compared where the method's walk order is unchanged.
     t = parse_topology(text)
@@ -146,14 +147,12 @@ def test_splitting_a_link_in_two_moves_no_estimate(text, rep_seed, data):
         ids = (*l.link_ids[:k], new, *l.link_ids[k:])
         return l._replace(link_ids=ids, label="+".join(map(str, ids)))
 
-    def unordered(f):
-        return replace(f, solve_order=tuple(sorted(f.solve_order)))
-
     assert split.joint_nodes == plan.joint_nodes
     assert split.msource_trees == tuple(replace(mt, links=tuple(map(relabel, mt.links)))
                                         for mt in plan.msource_trees)
-    assert tuple(map(unordered, split.fragments)) == tuple(
-        unordered(replace(f, links=tuple(map(relabel, f.links)))) for f in plan.fragments)
+    assert split.fragments == tuple(replace(f, links=tuple(map(relabel, f.links))) for f in plan.fragments)
+    for method in ("mle", "tree-baseline"):
+        assert list(map(sorted, _walk(split, method))) == list(map(sorted, _walk(plan, method))), method
     assert split.children == {n: tuple(map(relabel, kids)) for n, kids in plan.children.items()}
     label = {l.label: relabel(l).label for kids in plan.children.values() for l in kids}
     for probes in PROBES:
