@@ -89,20 +89,23 @@ def cmd_decompose(args) -> int:
         print(f"  nodes = {list(mt.nodes)}")
         print(f"  links = {[l.label for l in mt.links]}")
         print(f"  virtual links = {[f'{s}->{mt.joint}' for s in mt.sources]}")
-    for frag in plan.fragments:
-        print(f"fragment of source {frag.source}:")
-        print(f"  nodes = {sorted({frag.source, *(l.tail for l in frag.links)})}")
-        print(f"  links = {[l.label for l in frag.links]}")
+    solved = {n for mt in plan.msource_trees for n in mt.nodes}
+    walks = {s: plan.path_walk(s, solved) for s in plan.topology.sources}
+    for s, walk in walks.items():
+        # a source's fragment: the links out of the source and out of each node its walk solves
+        links = sorted((l for n in (s, *walk) for l in plan.children[n]), key=lambda l: l.link_ids)
+        print(f"fragment of source {s}:")
+        print(f"  nodes = {sorted({s, *(l.tail for l in links)})}")
+        print(f"  links = {[l.label for l in links]}")
     serial = [l.label for l in plan.logical_links if len(l.link_ids) > 1]
     if serial:
         print(f"merged serial links: {serial}")
     print("estimation order:")
     for mt in plan.msource_trees:
         print(f"  solve multi-source tree at node {mt.joint}")
-    solved = {n for mt in plan.msource_trees for n in mt.nodes}
-    for frag in plan.fragments:
-        for node in plan.path_walk(frag.source, solved):
-            print(f"  solve upstream path of source {frag.source} at node {node}")
+    for s, walk in walks.items():
+        for node in walk:
+            print(f"  solve upstream path of source {s} at node {node}")
     return 0
 
 

@@ -2,9 +2,12 @@
 
 Joint nodes (more than one parent) root the intersections shared by several
 multicast trees.  Each intersection plus a virtual link per contributing
-source forms a multi-source tree; everything above the joint nodes stays in
-per-source fragments.  Serial link chains are merged into logical links
-because a chain rate can only ever be estimated as a product.
+source forms a multi-source tree; everything above the joint nodes belongs to
+per-source upstream fragments.  Serial link chains are merged into logical
+links because a chain rate can only ever be estimated as a product.  The plan
+stores each logical link once, in ``DTreePlan.children``; a source's fragment
+is read from it: the links out of the source and out of each node of its
+``path_walk`` past the intersections' nodes.
 """
 
 from __future__ import annotations
@@ -36,25 +39,17 @@ class MultiSourceTree:
 
 
 @dataclass(frozen=True)
-class UpstreamFragment:
-    source: int
-    links: tuple[LogicalLink, ...]
-
-
-@dataclass(frozen=True)
 class DTreePlan:
     topology: Topology
     joint_nodes: tuple[int, ...]
     msource_trees: tuple[MultiSourceTree, ...]
-    fragments: tuple[UpstreamFragment, ...]
-    # collapsed node -> its logical child links, sorted by link ids; read by every estimator
+    # collapsed node -> its logical child links, sorted by link ids: each logical link, stored once
     children: dict[int, tuple[LogicalLink, ...]] = field(compare=False, repr=False)
 
     @cached_property
     def logical_links(self) -> tuple[LogicalLink, ...]:
-        links = [l for mt in self.msource_trees for l in mt.links]
-        links.extend(l for frag in self.fragments for l in frag.links)
-        return tuple(sorted(links, key=lambda l: l.link_ids))
+        return tuple(sorted((l for kids in self.children.values() for l in kids),
+                            key=attrgetter("link_ids")))
 
     def path_walk(self, source: int, solved=()) -> list[int]:
         """The source's inner collapsed nodes outside ``solved``, children first (reverse
@@ -91,20 +86,19 @@ def _collapse(t: Topology) -> dict[int, tuple[LogicalLink, ...]]:
     return children
 
 
-def _walk(children: dict[int, tuple[LogicalLink, ...]], root: int, stop=frozenset()):
-    """Collapsed nodes (root first) and links below root, not descending below nodes in stop."""
+def _walk(children: dict[int, tuple[LogicalLink, ...]], root: int):
+    """Collapsed nodes (root first) and links below root."""
     nodes, links, stack = [root], [], [root]
     while stack:
         for l in children[stack.pop()]:
             links.append(l)
             nodes.append(l.tail)
-            if l.tail not in stop:
-                stack.append(l.tail)
+            stack.append(l.tail)
     return nodes, links
 
 
 def decompose(t: Topology) -> DTreePlan:
-    """Split a topology into multi-source trees and per-source upstream fragments."""
+    """Collapse serial chains and find the multi-source trees, whose roots are the joints."""
     children = _collapse(t)
     joints = sorted(n for n in children if t.in_degree[n] >= 2)
     joint_set = set(joints)
@@ -137,21 +131,9 @@ def decompose(t: Topology) -> DTreePlan:
                 "cannot be separated from the per-source paths"
             )
 
-    fragments = []
-    for s in t.sources:
-        # a source's tree reaches an intersection only through its joint (no joint is nested)
-        _, frag_links = _walk(children, s, joint_set)
-        fragments.append(
-            UpstreamFragment(
-                source=s,
-                links=tuple(sorted(frag_links, key=by_ids)),
-            )
-        )
-
     return DTreePlan(
         topology=t,
         joint_nodes=tuple(joints),
         msource_trees=tuple(msource_trees),
-        fragments=tuple(fragments),
         children=children,
     )

@@ -127,12 +127,11 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
     if fusion and not plan.msource_trees:
         raise ValueError(f"fusion needs a joint node and the topology has none: {', '.join(fusion)}")
     true_loss = {l.label: 1.0 - l.pass_rate for l in plan.logical_links}
-    # label -> (A, beta) of each link with a closed-form variance: a source link into a joint node
+    # label -> (A, beta) of each link with a closed-form variance: a source's own link into a joint
     joint_set = set(plan.joint_nodes)
     crlb = {
         l.label: (l.pass_rate, plan.topology.subtree_rate[l.tail])
-        for frag in plan.fragments for l in frag.links
-        if l.head == frag.source and l.tail in joint_set
+        for s in plan.topology.sources for l in plan.children[s] if l.tail in joint_set
     }
 
     table = ReplicationTable()

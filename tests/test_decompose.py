@@ -1,10 +1,28 @@
+import ast
+import contextlib
+import io
+
 import pytest
 from conftest import BIG_NETWORK, multi_source_dags
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 
 from losstomo.cli import main
 from losstomo.decompose import decompose
 from losstomo.topology import UnsupportedTopologyError, parse_topology
+
+
+def _fragment(plan, source):
+    """Reference upstream fragment of a source: its nodes (the source included) and its links,
+    sorted by link ids, reached from the source over plan.children without descending below
+    a joint."""
+    nodes, links, stack = {source}, [], [source]
+    while stack:
+        for l in plan.children[stack.pop()]:
+            links.append(l)
+            nodes.add(l.tail)
+            if l.tail not in plan.joint_nodes:
+                stack.append(l.tail)
+    return nodes, sorted(links, key=lambda l: l.link_ids)
 
 
 def test_big_network_three_dtrees(big_plan):
@@ -13,9 +31,9 @@ def test_big_network_three_dtrees(big_plan):
     (mt,) = plan.msource_trees
     assert (mt.joint, mt.sources) == (2, (0, 16))
     assert set(mt.nodes) == {2, 4, 5, 8, 9, 10, 11}
-    assert len(plan.fragments) == 2
-    frag16 = next(f for f in plan.fragments if f.source == 16)
-    tails = {l.tail for l in frag16.links}
+    assert plan.topology.sources == (0, 16)
+    _, links16 = _fragment(plan, 16)
+    tails = {l.tail for l in links16}
     assert 2 in tails and 4 not in tails
 
 
@@ -36,10 +54,10 @@ def test_single_source_tree_trivial_plan(single_tree):
     plan = decompose(single_tree)
     assert plan.joint_nodes == ()
     assert plan.msource_trees == ()
-    assert len(plan.fragments) == 1
-    frag = plan.fragments[0]
-    assert {frag.source, *(l.tail for l in frag.links)} == set(single_tree.nodes)
-    assert plan.path_walk(frag.source) == [3, 1]
+    (source,) = plan.topology.sources
+    nodes, _ = _fragment(plan, source)
+    assert nodes == set(single_tree.nodes)
+    assert plan.path_walk(source) == [3, 1]
 
 
 def test_shared_receiver_parent():
@@ -78,9 +96,9 @@ def test_upstream_solve_order_bottom_up(big_plan):
 def test_solve_order_holds_each_fragments_inner_nodes_children_first(text):
     plan = decompose(parse_topology(text))
     solved = {n for mt in plan.msource_trees for n in mt.nodes}
-    for frag in plan.fragments:
-        order = plan.path_walk(frag.source, solved)
-        inner = sorted(l.tail for l in frag.links
+    for s in plan.topology.sources:
+        order = plan.path_walk(s, solved)
+        inner = sorted(l.tail for l in _fragment(plan, s)[1]
                        if l.tail not in plan.joint_nodes and plan.children[l.tail])
         assert sorted(order) == inner
         for k, n in enumerate(order):
@@ -166,9 +184,9 @@ def test_nesting_reported_before_single_chain():
 
 def test_decompose_idempotent_on_fragment(big_topology, big_plan):
     # re-decomposing a pure single-source fragment yields the fragment itself
-    frag = next(f for f in big_plan.fragments if f.source == 16)
-    sub_link_ids = {i for l in frag.links for i in l.link_ids}
-    sub_nodes = {n for l in frag.links for n in (l.head, l.tail)} | {16}
+    _, frag_links = _fragment(big_plan, 16)
+    sub_link_ids = {i for l in frag_links for i in l.link_ids}
+    sub_nodes = {n for l in frag_links for n in (l.head, l.tail)} | {16}
     lines = [f"node {n}" for n in sorted(sub_nodes)]
     for l in big_topology.links:
         if l.id in sub_link_ids:
@@ -180,4 +198,31 @@ def test_decompose_idempotent_on_fragment(big_topology, big_plan):
             lines.append(f"receiver {n}")
     sub = decompose(parse_topology("\n".join(lines)))
     assert sub.joint_nodes == ()
-    assert {l.link_ids for l in sub.logical_links} == {l.link_ids for l in frag.links}
+    assert {l.link_ids for l in sub.logical_links} == {l.link_ids for l in frag_links}
+
+
+@seed(34)
+@settings(max_examples=200, deadline=None)
+@given(text=multi_source_dags())
+def test_printed_plan_names_each_logical_link_once(tmp_path_factory, text):
+    # `losstomo decompose` prints the intersections' links and each source's fragment, read
+    # from its path walk: together they name every logical link once, and each fragment
+    # holds the nodes and links of the reference walk
+    plan = decompose(parse_topology(text))
+    path = tmp_path_factory.mktemp("dag") / "topology.txt"
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["decompose", "--topology", str(path)]) == 0
+    labels, fragments, source = [], {}, None
+    for line in out.getvalue().split("estimation order:\n")[0].splitlines():
+        if line.startswith(("multi-source tree", "fragment of source")):
+            source = int(line[:-1].split()[-1]) if line.startswith("fragment") else None
+        key, _, value = line.strip().partition(" = ")
+        if key == "links":
+            labels += ast.literal_eval(value)
+        if source is not None and key in ("nodes", "links"):
+            fragments.setdefault(source, []).append(ast.literal_eval(value))
+    # logical link labels are distinct, so each is printed exactly once
+    assert sorted(labels) == sorted(l.label for l in plan.logical_links)
+    reference = {s: _fragment(plan, s) for s in plan.topology.sources}
+    assert fragments == {s: [sorted(nodes), [l.label for l in links]] for s, (nodes, links) in reference.items()}

@@ -35,7 +35,7 @@ def test_settings_parse_and_decompose():
     for name, text in SETTINGS.items():
         plan = decompose(parse_topology(text))
         assert plan.joint_nodes == (2,)
-        assert len(plan.fragments) == 2
+        assert [l.tail for s in plan.topology.sources for l in plan.children[s]] == [2, 2]
 
 
 def test_replication_seed_stability():
