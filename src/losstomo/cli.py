@@ -87,7 +87,8 @@ def cmd_decompose(args) -> int:
         print(f"multi-source tree at node {mt.joint}:")
         print(f"  sources S({mt.joint}) = {list(mt.sources)}")
         print(f"  nodes = {list(mt.nodes)}")
-        print(f"  links = {[l.label for l in mt.links]}")
+        links = sorted((l for n in mt.nodes for l in plan.children[n]), key=lambda l: l.link_ids)
+        print(f"  links = {[l.label for l in links]}")
         print(f"  virtual links = {[f'{s}->{mt.joint}' for s in mt.sources]}")
     solved = {n for mt in plan.msource_trees for n in mt.nodes}
     walks = {s: plan.path_walk(s, solved) for s in plan.topology.sources}

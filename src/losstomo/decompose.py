@@ -5,9 +5,9 @@ multicast trees.  Each intersection plus a virtual link per contributing
 source forms a multi-source tree; everything above the joint nodes belongs to
 per-source upstream fragments.  Serial link chains are merged into logical
 links because a chain rate can only ever be estimated as a product.  The plan
-stores each logical link once, in ``DTreePlan.children``; a source's fragment
-is read from it: the links out of the source and out of each node of its
-``path_walk`` past the intersections' nodes.
+stores each logical link once, in ``DTreePlan.children``: an intersection has
+the links out of its nodes, a source's fragment those out of the source and
+out of each node of its ``path_walk`` past the intersections' nodes.
 """
 
 from __future__ import annotations
@@ -30,12 +30,10 @@ class LogicalLink(NamedTuple):
     label: str  # the link ids joined by "+"
 
 
-@dataclass(frozen=True)
-class MultiSourceTree:
+class MultiSourceTree(NamedTuple):
     joint: int
     sources: tuple[int, ...]  # S(joint), each joined to the joint by a virtual link of pass rate 1
-    nodes: tuple[int, ...]  # intersection nodes, joint included
-    links: tuple[LogicalLink, ...]
+    nodes: tuple[int, ...]  # intersection nodes, joint included; its links are their children
 
 
 @dataclass(frozen=True)
@@ -86,15 +84,14 @@ def _collapse(t: Topology) -> dict[int, tuple[LogicalLink, ...]]:
     return children
 
 
-def _walk(children: dict[int, tuple[LogicalLink, ...]], root: int):
-    """Collapsed nodes (root first) and links below root."""
-    nodes, links, stack = [root], [], [root]
+def _walk(children: dict[int, tuple[LogicalLink, ...]], root: int) -> list[int]:
+    """Collapsed nodes at and below root, root first."""
+    nodes, stack = [root], [root]
     while stack:
         for l in children[stack.pop()]:
-            links.append(l)
             nodes.append(l.tail)
             stack.append(l.tail)
-    return nodes, links
+    return nodes
 
 
 def decompose(t: Topology) -> DTreePlan:
@@ -102,11 +99,10 @@ def decompose(t: Topology) -> DTreePlan:
     children = _collapse(t)
     joints = sorted(n for n in children if t.in_degree[n] >= 2)
     joint_set = set(joints)
-    by_ids = attrgetter("link_ids")
 
     msource_trees = []
     for j in joints:
-        member_nodes, member_links = _walk(children, j)
+        member_nodes = _walk(children, j)
         # earlier intersections hold no joint, so a joint below j is nested in it alone
         nested = joint_set.intersection(member_nodes[1:])
         if nested:
@@ -118,7 +114,6 @@ def decompose(t: Topology) -> DTreePlan:
                 joint=j,
                 sources=tuple(s for s, tree in t.trees.items() if j in tree.row),
                 nodes=tuple(sorted(member_nodes)),
-                links=tuple(sorted(member_links, key=by_ids)),
             )
         )
     for j in joints:

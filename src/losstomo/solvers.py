@@ -20,9 +20,9 @@ children) and on float expected ones as given.  h is convex, so a root has
 y >= (S - 1) / sum_{i<j} r_i r_j >= 2(S - 1) / S^2, S = sum(r) >= 1 + 1/n_i
 on integer counts: the lower end 1e-9 binds only past 2e9 probes or children.
 
-Both solvers share one input rule: every descendant value lies in [0, 1], a
-zero (no probe reached that descendant) adds the factor 1 to the product and
-is dropped exactly, and at least two nonzero values must remain.  On pass
+Both solvers share one input rule: a zero descendant value (no probe reached
+that descendant) adds the factor 1 to the product and is dropped exactly, at
+least two nonzero values must remain, and each of them lies in [0, 1].  On pass
 counts a failure is one of the ``EstimationError`` subclasses below
 (``NoDataError``, ``UnidentifiableError``, ``RootBracketError``,
 ``FusionWeightError``), which a replication counts in its ``errors`` column.
@@ -57,14 +57,13 @@ class FusionWeightError(EstimationError):
 
 
 def _nonzero_descendants(values, what: str) -> list[float]:
-    """The descendant values in [0, 1] with zeros dropped; at least two must remain."""
-    v = [float(x) for x in values]
+    """The descendant values with zeros dropped: at least two must remain, each in [0, 1]."""
+    v = [float(x) for x in values if x != 0.0]
+    if len(v) < 2:
+        raise UnidentifiableError(f"need at least 2 nonzero descendant {what}s, got {len(v)}")
     for x in v:
         if not 0.0 <= x <= 1.0:
             raise EstimationError(f"descendant {what} {x} outside [0, 1]")
-    v = [x for x in v if x != 0.0]
-    if len(v) < 2:
-        raise UnidentifiableError(f"need at least 2 nonzero descendant {what}s, got {len(v)}")
     return v
 
 

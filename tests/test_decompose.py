@@ -31,6 +31,8 @@ def test_big_network_three_dtrees(big_plan):
     (mt,) = plan.msource_trees
     assert (mt.joint, mt.sources) == (2, (0, 16))
     assert set(mt.nodes) == {2, 4, 5, 8, 9, 10, 11}
+    links = sorted((l for n in mt.nodes for l in plan.children[n]), key=lambda l: l.link_ids)
+    assert [l.label for l in links] == ["8", "9", "16", "17", "18", "19"]
     assert plan.topology.sources == (0, 16)
     _, links16 = _fragment(plan, 16)
     tails = {l.tail for l in links16}

@@ -667,3 +667,13 @@ def test_expected_counts_give_the_true_link_rates_where_a_fragment_branches_abov
     t = parse_topology(BRANCH_ABOVE_JOINT)
     misses = _true_rate_misses(expected_counts(t, 10**6), decompose(t), (method,))
     assert misses[method] <= 1e-12, misses
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_expected_counts_below_a_dead_link_are_unidentifiable(method):
+    # link 4 (joint 2 -> receiver 4) loses every probe, so the joint keeps one nonzero
+    # descendant; float rounding puts the other's ratio at 1 + 2^-52, which the zero-count
+    # rule must meet before the range check, as it does on exact counts
+    t = parse_topology(_star_setting((0.2, 0.2), (0.2, 1.0)))
+    with pytest.raises(UnidentifiableError):
+        estimate_network(expected_counts(t, 10**6), decompose(t), method)
