@@ -12,15 +12,16 @@ their joints' path estimates, and the per-tree baseline walks each source's
 whole tree with nothing embedded, so it gives one estimate per covering
 source for shared links.
 
-Both root solves go through ``_root``, which memoises each successful
-``subtree_root`` / ``path_root`` return in ``PooledCounts.roots`` keyed by
-the solver and its exact inputs, a subtree solve's counts or a path solve's
-rates.  The methods run on one replication's counts share many solves: the
-four fusion schemes fuse the same per-source subtree estimates, and the
-per-tree baseline repeats every path solve of the pooled MLE that has no
-embedded term.  Each distinct root is therefore solved once per replication,
-with bit-identical results.  Failures are not stored: a failing solve runs
-again and raises afresh.
+Count-only work is memoised in ``PooledCounts.memo`` under its kind and exact
+inputs: ``_root`` stores each successful ``subtree_root`` / ``path_root``
+return under the solver and a subtree solve's counts or a path solve's rates,
+and ``solve_intersection``, after its betas, each source's gamma-hat at the
+joint and each link's ratio n_c/n_head.  The pooled MLE and the four fusion
+schemes read one intersection entry, the schemes fuse the same per-source
+subtree estimates, and the per-tree baseline repeats every path solve of the
+pooled MLE with no embedded term; only the beta rule, the weights and ``ratio *
+beta_head / beta_tail`` are per method, so results are bit-identical.  A
+failing computation is not stored: it runs again and raises afresh.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ def _root(counts: PooledCounts, key: tuple) -> float:
     """``subtree_root(*key[1:])`` or ``path_root(*key[1:])`` as ``key[0]`` names, memoised.
 
     The solver is looked up at call time, and only a return is stored."""
-    root = counts.roots.get(key)
+    root = counts.memo.get(key)
     if root is None:
         solver = subtree_root if key[0] == "subtree" else path_root
-        root = counts.roots[key] = solver(*key[1:])
+        root = counts.memo[key] = solver(*key[1:])
     return root
 
 
@@ -103,13 +104,20 @@ def solve_intersection(est: EstimateSet, counts: PooledCounts, plan: DTreePlan,
     except EstimationError as exc:
         raise type(exc)(f"multi-source subtree solve at node {node}: {exc}") from exc
     est.betas.update(betas)
+    # memoised under mt and its links: each source's gamma-hat at the joint, each link's n_tail / n_head
+    links = tuple(l for node in mt.nodes for l in plan.children[node])
+    key = ("intersection", mt, links)
+    entry = counts.memo.get(key)
+    if entry is None:
+        gammas = tuple((s, gamma_hat(counts, mt.joint, s)) for s in mt.sources)
+        pooled = {node: counts.pooled(node, mt.sources) for node in mt.nodes}
+        entry = counts.memo[key] = gammas, tuple((l, pooled[l.tail] / pooled[l.head]) for l in links)
+    gammas, ratios = entry
     # A-hat(s, joint) = gamma_joint(s) / beta_joint, clamped to 1; every beta rule gives beta_joint > 0
-    for s in mt.sources:
-        est.paths[(s, mt.joint)] = min(gamma_hat(counts, mt.joint, s) / betas[mt.joint], 1.0)
-    pooled = {node: counts.pooled(node, mt.sources) for node in mt.nodes}
-    for head in mt.nodes:
-        for l in plan.children[head]:
-            est.add_link(l.label, (pooled[l.tail] / pooled[head]) * betas[head] / betas[l.tail])
+    for s, gamma in gammas:
+        est.paths[(s, mt.joint)] = min(gamma / betas[mt.joint], 1.0)
+    for l, ratio in ratios:
+        est.add_link(l.label, ratio * betas[l.head] / betas[l.tail])
 
 
 def _solve_paths(est: EstimateSet, counts: PooledCounts, plan: DTreePlan, source: int,

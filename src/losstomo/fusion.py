@@ -4,14 +4,16 @@ Fusion is the pooled MLE's walk with another beta rule: at every internal
 intersection node each source's counts alone give a subtree estimate (the
 subtree root on the counts n_i(s) and n_c(s), under the memo key of the pooled
 solve over that one source), kept in source order, and the rule returns a
-convex combination of them.  The schemes differ only in the per-source scores,
-which one normalisation turns into weights.  Both MVWA schemes score by the
-inverse of one per-source variance, beta(1 - A beta)/(nA): ``mvwa-oracle``
-takes the true beta and A, ``mvwa-plugin`` the source's own estimate beta(s)
-and A = gamma(s)/beta(s) with the miss probability floored at 1/(n+1).
-``rbmvwa`` scores by end-to-end odds and ``mrbmvwa`` by plain end-to-end
-proportions.  Joint paths and link rates then come from
-``estimators.solve_intersection`` exactly as for the pooled MLE.
+convex combination of them.  These estimates and the sources' gammas at the
+node are one memo entry, keyed by the node, its children and its sources, that
+all four schemes read; they differ only in the per-source scores, which one
+normalisation turns into weights.  Both MVWA schemes score by the inverse of
+one per-source variance, beta(1 - A beta)/(nA): ``mvwa-oracle`` takes the true
+beta and A, ``mvwa-plugin`` the source's own estimate beta(s) and A =
+gamma(s)/beta(s) with the miss probability floored at 1/(n+1).  ``rbmvwa``
+scores by end-to-end odds and ``mrbmvwa`` by plain end-to-end proportions.
+Joint paths and link rates then come from ``estimators.solve_intersection``
+exactly as for the pooled MLE, which reads its memoised count-only part.
 """
 
 from __future__ import annotations
@@ -62,14 +64,19 @@ def fuse_node(counts, node, children, sources, t, scheme) -> float:
     """Fused subtree rate at ``node``: the weighted sum of the per-source estimates,
     held at or below the largest of them, which rounding can carry the sum past.
     ``mvwa-oracle`` reads its true rates from the topology ``t``."""
-    per_source, gammas = {}, []
-    for s in sources:
-        n_i = counts.count(node, s)
-        if n_i:  # a source none of whose probes reached node has no estimate there
-            per_source[s] = _root(counts, ("subtree", n_i, tuple(counts.count(c, s) for c in children)))
-            gammas.append(n_i / counts.probes[s])
-    if not per_source:
-        raise NoDataError(f"no source observed anything below node {node}")
+    key = ("fused", node, tuple(children), tuple(sources))
+    entry = counts.memo.get(key)
+    if entry is None:
+        per_source, gammas = {}, []
+        for s in sources:
+            n_i = counts.count(node, s)
+            if n_i:  # a source none of whose probes reached node has no estimate there
+                per_source[s] = _root(counts, ("subtree", n_i, tuple(counts.count(c, s) for c in children)))
+                gammas.append(n_i / counts.probes[s])
+        if not per_source:
+            raise NoDataError(f"no source observed anything below node {node}")
+        entry = counts.memo[key] = per_source, gammas
+    per_source, gammas = entry
     try:
         if scheme == "rbmvwa":
             weights = rbmvwa_weights(gammas)

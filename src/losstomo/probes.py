@@ -50,15 +50,15 @@ def source_stream(seed: int, source: int) -> np.random.Generator:
 class PooledCounts:
     """n_i(s) for every node of every tree, plus the probe totals.
 
-    ``roots`` memoises the root solves made on these counts: the estimators
-    key each successful ``subtree_root`` / ``path_root`` return by the
-    solver and its exact inputs, so every method run on one replication's
-    counts solves each distinct root once.  A failing solve is not stored
-    and runs again.  The memo takes part in neither equality nor ``repr``."""
+    ``memo`` holds the estimators' count-only work on these counts, keyed by
+    kind and exact inputs, so the methods run on one replication do it once: root
+    solves, intersection entries (gamma-hats at the joint and link ratios) and
+    fused-node entries (per-source subtree estimates and gammas).  A failing
+    computation is not stored.  The memo takes part in neither equality nor ``repr``."""
 
     probes: dict[int, int]  # source -> n^s
     counts: dict[tuple[int, int], int]  # (node, source) -> n_i(s)
-    roots: dict[tuple, float] = field(default_factory=dict, compare=False, repr=False)
+    memo: dict[tuple, object] = field(default_factory=dict, compare=False, repr=False)
 
     def count(self, node: int, source: int) -> int:
         try:

@@ -497,15 +497,34 @@ def test_shared_counts_give_the_same_outcomes_as_fresh_counts():
     assert {FusionWeightError, NoDataError, UnidentifiableError} <= failures
 
 
-def _counting(monkeypatch, name):
+@seed(4104)
+@settings(max_examples=100, deadline=None)
+@given(text=multi_source_dags(), probes=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_generated_dags_give_the_same_outcomes_on_shared_counts_in_either_order(text, probes, seed):
+    # the memo's root, intersection and fused-node entries change no bit and no failure
+    t = parse_topology(text)
+    plan = decompose(t)
+    counts = simulate_counts(t, probes, seed)
+
+    def copy():
+        return PooledCounts(probes=dict(counts.probes), counts=dict(counts.counts))
+
+    fresh = {m: _outcome(copy(), plan, m) for m in METHODS}
+    for order in (METHODS, METHODS[::-1]):
+        shared = copy()
+        for m in order:
+            assert _outcome(shared, plan, m) == fresh[m], f"{m} after {order}"
+
+
+def _counting(monkeypatch, name, owner=estimators):
     calls = []
-    solver = getattr(estimators, name)
+    solver = getattr(owner, name)
 
     def counted(*args):
         calls.append(args)
         return solver(*args)
 
-    monkeypatch.setattr(estimators, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -520,6 +539,25 @@ def test_fusion_schemes_share_their_per_source_solves(monkeypatch, big_plan):
     for m in FUSION_METHODS:
         estimate_network(counts, big_plan, m)
     assert len(calls) == alone
+
+
+def test_methods_on_one_counts_pool_each_intersection_once(monkeypatch, big_plan):
+    # the four fusion schemes read the counts no more than one scheme, and after mle
+    # they pool nothing: the intersection and fused-node entries are shared
+    calls = {name: _counting(monkeypatch, name, PooledCounts) for name in ("count", "pooled")}
+
+    def work(methods):
+        counts = simulate_counts(big_plan.topology, 500, seed=3)
+        for c in calls.values():
+            c.clear()
+        for m in methods:
+            estimate_network(counts, big_plan, m)
+        return {name: len(c) for name, c in calls.items()}
+
+    alone = work(("rbmvwa",))
+    assert alone["pooled"] > 0
+    assert work(FUSION_METHODS) == alone
+    assert work(("mle", *FUSION_METHODS))["pooled"] == work(("mle",))["pooled"]
 
 
 def test_tree_baseline_reuses_the_path_solves_of_mle(monkeypatch, big_plan):
@@ -559,12 +597,12 @@ def test_root_memo_leaves_counts_equal_and_out_of_repr(big_plan):
     counts = simulate_counts(t, 400, seed=8)
     for m in METHODS:
         estimate_network(counts, big_plan, m)
-    assert counts.roots
+    assert counts.memo
     fresh = count_pass(simulate(t, 400, seed=8), t)
-    assert not fresh.roots
+    assert not fresh.memo
     assert counts == fresh
     assert repr(counts) == repr(fresh)
-    assert "roots" not in repr(counts)
+    assert "memo" not in repr(counts)
 
 
 @settings(max_examples=100, deadline=None)
