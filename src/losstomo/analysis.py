@@ -18,6 +18,8 @@ def fisher_information(A: float, beta: float, n: int = 1) -> float:
         raise ValueError(f"path rate {A} outside (0, 1]")
     if not 0.0 < beta < 1.0:
         raise ValueError(f"subtree rate {beta} outside (0, 1): information undefined")
+    if n < 1:
+        raise ValueError("probe count must be positive")
     return n * A / (beta * (1.0 - A * beta))
 
 
@@ -29,8 +31,7 @@ def crlb_beta(per_source, beta: float) -> float:
     pairs = list(per_source)
     if not pairs:
         raise ValueError("at least one source is required")
-    total = sum(fisher_information(a, beta, n) for a, n in pairs)
-    return 1.0 / total
+    return 1.0 / sum(fisher_information(a, beta, n) for a, n in pairs)
 
 
 def var_upstream(A: float, beta: float, n: int) -> float:

@@ -12,16 +12,16 @@ their joints' path estimates, and the per-tree baseline walks each source's
 whole tree with nothing embedded, so it gives one estimate per covering
 source for shared links.
 
-Count-only work is memoised in ``PooledCounts.memo`` under its kind and exact
-inputs: ``_root`` stores each successful ``subtree_root`` / ``path_root``
-return under the solver and a subtree solve's counts or a path solve's rates,
-and ``solve_intersection``, after its betas, each source's gamma-hat at the
-joint and each link's ratio n_c/n_head.  The pooled MLE and the four fusion
-schemes read one intersection entry, the schemes fuse the same per-source
-subtree estimates, and the per-tree baseline repeats every path solve of the
-pooled MLE with no embedded term; only the beta rule, the weights and ``ratio *
-beta_head / beta_tail`` are per method, so results are bit-identical.  A
-failing computation is not stored: it runs again and raises afresh.
+Count-only work that methods share is memoised in ``PooledCounts.memo`` under
+its kind and exact inputs: ``_solve_paths`` stores each successful
+``path_root`` return under its rates, as the per-tree baseline repeats every
+path solve of the pooled MLE with no embedded term, and
+``solve_intersection``, after its betas, each source's gamma-hat at the joint
+and each link's ratio n_c/n_head, read by the pooled MLE and the four fusion
+schemes.  Subtree solves are shared only in ``fusion.fuse_node``'s own entry.
+Only the beta rule, the weights and ``ratio * beta_head / beta_tail`` are per
+method, so results are bit-identical.  A failing computation is not stored:
+it runs again and raises afresh.
 """
 
 from __future__ import annotations
@@ -53,25 +53,13 @@ class EstimateSet:
         self.links[(label, source)] = pass_rate
 
 
-def _root(counts: PooledCounts, key: tuple) -> float:
-    """``subtree_root(*key[1:])`` or ``path_root(*key[1:])`` as ``key[0]`` names, memoised.
-
-    The solver is looked up at call time, and only a return is stored."""
-    root = counts.memo.get(key)
-    if root is None:
-        solver = subtree_root if key[0] == "subtree" else path_root
-        root = counts.memo[key] = solver(*key[1:])
-    return root
-
-
 def solve_multisource_beta(counts: PooledCounts, node: int, children, sources) -> float:
     """Pooled-count MLE of the subtree pass rate at ``node``.
 
     ``children`` are the direct descendants inside the intersection; counts
     from every source in ``sources`` are pooled before the solve.
     """
-    kids = tuple(counts.pooled(c, sources) for c in children)
-    return _root(counts, ("subtree", counts.pooled(node, sources), kids))
+    return subtree_root(counts.pooled(node, sources), tuple(counts.pooled(c, sources) for c in children))
 
 
 def beta_sample_mean(counts: PooledCounts, node: int, sources, true_paths) -> float:
@@ -140,9 +128,10 @@ def _solve_paths(est: EstimateSet, counts: PooledCounts, plan: DTreePlan, source
             links = plan.children[node]
             if est.betas:  # with none, every key is equal and the stable sort keeps the order
                 links = sorted(links, key=lambda l: l.tail not in est.betas)
-            paths[node] = _root(counts, (
-                "path", gamma_hat(counts, node, source), tuple(term(l.tail) for l in links)
-            ))
+            key = ("path", gamma_hat(counts, node, source), tuple(term(l.tail) for l in links))
+            if (root := counts.memo.get(key)) is None:  # only a return is stored
+                root = counts.memo[key] = path_root(*key[1:])
+            paths[node] = root
     except EstimationError as exc:
         raise type(exc)(f"path solve for source {source} at node {node}: {exc}") from exc
     for head, a_head in paths.items():

@@ -2,11 +2,11 @@
 
 Fusion is the pooled MLE's walk with another beta rule: at every internal
 intersection node each source's counts alone give a subtree estimate (the
-subtree root on the counts n_i(s) and n_c(s), under the memo key of the pooled
-solve over that one source), kept in source order, and the rule returns a
-convex combination of them.  These estimates and the sources' gammas at the
-node are one memo entry, keyed by the node, its children and its sources, that
-all four schemes read; they differ only in the per-source scores, which one
+subtree root on the counts n_i(s) and n_c(s)), kept in source order, and the
+rule returns a convex combination of them.  These estimates and the sources'
+gammas at the node are one memo entry, keyed by the node, its children and
+its sources, that all four schemes read, so each source's solve runs once per
+replication; the schemes differ only in the per-source scores, which one
 normalisation turns into weights.  Both MVWA schemes score by the inverse of
 one per-source variance, beta(1 - A beta)/(nA): ``mvwa-oracle`` takes the true
 beta and A, ``mvwa-plugin`` the source's own estimate beta(s) and A =
@@ -22,8 +22,8 @@ from functools import partial
 
 from .decompose import DTreePlan
 from .probes import PooledCounts
-from .solvers import FusionWeightError, NoDataError
-from .estimators import FUSION_METHODS, EstimateSet, _root, solve_intersection
+from .solvers import FusionWeightError, NoDataError, subtree_root
+from .estimators import FUSION_METHODS, EstimateSet, solve_intersection
 
 
 def _normalised(scores) -> tuple[float, ...]:
@@ -71,7 +71,7 @@ def fuse_node(counts, node, children, sources, t, scheme) -> float:
         for s in sources:
             n_i = counts.count(node, s)
             if n_i:  # a source none of whose probes reached node has no estimate there
-                per_source[s] = _root(counts, ("subtree", n_i, tuple(counts.count(c, s) for c in children)))
+                per_source[s] = subtree_root(n_i, tuple(counts.count(c, s) for c in children))
                 gammas.append(n_i / counts.probes[s])
         if not per_source:
             raise NoDataError(f"no source observed anything below node {node}")

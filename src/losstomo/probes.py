@@ -50,9 +50,9 @@ def source_stream(seed: int, source: int) -> np.random.Generator:
 class PooledCounts:
     """n_i(s) for every node of every tree, plus the probe totals.
 
-    ``memo`` holds the estimators' count-only work on these counts, keyed by
-    kind and exact inputs, so the methods run on one replication do it once: root
-    solves, intersection entries (gamma-hats at the joint and link ratios) and
+    ``memo`` holds the count-only work the estimators share on these counts, keyed
+    by kind and exact inputs, so the methods run on one replication do it once: path
+    roots, intersection entries (gamma-hats at the joint and link ratios) and
     fused-node entries (per-source subtree estimates and gammas).  A failing
     computation is not stored.  The memo takes part in neither equality nor ``repr``."""
 

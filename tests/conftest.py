@@ -135,6 +135,26 @@ def expected_counts(t, n: int) -> PooledCounts:
                                 for s, tree in t.trees.items() for i in tree.row})
 
 
+def path_bisection_oracle(g, terms):
+    """Smallest A in [max(g, terms), 1] where A - g - prod(A - t) / A^(k-1) turns non-negative."""
+    def h(a):
+        prod = 1.0
+        for t in terms:
+            prod *= a - t
+        return a - g - prod / a ** (len(terms) - 1)
+
+    lo, hi = max([g, *terms]), 1.0
+    if h(lo) >= 0:
+        return lo
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if h(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 # each mode gives the pass rates of k receiver rows: the bit modes of the observed-bits fuzz
 BIT_MODES = {
     "independent": lambda rng, k: rng.random(k),

@@ -7,6 +7,7 @@ and asserts the same condition, so the suite doubles as a go/no-go report.
 import time
 
 import numpy as np
+from conftest import path_bisection_oracle
 
 from losstomo.analysis import crlb_beta
 from losstomo.decompose import decompose
@@ -119,9 +120,10 @@ def test_accept_03_sample_mean_attains_crlb():
 
 def test_accept_04_single_source_route_agreement():
     # the pooled-beta route and the direct tree route are independent
-    # numerics for the same quantity; they must agree to solver precision
+    # numerics for the same quantity; they must agree to solver precision,
+    # and each with a bisection on the path polynomial
     rng = np.random.default_rng(7)
-    checked, worst = 0, 0.0
+    checked, worst, worst_ms, worst_tree = 0, 0.0, 0.0, 0.0
     while checked < 100:
         n = int(rng.integers(400, 2001))
         n_i = int(rng.integers(int(0.6 * n), n + 1))
@@ -140,13 +142,18 @@ def test_accept_04_single_source_route_agreement():
         )
         beta = solve_multisource_beta(counts, 1, [10 + j for j in range(k)], [0])
         a_ms = (n_i / n) / beta
-        a_tree = path_root(n_i / n, [c / n for c in kids])
+        terms = [c / n for c in kids]
+        a_tree = path_root(n_i / n, terms)
+        oracle = path_bisection_oracle(n_i / n, terms)
         worst = max(worst, abs(a_ms - a_tree))
+        worst_ms = max(worst_ms, abs(a_ms - oracle))
+        worst_tree = max(worst_tree, abs(a_tree - oracle))
         checked += 1
     report(
         "route agreement on single-source tables",
-        worst <= 1e-12,
-        f"max |pooled route - tree route| = {worst:.2e} over 100 tables (<=1e-12)",
+        max(worst, worst_ms, worst_tree) <= 1e-12,
+        f"max |pooled route - tree route| = {worst:.2e}, |pooled route - bisection| = "
+        f"{worst_ms:.2e}, |tree route - bisection| = {worst_tree:.2e} over 100 tables (<=1e-12)",
     )
 
 

@@ -29,6 +29,9 @@ def test_fisher_information_domain():
         fisher_information(0.5, 1.0)
     with pytest.raises(ValueError):
         fisher_information(0.5, 0.0)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="probe count must be positive"):
+            fisher_information(0.9, 0.5, n)
 
 
 def test_crlb_two_sources():
@@ -38,6 +41,9 @@ def test_crlb_two_sources():
     assert bound == pytest.approx(3.0 / 16000.0, abs=1e-12)
     with pytest.raises(ValueError):
         crlb_beta([], 0.5)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="probe count must be positive"):
+            crlb_beta([(0.9, n)], 0.5)
 
 
 def test_crlb_single_source_is_inverse_information():

@@ -12,11 +12,12 @@ from conftest import (
     expected_counts,
     lossy_multi_source_dags,
     multi_source_dags,
+    path_bisection_oracle,
     random_bits,
 )
 from hypothesis import given, seed, settings, strategies as st
 
-from losstomo import estimators
+from losstomo import estimators, fusion
 from losstomo.cli import main
 from losstomo.decompose import decompose
 from losstomo.estimators import (
@@ -109,9 +110,9 @@ def _splits(n, k, top=None):
 def test_no_root_exactly_when_no_probe_was_seen_below_two_children():
     # sum(n_c) - n_i counts the probes seen below more than one child, once for each
     # child past the first: every split of n_i fails, and one probe more below the
-    # largest child solves.  Two children up to n_i = 399, three up to n_i = 59.  The
-    # memo keys each root by the solve's exact inputs, so one set of counts, rewritten
-    # in place, serves every case.
+    # largest child solves.  Two children up to n_i = 399, three up to n_i = 59.  A
+    # pooled solve stores nothing in the memo, so one set of counts, rewritten in
+    # place, serves every case.
     wrong = []
     for k, top in ((2, 400), (3, 60)):
         children = list(range(3, 3 + k))
@@ -153,26 +154,6 @@ def test_solve_intersection_joint_paths(star22_plan):
 def test_solve_tree_pass_rate_example():
     assert path_root(0.9, [0.84, 0.78]) == pytest.approx(0.91, abs=1e-12)
     assert path_root(0.9, [0.9, 0.5]) == 0.9
-
-
-def path_bisection_oracle(g, terms):
-    """Smallest A in [max(g, terms), 1] where A - g - prod(A - t) / A^(k-1) turns non-negative."""
-    def h(a):
-        prod = 1.0
-        for t in terms:
-            prod *= a - t
-        return a - g - prod / a ** (len(terms) - 1)
-
-    lo, hi = max([g, *terms]), 1.0
-    if h(lo) >= 0:
-        return lo
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if h(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
 
 
 def test_upstream_solver_examples():
@@ -480,7 +461,7 @@ def _methods(plan):
 
 def test_shared_counts_give_the_same_outcomes_as_fresh_counts():
     # every method on one PooledCounts, in either order, equals that method on
-    # fresh counts: the root memo changes no bit and no failure
+    # fresh counts: the memo changes no bit and no failure
     failures = set()
     for name, text in SHARED_CASES.items():
         t = parse_topology(text)
@@ -501,7 +482,7 @@ def test_shared_counts_give_the_same_outcomes_as_fresh_counts():
 @settings(max_examples=100, deadline=None)
 @given(text=multi_source_dags(), probes=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
 def test_generated_dags_give_the_same_outcomes_on_shared_counts_in_either_order(text, probes, seed):
-    # the memo's root, intersection and fused-node entries change no bit and no failure
+    # the memo's path-root, intersection and fused-node entries change no bit and no failure
     t = parse_topology(text)
     plan = decompose(t)
     counts = simulate_counts(t, probes, seed)
@@ -529,7 +510,7 @@ def _counting(monkeypatch, name, owner=estimators):
 
 
 def test_fusion_schemes_share_their_per_source_solves(monkeypatch, big_plan):
-    calls = _counting(monkeypatch, "subtree_root")
+    calls = _counting(monkeypatch, "subtree_root", fusion)
     t = big_plan.topology
     estimate_network(simulate_counts(t, 500, seed=3), big_plan, "rbmvwa")
     alone = len(calls)
@@ -572,19 +553,19 @@ def test_tree_baseline_reuses_the_path_solves_of_mle(monkeypatch, big_plan):
     assert 0 < len(calls) < alone
 
 
-@pytest.mark.parametrize("solver, text, methods", [
+@pytest.mark.parametrize("solver, owner, text, methods", [
     # one dead receiver below the star's joint: every per-source subtree solve fails
-    ("subtree_root", _relossed(SETTINGS["2x2-equal"], lambda i, old: 1.0 if i == "4" else old),
+    ("subtree_root", fusion, _relossed(SETTINGS["2x2-equal"], lambda i, old: 1.0 if i == "4" else old),
      ("rbmvwa", "mrbmvwa")),
     # link 7 -> 15 dead: source 0's path solve at node 7 fails in both walks
-    ("path_root", _relossed(BIG_NETWORK, lambda i, old: 1.0 if i == "23" else old),
+    ("path_root", estimators, _relossed(BIG_NETWORK, lambda i, old: 1.0 if i == "23" else old),
      ("mle", "tree-baseline")),
 ], ids=["subtree", "path"])
-def test_a_failing_solve_runs_again_on_the_next_method(monkeypatch, solver, text, methods):
+def test_a_failing_solve_runs_again_on_the_next_method(monkeypatch, solver, owner, text, methods):
     t = parse_topology(text)
     plan = decompose(t)
     counts = simulate_counts(t, 300, seed=2)
-    calls = _counting(monkeypatch, solver)
+    calls = _counting(monkeypatch, solver, owner)
     first, second = (_outcome(counts, plan, m) for m in methods)
     assert first[0] is UnidentifiableError
     assert first == second
