@@ -13,15 +13,15 @@ observation is a plain dict of the same rows unpacked, source -> 0/1 matrix: row
 k is the k-th receiver of T^s in ``receivers`` order, column k is probe k.
 ``simulate`` unpacks ``_draw``'s rows and ``count_pass`` packs them back, so
 ``_or_counts``, the OR rule, reads one form.  A source may be left out, a
-receiver may not.
+receiver may not.  The draw's AND and the OR rule run per ``Tree.groups`` group.
 ``simulate_runs`` counts each source's probes in windows of CHUNK // WORKERS,
 one task per (source, window), WORKERS at once on threads (numpy releases the
 GIL in the RNG fill and the ufuncs); a window holds as many replications as fit.
 At most CHUNK probes are in flight: two bits per receiver and one per other tree
-node and probe of the window's source, plus one float64 and one bool per probe
-for each thread's draws, so memory grows with neither n, the number of sources or
-replications nor the CPU count; the windows' integer counts are summed, so each
-replication gets exactly ``count_pass(simulate(...))``.
+node and probe of the window's source, plus at most one float64 and one bool per
+probe of CHUNK // WORKERS for each thread's draws, so memory grows with neither n,
+the number of sources or replications nor the CPU count; the windows' integer counts
+are summed, so each replication gets exactly ``count_pass(simulate(...))``.
 """
 
 from __future__ import annotations
@@ -96,22 +96,30 @@ def _draw(t: Topology, s: int, seeds: list[int], n: int, c0: int, m: int) -> np.
     """What the receivers of T^s see of probes [c0, c0 + m) of the n source s sends, for
     each seed: (receiver, seed, byte), receivers in ``t.trees[s].receivers`` order, packed
     eight probes a byte, with zero padding past m.  Each seed draws its row from its own
-    stream.  The states of the other nodes are drawn but not returned."""
+    stream.  The states of the other nodes are drawn but not returned.  A window of every
+    probe (m == n), whose links are end to end in each stream, draws them in blocks of up
+    to CHUNK // WORKERS probes, one ``random`` call per seed and block; others link by link."""
     tree = t.trees[s]
     streams = [source_stream(seed, s) for seed in seeds]
-    draws, passed = np.empty((len(seeds), m)), np.empty((len(seeds), m), dtype=bool)
+    rates = np.array([l.pass_rate for l in tree.links])[:, None]
+    block = min(len(rates), max(1, CHUNK // WORKERS // (len(seeds) * m)) if m == n else 1)
+    draws, passed = np.empty((block, m)), np.empty((len(seeds), block, m), dtype=bool)
     bits = np.empty((len(tree.parent), len(seeds), (m + 7) // 8), dtype=np.uint8)
     bits[0] = 0xFF
     if c0:
         for rng in streams:
             rng.bit_generator.advance(c0)
-    for j, l in enumerate(tree.links, 1):  # parents first, in topological order
-        for rng, row in zip(streams, draws):
-            rng.random(out=row)
+    for j in range(0, len(rates), block):  # links in row order
+        b = min(block, len(rates) - j)
+        d, p = draws[:b], rates[j:j + b]
+        for rng, out in zip(streams, passed[:, :b]):
+            rng.random(out=d)
             if m < n:
                 rng.bit_generator.advance(n - m)  # to the same probe of the next link
-        np.less(draws, l.pass_rate, out=passed)
-        np.bitwise_and(np.packbits(passed, axis=-1), bits[tree.parent[j]], out=bits[j])
+            np.less(d, p, out=out)
+        bits[j + 1:j + 1 + b] = np.packbits(passed[:, :b], axis=-1).swapaxes(0, 1)
+    for rows, parents in tree.groups:
+        bits[rows] &= bits[parents]
     return bits.take(tree.receivers, axis=0)
 
 
@@ -120,13 +128,12 @@ def _or_counts(tree: Tree, received: np.ndarray) -> np.ndarray:
 
     ``received`` is packed like ``_draw``'s, per seed (row, seed counts) or not (row
     counts), with padding bits past the last probe 0.  Writes it into a zeroed row per
-    tree node, ORs each row into its parent's in reverse row order, children first, and
-    counts the set bits in place, so the window's rows are all it holds."""
+    tree node, ORs each group of ``Tree.groups`` into its parents', bottom-up, and counts
+    the set bits in place, so the window's rows are all it holds."""
     bits = np.zeros((len(tree.parent), *received.shape[1:]), dtype=np.uint8)
     bits[list(tree.receivers)] = received
-    parent = tree.parent
-    for j in range(len(parent) - 1, 0, -1):
-        np.bitwise_or(bits[parent[j]], bits[j], out=bits[parent[j]])
+    for rows, parents in reversed(tree.groups):
+        bits[parents] |= bits[rows]
     return np.bitwise_count(bits, out=bits).sum(axis=-1, dtype=np.int64)
 
 
@@ -150,7 +157,9 @@ def simulate_runs(t: Topology, probes: dict[int, int] | int, seeds: Iterable[int
     a seed's stream as 128 probes; when each source has one window, they run in the
     calling thread."""
     probes = _probe_counts(t, probes)
-    trees = t.trees  # a cached_property: build it here, not racing in the workers
+    trees = t.trees  # cached_properties: build them here, not racing in the workers
+    for tree in trees.values():
+        tree.groups
     width = max(1, CHUNK // WORKERS)
     seeds, k = list(seeds), max(1, width // (max(probes.values()) + 128))
 

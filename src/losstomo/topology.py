@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+import numpy as np
+
 
 class TopologyError(ValueError):
     """Malformed or inconsistent topology description."""
@@ -31,20 +33,38 @@ class Link(NamedTuple):
     pass_rate: float
 
 
-class Tree(NamedTuple):
+@dataclass(frozen=True)
+class Tree:
     """One source's multicast tree as the rows of a bit matrix: row 0 is the source and
     row j >= 1 the tail of ``links[j - 1]``.  Probes are drawn over every row, but only
     the ``receivers`` rows leave the draw; the OR rule rebuilds the rest from them.
 
     The links are ordered by the position of each link's head in ``order``, then by link
-    id, so every parent's row precedes its children's, and every per-source walk visits
-    children first in reverse row order.  This order is the probe stream layout (see the
-    ``probes`` module docstring): changing it changes every simulated probe."""
+    id, so a parent's row precedes its children's, which are adjacent, and every per-source
+    walk visits children first in reverse row order.  This order is the probe stream
+    layout (see the ``probes`` module docstring): changing it changes every simulated probe."""
 
     row: dict[int, int]  # tree node -> its row, in row order
     links: tuple[Link, ...]  # links[j - 1] is the link into row j
     parent: tuple[int, ...]  # each row's parent row (parent[0] = 0)
     receivers: tuple[int, ...]  # rows of the tree's receivers, in ``receivers`` order
+
+    @cached_property
+    def groups(self) -> tuple[tuple[slice | np.ndarray, slice | np.ndarray], ...]:
+        """Rows 1.. as (rows, their parents' rows) pairs, one per depth and rank among
+        siblings, by depth: no parent appears twice in a group and each parent's group
+        precedes its children's.  A contiguous run is a slice.  Built on first use."""
+        depth, rank, groups = [0, 1], 0, {(1, 0): [1]}
+        for j, p in enumerate(self.parent[2:], 2):
+            depth.append(depth[p] + 1)
+            rank = rank + 1 if self.parent[j - 1] == p else 0
+            groups.setdefault((depth[j], rank), []).append(j)
+
+        def index(rows: list[int]) -> slice | np.ndarray:
+            run = range(rows[0], rows[0] + len(rows))
+            return slice(run.start, run.stop) if rows == list(run) else np.array(rows)
+        return tuple((index(rows), index([self.parent[j] for j in rows]))
+                     for _, rows in sorted(groups.items()))
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,11 @@ def test_determinism():
     assert any(not np.array_equal(a[s], c[s]) for s in t.sources)
 
 
-def test_simulate_draws_each_tree_in_topological_order(big_topology):
-    # reference draw loop: the tree's members in topological order, each one's out-links by id;
-    # every link's n draws come from the source's one stream, so any other order changes the bits
-    t, n, seed = big_topology, 50, 7
-    obs = simulate(t, n, seed)
+def reference_bits(t, n, seed):
+    """The receiver bits of ``simulate(t, n, seed)`` by the reference draw loop: each tree's
+    members in topological order, each one's out-links by id, n draws a link from the
+    source's one stream."""
+    bits = {}
     for s in t.sources:
         rng = source_stream(seed, s)
         members = reachable(t, s)
@@ -73,8 +73,38 @@ def test_simulate_draws_each_tree_in_topological_order(big_topology):
             if u in members:
                 for l in t.out_links[u]:
                     state[l.tail] = state[u] & (rng.random(n) < l.pass_rate)
-        recv = tuple(r for r in t.receivers if r in members)
-        assert np.array_equal(obs[s], np.vstack([state[r] for r in recv]))
+        bits[s] = np.vstack([state[r] for r in t.receivers if r in members])
+    return bits
+
+
+def test_simulate_draws_each_tree_in_topological_order(big_topology):
+    # every link's n draws come from the source's one stream, so any other order changes the bits
+    t, n, seed = big_topology, 50, 7
+    obs, expected = simulate(t, n, seed), reference_bits(t, n, seed)
+    for s in t.sources:
+        assert np.array_equal(obs[s], expected[s])
+
+
+@seed(38)
+@settings(max_examples=40, deadline=None)
+@given(text=multi_source_dags(), data=st.data())
+def test_simulate_runs_draws_each_tree_in_topological_order_in_any_block_split(text, data):
+    # a window of s seeds that holds every probe of n draws its links in blocks of
+    # CHUNK // WORKERS // (s * n); at n > 128 a window of that width holds all s seeds even
+    # when a block is one link, so every tree is drawn in blocks of 1, 2, L - 1 and L links
+    t = parse_topology(text)
+    n = data.draw(st.integers(129, 300))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4))
+    expected = [count_pass(reference_bits(t, n, seed), t) for seed in seeds]
+    lengths = {len(tree.links) for tree in t.trees.values()}
+    for block in sorted({1, 2, *lengths, *(L - 1 for L in lengths)} - {0}):
+        workers = data.draw(st.sampled_from((1, 2, 3)))
+        width = max(block * len(seeds) * n, len(seeds) * (n + 128))
+        assert width // (len(seeds) * n) == block and width // (n + 128) >= len(seeds)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(probes_module, "CHUNK", workers * width)
+            mp.setattr(probes_module, "WORKERS", workers)
+            assert list(simulate_runs(t, n, seeds)) == expected, block
 
 
 def test_positive_probe_count_required(star22):
@@ -180,9 +210,22 @@ def serial_chain():
     return parse_topology(SERIAL_CHAIN)
 
 
-@pytest.mark.parametrize("fixture", ["big_topology", "serial_chain"])
-def test_bottom_up_counts_equal_or_over_receivers_under(request, fixture):
-    t = request.getfixturevalue(fixture)
+# one source over nodes of 3 and 4 children at depths 1 to 3, with receivers at depths 2 to
+# 4, so the rows of one depth and sibling rank are scattered in some groups
+WIDE_TREE = (
+    "".join(f"node {i}\n" for i in range(18))
+    + "".join(f"link {i} {h} {i} 0.3\n" for i, h in enumerate(
+        (0, 1, 1, 1, 1, 3, 3, 3, 4, 4, 10, 10, 10, 5, 5, 5, 5), 1))
+    + "source 0\n" + "".join(f"receiver {r}\n" for r in (2, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17))
+)
+
+
+@pytest.fixture
+def wide_tree():
+    return parse_topology(WIDE_TREE)
+
+
+def assert_counts_are_or_over_receivers_under(t):
     obs = simulate(t, 400, seed=13)
     counts = count_pass(obs, t)
     for s in t.sources:
@@ -190,6 +233,82 @@ def test_bottom_up_counts_equal_or_over_receivers_under(request, fixture):
         for node in reachable(t, s):
             rows = [row[r] for r in receivers_below(t, node)]
             assert counts.count(node, s) == int(np.count_nonzero(np.any(rows, axis=0)))
+
+
+@pytest.mark.parametrize("fixture", ["big_topology", "serial_chain", "wide_tree"])
+def test_bottom_up_counts_equal_or_over_receivers_under(request, fixture):
+    assert_counts_are_or_over_receivers_under(request.getfixturevalue(fixture))
+
+
+def test_wide_tree_has_scattered_and_contiguous_groups(wide_tree):
+    # both kinds of index are exercised: fancy indexes, and slices of more than one row
+    indexes = [index for group in wide_tree.trees[0].groups for index in group]
+    assert any(isinstance(index, np.ndarray) for index in indexes)
+    assert any(isinstance(index, slice) and index.stop - index.start > 1 for index in indexes)
+
+
+@seed(39)
+@settings(max_examples=60, deadline=None)
+@given(text=multi_source_dags())
+def test_groups_order_the_or_rule_on_generated_dags(text):
+    # each row 1.. falls in exactly one group, no parent appears twice in a group (the OR
+    # of a group into its parents is one fancy-indexed update), and each parent's group
+    # comes before its children's (the AND runs top-down and the OR bottom-up)
+    t = parse_topology(text)
+    for tree in t.trees.values():
+        every, group_of = np.arange(len(tree.parent)), {}
+        for g, (rows, parents) in enumerate(tree.groups):
+            rows, parents = every[rows].tolist(), every[parents].tolist()
+            assert parents == [tree.parent[j] for j in rows]
+            assert len(set(parents)) == len(parents)
+            for j in rows:
+                assert group_of.setdefault(j, g) == g
+        assert sorted(group_of) == list(range(1, len(tree.parent)))
+        assert all(group_of.get(tree.parent[j], -1) < g for j, g in group_of.items())
+    assert_counts_are_or_over_receivers_under(t)
+
+
+def test_simulate_runs_count_moments_equal_their_closed_forms():
+    # n_i(s) sums n independent probes of X_i, "some receiver below i saw the probe", so
+    # its mean is n gamma_i(s) and its covariance with n_k(s) is n (E[X_i X_k] - gamma_i
+    # gamma_k): E[X_i X_k] is gamma_i when k is i or an ancestor of i, and gamma_i gamma_k /
+    # A(s, lca) otherwise, since the subtrees below the lowest common ancestor draw on
+    # disjoint links; counts of different sources are independent.  Every mean and
+    # covariance of the 32 counts must lie within 4.5 standard errors of its closed form (the
+    # band, seeds and replication count were fixed before the first run)
+    t, n, reps, band = parse_topology(with_loss(BIG_NETWORK, 0.2)), 200, 3000, 4.5
+    keys = [(i, s) for s in t.sources for i in t.trees[s].row]
+    gamma = np.array([t.path_rate(s, i) * t.subtree_rate[i] for i, s in keys])
+
+    def up(i, s):
+        """Node i of the tree of s and its ancestors, bottom-up."""
+        tree = t.trees[s]
+        nodes, j, path = list(tree.row), tree.row[i], [i]
+        while j:
+            j = tree.parent[j]
+            path.append(nodes[j])
+        return path
+
+    joint = np.outer(gamma, gamma)  # across sources
+    for a, (i, s) in enumerate(keys):
+        for b, (k, r) in enumerate(keys):
+            if r == s:
+                above_i, above_k = up(i, s), up(k, s)
+                if k in above_i:  # k is i or an ancestor of i
+                    joint[a, b] = gamma[a]
+                elif i in above_k:
+                    joint[a, b] = gamma[b]
+                else:
+                    lca = next(u for u in above_i if u in above_k)
+                    joint[a, b] = gamma[a] * gamma[b] / t.path_rate(s, lca)
+    counts = np.array([[c.count(i, s) for i, s in keys] for c in simulate_runs(t, n, range(reps))], float)
+    mean_z = (counts.mean(axis=0) - n * gamma) / np.sqrt(n * gamma * (1 - gamma) / reps)
+    centred = counts - counts.mean(axis=0)
+    products = centred[:, :, None] * centred[:, None, :]
+    cov_z = ((products.sum(axis=0) / (reps - 1) - n * (joint - np.outer(gamma, gamma)))
+             / (products.std(axis=0, ddof=1) / math.sqrt(reps)))
+    assert np.abs(mean_z).max() < band, mean_z
+    assert np.abs(cov_z).max() < band, cov_z
 
 
 TOPOLOGIES = {**SETTINGS, "big": BIG_NETWORK, "chain": CHAIN_TREE, "single": SINGLE_TREE}
@@ -452,19 +571,24 @@ def test_simulate_counts_memory_is_one_bit_per_tree_node_and_probe(big_topology,
     assert peak < 1.5 * 2**20, peak
 
 
-def test_simulate_counts_memory_holds_no_second_bit_per_tree_row(monkeypatch):
-    # one source over a binary tree of depth 8 below its one link: 512 tree rows, 256 of
-    # them receivers.  A window of w probes may hold 9 bytes a probe for its draws, one
-    # bit per tree row and one more per receiver; counting the OR rule's bits into a new
-    # array would add another bit per tree row
+def binary_tree_topology():
+    """One source over a binary tree of depth 8 below its one link: 512 tree rows, 256 of
+    them receivers."""
     lines = ["node 0", "node 1", "link 0 0 1 0.01", "source 0"]
     for i in range(1, 256):
         lines += [f"node {2 * i}", f"node {2 * i + 1}",
                   f"link {2 * i - 1} {i} {2 * i} 0.01", f"link {2 * i} {i} {2 * i + 1} 0.01"]
     lines += [f"receiver {r}" for r in range(256, 512)]
     t = parse_topology("\n".join(lines) + "\n")
-    rows, receivers, window = len(t.trees[0].parent), len(t.trees[0].receivers), 2**15
-    assert (rows, receivers) == (512, 256)
+    assert (len(t.trees[0].parent), len(t.trees[0].receivers)) == (512, 256)
+    return t
+
+
+def test_simulate_counts_memory_holds_no_second_bit_per_tree_row(monkeypatch):
+    # a window of w probes may hold 9 bytes a probe for its draws, one bit per tree row
+    # and one more per receiver; counting the OR rule's bits into a new array would add
+    # another bit per tree row
+    t, window = binary_tree_topology(), 2**15
     monkeypatch.setattr(probes_module, "CHUNK", window)
     monkeypatch.setattr(probes_module, "WORKERS", 1)
     simulate_counts(t, window + 5, seed=4)  # builds the trees and imports the thread pool
@@ -474,7 +598,26 @@ def test_simulate_counts_memory_holds_no_second_bit_per_tree_row(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * (9 + (rows + receivers) / 8) * window, peak
+    assert peak < 1.25 * (9 + (512 + 256) / 8) * window, peak
+
+
+@pytest.mark.parametrize("n, seeds", [(2**14 - 128, 1), (2**12, 3), (2**9, 20), (100, 100)])
+def test_simulate_runs_memory_in_link_blocks_stays_within_the_window(monkeypatch, n, seeds):
+    # a window that holds every probe of its seeds draws 2 or 3 links a block, so its float64
+    # draws and bool passes still take 9 bytes a probe of the window at most, besides one
+    # bit per tree row and one more per receiver
+    t, window = binary_tree_topology(), 2**15
+    assert 2 <= window // (seeds * n) <= 3 and window // (n + 128) >= seeds
+    monkeypatch.setattr(probes_module, "CHUNK", window)
+    monkeypatch.setattr(probes_module, "WORKERS", 1)
+    next(simulate_runs(t, n, [0]))  # builds the trees and their groups
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in simulate_runs(t, n, range(seeds))) == seeds  # keeps no replication's counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (9 + (512 + 256) / 8) * window, peak
 
 
 def test_workers_share_the_memory_budget(big_topology, monkeypatch):
