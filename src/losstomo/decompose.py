@@ -1,13 +1,14 @@
 """Decomposition of a general network into d-trees.
 
 Joint nodes (more than one parent) root the intersections shared by several
-multicast trees.  Each intersection plus a virtual link per contributing
-source forms a multi-source tree; everything above the joint nodes belongs to
-per-source upstream fragments.  Serial link chains are merged into logical
-links because a chain rate can only ever be estimated as a product.  The plan
-stores each logical link once, in ``DTreePlan.children``: an intersection has
-the links out of its nodes, a source's fragment those out of the source and
-out of each node of its ``path_walk`` past the intersections' nodes.
+multicast trees; a receiver joint's intersection holds no link, and its beta is 1.
+Each intersection plus a virtual link per contributing source forms a
+multi-source tree; the rest of each source's tree is its upstream fragment.
+Serial link chains are merged into logical links because a chain rate can only
+ever be estimated as a product.  A joint nested in another intersection, or
+above a single chain, is rejected.  ``DTreePlan.children`` stores each logical
+link once: an intersection has the links out of its nodes, a source's fragment
+those out of the source and out of its ``path_walk`` nodes in no intersection.
 """
 
 from __future__ import annotations
@@ -117,10 +118,7 @@ def decompose(t: Topology) -> DTreePlan:
             )
         )
     for j in joints:
-        if not children[j]:
-            raise UnsupportedTopologyError(f"joint node {j} is a receiver reached from several "
-                                           "sources; its intersection holds no link to estimate")
-        if len(children[j]) < 2:
+        if len(children[j]) == 1:
             raise UnsupportedTopologyError(
                 f"joint node {j} has a single descendant chain; its subtree rate "
                 "cannot be separated from the per-source paths"

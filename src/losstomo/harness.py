@@ -123,9 +123,9 @@ def _expected_keys(plan: DTreePlan, estimator: str):
 def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
     cfg.validate()
     plan = decompose(parse_topology(cfg.topology_text))
-    fusion = [e for e in cfg.estimators if e in FUSION_METHODS]
-    if fusion and not plan.msource_trees:
-        raise ValueError(f"fusion needs a joint node and the topology has none: {', '.join(fusion)}")
+    keys = {e: _expected_keys(plan, e) for e in cfg.estimators}
+    if empty := [e for e in cfg.estimators if not keys[e]]:  # only a fusion scheme's can be empty
+        raise ValueError(f"fusion needs an intersection link and the topology has none: {', '.join(empty)}")
     true_loss = {l.label: 1.0 - l.pass_rate for l in plan.logical_links}
     # label -> (A, beta) of each link with a closed-form variance: a source's own link into a joint
     joint_set = set(plan.joint_nodes)
@@ -136,7 +136,6 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
 
     table = ReplicationTable()
     seeds = [replication_seed(cfg.seed, rep) for rep in range(cfg.reps)]
-    keys = {e: _expected_keys(plan, e) for e in cfg.estimators}
     for n in cfg.probe_counts:
         crlb_var = {label: _defined(var_upstream, a, beta, n) for label, (a, beta) in crlb.items()}
         # per estimator: one list of losses, in keys[e] order, per successful replication

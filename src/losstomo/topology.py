@@ -23,7 +23,7 @@ class TopologyError(ValueError):
 
 
 class UnsupportedTopologyError(TopologyError):
-    """Valid input whose shape falls outside the supported decompositions."""
+    """Valid input ``decompose`` rejects: a joint nested in an intersection, or a single-chain one."""
 
 
 class Link(NamedTuple):

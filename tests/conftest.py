@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -100,6 +102,15 @@ CHAIN_TREE = (
     "source 0\nreceiver 3\nreceiver 4\n"
 )
 
+# two sources whose trees share receivers 4 and 5 and nothing else: two receiver joints,
+# each the whole of an intersection that holds no link
+RECEIVER_JOINTS = (
+    "node 0\nnode 1\nnode 2\nnode 3\nnode 4\nnode 5\n"
+    "link 0 0 2 0.01\nlink 1 1 3 0.01\nlink 2 2 4 0.01\nlink 3 3 4 0.01\n"
+    "link 4 2 5 0.01\nlink 5 3 5 0.01\n"
+    "source 0\nsource 1\nreceiver 4\nreceiver 5\n"
+)
+
 
 def reachable(t, node) -> set[int]:
     """The nodes reachable from node along ``out_links``, node included.
@@ -133,6 +144,31 @@ def expected_counts(t, n: int) -> PooledCounts:
     return PooledCounts(probes={s: n for s in t.sources},
                         counts={(i, s): n * t.path_rate(s, i) * t.subtree_rate[i]
                                 for s, tree in t.trees.items() for i in tree.row})
+
+
+def sample_counts(t, n: int, rng) -> PooledCounts:
+    """One replication's n_i(s), n probes per source, drawn at the count level with no probe
+    bits: an oracle for the joint distribution of ``simulate_runs``' counts.  Per source,
+    n_s(s) ~ Binomial(n, beta_s); then, top-down in tree-row order, the set of u's children
+    whose subtrees see each of the n_u(s) probes seen below u is multinomial over the
+    nonempty sets, with probabilities proportional to prod_c p_c^b (1 - p_c)^(1 - b),
+    p_c = alpha_c beta_c, and n_c(s) sums the sets that hold c."""
+    counts = {}
+    for s, tree in t.trees.items():
+        counts[(s, s)] = int(rng.binomial(n, t.subtree_rate[s]))
+        kids = {u: [] for u in tree.row}
+        for l in tree.links:
+            kids[l.head].append(l)
+        for u, links in kids.items():
+            if not links:
+                continue
+            p = np.array([l.pass_rate * t.subtree_rate[l.tail] for l in links])
+            sets = np.array(list(product((0, 1), repeat=len(links)))[1:])  # every nonempty set
+            weights = np.prod(np.where(sets, p, 1.0 - p), axis=1)
+            draws = rng.multinomial(counts[(u, s)], weights / weights.sum())
+            for l, seen in zip(links, (draws @ sets).tolist()):
+                counts[(l.tail, s)] = seen
+    return PooledCounts(probes={s: n for s in t.sources}, counts=counts)
 
 
 def path_bisection_oracle(g, terms):
@@ -252,16 +288,16 @@ def serial_plan():
 
 
 @st.composite
-def multi_source_dags(draw):
+def multi_source_dags(draw, joints=st.integers(1, 3)):
     """Topology text of a random multi-source DAG that parses and decomposes.
 
     2-4 sources, each reaching its top node through a serial chain of 1-3
-    links; 1-3 joints, each fed by the tops of a random subset of at least two
-    sources and rooting a shared subtree; tops in no joint's subset get a
-    private subtree, others may.  Subtree nodes have 1-3 children, so serial
-    chains appear below the tops too, and every joint has at least two.
-    Node ids are shuffled, link ids have gaps, and the link lines come in a
-    shuffled id order."""
+    links; ``joints`` (1-3) joints, each fed by the tops of a random subset of at
+    least two sources and rooting a shared subtree; tops in no joint's subset get
+    a private subtree, others may, so with no joint the sources' trees are
+    disjoint.  Subtree nodes have 1-3 children, so serial chains appear below the
+    tops too, and every joint has at least two.  Node ids are shuffled, link ids
+    have gaps, and the link lines come in a shuffled id order."""
     n_sources = draw(st.integers(2, 4))
     edges: list[tuple[int, int]] = []
     receivers: list[int] = []
@@ -290,7 +326,7 @@ def multi_source_dags(draw):
             top = nxt
         tops.append(top)
     fed = set()
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(joints)):
         subset = draw(st.sets(st.sampled_from(range(n_sources)), min_size=2))
         joint = node()
         for i in sorted(subset):
@@ -317,9 +353,28 @@ def multi_source_dags(draw):
 
 
 @st.composite
-def lossy_multi_source_dags(draw):
-    """``multi_source_dags`` with every link's loss redrawn in [0.01, 0.5], so every rate
-    is identifiable; ``multi_source_dags``'s own example stream is left as it is."""
-    lines = draw(multi_source_dags()).splitlines()
+def receiver_joint_dags(draw, dags=multi_source_dags()):
+    """``dags`` (``multi_source_dags`` by default, whose sources have one link out each) with
+    one more receiver: a receiver joint, fed by a link from the first node below each of two
+    or more of the sources.  That node lies in the one source's tree alone, so the new joint
+    lies in no intersection.  The new links' losses come from ``multi_source_dags``' choices."""
+    lines = draw(dags).splitlines()
+    sources = [int(line.split()[1]) for line in lines if line.startswith("source ")]
+    links = [line.split() for line in lines if line.startswith("link ")]
+    first = {int(head): int(tail) for _, _, head, tail, _ in links if int(head) in sources}
+    receiver = 1 + max(int(line.split()[1]) for line in lines if line.startswith("node "))
+    link = 1 + max(int(words[1]) for words in links)
+    fed = sorted(draw(st.sets(st.sampled_from(sources), min_size=2)))
+    return "\n".join([f"node {receiver}", *lines, f"receiver {receiver}", *(
+        f"link {link + k} {first[s]} {receiver} {draw(st.sampled_from((0.0, 0.01, 0.2, 1.0)))}"
+        for k, s in enumerate(fed))]) + "\n"
+
+
+@st.composite
+def lossy_multi_source_dags(draw, dags=multi_source_dags()):
+    """``dags`` (``multi_source_dags`` by default) with every link's loss redrawn in
+    [0.01, 0.5], so every rate is identifiable; the example stream of ``dags`` is left as
+    it is."""
+    lines = draw(dags).splitlines()
     return "\n".join(f"{line.rsplit(' ', 1)[0]} {draw(st.floats(0.01, 0.5))}"
                      if line.startswith("link ") else line for line in lines) + "\n"

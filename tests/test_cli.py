@@ -203,7 +203,18 @@ def test_fusion_without_joint_is_config_error(tmp_path, capsys, estimators):
     )
     assert code == EXIT_CONFIG
     assert out == ""
-    assert err == "error: fusion needs a joint node and the topology has none: mrbmvwa\n"
+    assert err == "error: fusion needs an intersection link and the topology has none: mrbmvwa\n"
+
+
+def test_fusion_without_an_intersection_link_is_config_error(capsys):
+    # receivers 4 and 5 are the only joints, and their intersections hold no link, so fusion
+    # has nothing to estimate: a config error, not an empty table
+    code, out, err = run_cli(
+        capsys, "run", "--topology", str(GOLDEN / "receiver-joints-seed42/topology.txt"),
+        "--probes", "100", "--reps", "3", "--estimators", "mle,rbmvwa,mrbmvwa",
+    )
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "error: fusion needs an intersection link and the topology has none: rbmvwa, mrbmvwa\n"
 
 
 def test_bad_estimator_is_config_error(capsys):
@@ -338,6 +349,22 @@ def test_run_prints_each_failure_note_on_stderr(capsys):
     assert out == (golden / "run.csv").read_text()
     messages = (golden / "messages.txt").read_text().splitlines(keepends=True)
     assert err == "".join(f"note: {m}" for m in messages)
+
+
+def test_receiver_joint_golden(capsys):
+    # two receiver joints and no intersection link: the path methods' table, its failure
+    # notes on stderr (none), and the analyze and decompose output, each byte for byte
+    golden = GOLDEN / "receiver-joints-seed42"
+    topology = str(golden / "topology.txt")
+    code, out, err = run_cli(
+        capsys, "run", "--topology", topology, "--probes", "10,300", "--reps", "3", "--seed", "42",
+        "--estimators", "mle,tree-baseline",
+    )
+    assert (code, out) == (0, (golden / "run.csv").read_text())
+    messages = (golden / "messages.txt").read_text().splitlines(keepends=True)
+    assert err == "".join(f"note: {m}" for m in messages)
+    assert run_cli(capsys, "analyze", "--topology", topology) == (0, (golden / "analyze.csv").read_text(), "")
+    assert run_cli(capsys, "decompose", "--topology", topology) == (0, (golden / "decompose.txt").read_text(), "")
 
 
 def test_topology_file_with_a_utf8_bom_reads_like_one_without(tmp_path, capsys):

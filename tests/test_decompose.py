@@ -3,7 +3,7 @@ import contextlib
 import io
 
 import pytest
-from conftest import BIG_NETWORK, multi_source_dags
+from conftest import BIG_NETWORK, RECEIVER_JOINTS, multi_source_dags
 from hypothesis import given, seed, settings
 
 from losstomo.cli import main
@@ -147,24 +147,18 @@ def test_single_chain_joint_rejected():
     )
 
 
-def test_receiver_joint_rejected_as_a_receiver(tmp_path, capsys):
-    # both sources' trees end at receivers 4 and 5, so each is a joint with no
-    # descendant at all, not one with a single descendant chain
+def test_receiver_joints_are_accepted(tmp_path, capsys):
+    # both sources' trees end at receivers 4 and 5, so each is a joint whose intersection
+    # holds no link: its subtree rate is 1, and decompose, run and analyze take it
     p = tmp_path / "shared-receivers.txt"
-    p.write_text(
-        "node 0\nnode 1\nnode 2\nnode 3\nnode 4\nnode 5\n"
-        "link 0 0 2 0.01\nlink 1 1 3 0.01\nlink 2 2 4 0.01\nlink 3 3 4 0.01\n"
-        "link 4 2 5 0.01\nlink 5 3 5 0.01\n"
-        "source 0\nsource 1\nreceiver 4\nreceiver 5\n"
-    )
-    with pytest.raises(UnsupportedTopologyError) as exc:
-        decompose(parse_topology(p.read_text()))
-    assert str(exc.value) == (
-        "joint node 4 is a receiver reached from several sources; "
-        "its intersection holds no link to estimate"
-    )
-    assert main(["decompose", "--topology", str(p)]) == 2
-    assert capsys.readouterr().err == f"unsupported topology: {exc.value}\n"
+    p.write_text(RECEIVER_JOINTS)
+    plan = decompose(parse_topology(RECEIVER_JOINTS))
+    assert plan.joint_nodes == (4, 5)
+    assert [tuple(mt) for mt in plan.msource_trees] == [(4, (0, 1), (4,)), (5, (0, 1), (5,))]
+    assert not plan.children[4] and not plan.children[5]
+    for argv in (["decompose"], ["run", "--probes", "100", "--reps", "3"], ["analyze"]):
+        assert main([*argv, "--topology", str(p)]) == 0, argv
+    assert capsys.readouterr().err == ""
 
 
 def test_nesting_reported_before_single_chain():

@@ -14,6 +14,7 @@ from conftest import (
     multi_source_dags,
     path_bisection_oracle,
     random_bits,
+    receiver_joint_dags,
 )
 from hypothesis import given, seed, settings, strategies as st
 
@@ -593,6 +594,13 @@ def test_generated_dags_give_valid_estimates_or_an_error_naming_the_node(text, p
     _assert_valid_or_an_error_naming_the_node(simulate_counts(t, probes, seed), decompose(t))
 
 
+@seed(39)
+@settings(max_examples=100, deadline=None)
+@given(text=receiver_joint_dags(), probes=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
+def test_receiver_joint_dags_give_valid_estimates_or_an_error_naming_the_node(text, probes, seed):
+    test_generated_dags_give_valid_estimates_or_an_error_naming_the_node.hypothesis.inner_test(text, probes, seed)
+
+
 def _assert_valid_or_an_error_naming_the_node(counts, plan):
     """Each method gives finite values in [0, 1] with exactly its expected link keys, or
     raises an ``EstimationError`` subclass whose message names the step and node."""
@@ -623,6 +631,16 @@ def test_observed_bits_give_valid_estimates_or_an_error_naming_the_node(text, pr
     _assert_valid_or_an_error_naming_the_node(count_pass(bits, t), decompose(t))
 
 
+@seed(40)
+@settings(max_examples=100, deadline=None)
+@given(text=receiver_joint_dags(), probes=st.integers(1, 3000), mode=st.sampled_from(sorted(BIT_MODES)),
+       bits_seed=st.integers(0, 2**32 - 1))
+def test_observed_bits_on_receiver_joint_dags_give_valid_estimates_or_an_error_naming_the_node(
+        text, probes, mode, bits_seed):
+    test_observed_bits_give_valid_estimates_or_an_error_naming_the_node.hypothesis.inner_test(
+        text, probes, mode, bits_seed)
+
+
 def _true_rate_misses(counts, plan, methods):
     """The largest distance of each method's link rates from the true ones."""
     true = {l.label: l.pass_rate for l in plan.logical_links}
@@ -637,6 +655,29 @@ def test_expected_counts_give_the_true_link_rates(text):
     # the estimators are consistent: at the expected counts they return the true rates
     t = parse_topology(text)
     misses = _true_rate_misses(expected_counts(t, 10**6), decompose(t), ("tree-baseline", *FUSION_METHODS))
+    assert max(misses.values()) <= 1e-12, misses
+
+
+@seed(41)
+@settings(max_examples=100, deadline=None)
+@given(text=lossy_multi_source_dags(receiver_joint_dags()))
+def test_expected_counts_give_the_true_link_rates_on_receiver_joint_dags(text):
+    # a receiver joint's subtree rate is 1, so its path rates are its end-to-end rates.
+    # mle is left out: the new receiver's links make a fragment branch above the other
+    # joints, where mle misses (ROADMAP item 1)
+    test_expected_counts_give_the_true_link_rates.hypothesis.inner_test(text)
+
+
+@seed(42)
+@settings(max_examples=100, deadline=None)
+@given(text=lossy_multi_source_dags(receiver_joint_dags(multi_source_dags(joints=st.just(0)))))
+def test_expected_counts_give_mle_the_true_link_rates_where_every_joint_is_a_receiver(text):
+    # with no intersection link, mle embeds each receiver joint's end-to-end rate where its
+    # path rate belongs, and the two are equal: its walk is the per-tree one
+    t = parse_topology(text)
+    plan = decompose(t)
+    assert plan.joint_nodes and not any(plan.children[j] for j in plan.joint_nodes)
+    misses = _true_rate_misses(expected_counts(t, 10**6), plan, ("mle", "tree-baseline"))
     assert max(misses.values()) <= 1e-12, misses
 
 

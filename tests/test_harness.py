@@ -344,6 +344,19 @@ def test_crlb_column_is_closed_form_for_source_links_into_joints(setting):
             assert r.crlb_var == var_upstream(l.pass_rate, t.subtree_rate[l.tail], r.probes)
 
 
+def test_crlb_column_on_a_source_link_into_a_receiver_joint_is_the_binomial_variance():
+    # each of three sources links straight to receiver 3, a joint: beta = 1 there, so the
+    # closed form A(1 - A beta)/(n beta) is A(1 - A)/n, the variance of the end-to-end rate
+    text = ("node 0\nnode 1\nnode 2\nnode 3\nlink 1 0 3 0.1\nlink 2 1 3 0.2\nlink 3 2 3 0.3\n"
+            "source 0\nsource 1\nsource 2\nreceiver 3\n")
+    rate = {str(l.id): l.pass_rate for l in parse_topology(text).links}
+    table = run_experiment(ExperimentConfig(topology_text=text, probe_counts=(100, 500), reps=2,
+                                            estimators=("mle", "tree-baseline")))
+    assert len(table.rows) == 12
+    for r in table.rows:
+        assert r.crlb_var == rate[r.link] * (1.0 - rate[r.link]) / r.probes, r
+
+
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
 def test_golden_csv_matches_desk_stars_reference(setting):
     # the scripts/run_tables.py config: byte for byte the tests' own golden

@@ -2,13 +2,15 @@
 
 Each test runs every method on one replication's counts and on a transform of
 those counts that must leave the estimates where they are, over generated
-multi-source DAGs at a few and at many probes.  The hypothesis seeds and the
-tolerances were fixed before any result was looked at."""
+multi-source DAGs at a few and at many probes, and again, through its
+``inner_test``, over the same DAGs with a receiver joint added.  The hypothesis
+seeds and the tolerances were fixed before any result was looked at."""
 
 import math
 
 from conftest import (
-    multi_source_dags, relabelled_counts, relabelled_topology, scaled_counts, split_counts, split_link,
+    multi_source_dags, receiver_joint_dags, relabelled_counts, relabelled_topology, scaled_counts, split_counts,
+    split_link,
 )
 from hypothesis import given, seed, settings, strategies as st
 
@@ -170,3 +172,24 @@ def test_splitting_a_link_in_two_moves_no_estimate(text, rep_seed, data):
             assert other.clamped == want.clamped, method
             for what in ("links", "paths", "betas"):
                 _assert_within_ulp(getattr(other, what), getattr(want, what), f"{method} {what}", 16)
+
+
+@seed(43)
+@settings(max_examples=100, deadline=None)
+@given(text=receiver_joint_dags(), rep_seed=st.integers(0, 2**32 - 1))
+def test_doubling_every_count_changes_no_estimate_on_receiver_joint_dags(text, rep_seed):
+    test_doubling_every_count_changes_no_estimate.hypothesis.inner_test(text, rep_seed)
+
+
+@seed(44)
+@settings(max_examples=100, deadline=None)
+@given(text=receiver_joint_dags(), rep_seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_relabelling_nodes_and_links_moves_no_estimate_on_receiver_joint_dags(text, rep_seed, data):
+    test_relabelling_nodes_and_links_moves_no_estimate.hypothesis.inner_test(text, rep_seed, data)
+
+
+@seed(45)
+@settings(max_examples=100, deadline=None)
+@given(text=receiver_joint_dags(), rep_seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_splitting_a_link_in_two_moves_no_estimate_on_receiver_joint_dags(text, rep_seed, data):
+    test_splitting_a_link_in_two_moves_no_estimate.hypothesis.inner_test(text, rep_seed, data)

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import BIG_NETWORK, CHAIN_TREE, SINGLE_TREE, multi_source_dags, reachable, receivers_below
+from conftest import (
+    BIG_NETWORK, CHAIN_TREE, RECEIVER_JOINTS, SINGLE_TREE, multi_source_dags, reachable, receivers_below,
+    sample_counts,
+)
 from hypothesis import given, seed, settings, strategies as st
 
 from losstomo import probes as probes_module
@@ -268,15 +271,15 @@ def test_groups_order_the_or_rule_on_generated_dags(text):
     assert_counts_are_or_over_receivers_under(t)
 
 
-def test_simulate_runs_count_moments_equal_their_closed_forms():
-    # n_i(s) sums n independent probes of X_i, "some receiver below i saw the probe", so
-    # its mean is n gamma_i(s) and its covariance with n_k(s) is n (E[X_i X_k] - gamma_i
-    # gamma_k): E[X_i X_k] is gamma_i when k is i or an ancestor of i, and gamma_i gamma_k /
-    # A(s, lca) otherwise, since the subtrees below the lowest common ancestor draw on
-    # disjoint links; counts of different sources are independent.  Every mean and
-    # covariance of the 32 counts must lie within 4.5 standard errors of its closed form (the
-    # band, seeds and replication count were fixed before the first run)
-    t, n, reps, band = parse_topology(with_loss(BIG_NETWORK, 0.2)), 200, 3000, 4.5
+def _count_moment_zs(t, n, runs):
+    """The distance, in standard errors, of each count's mean and each pair's covariance over
+    ``runs`` (replications of n probes per source) from its closed form.
+
+    n_i(s) sums n independent probes of X_i, "some receiver below i saw the probe", so its
+    mean is n gamma_i(s) and its covariance with n_k(s) is n (E[X_i X_k] - gamma_i gamma_k):
+    E[X_i X_k] is gamma_i when k is i or an ancestor of i, and gamma_i gamma_k / A(s, lca)
+    otherwise, since the subtrees below the lowest common ancestor draw on disjoint links;
+    counts of different sources are independent."""
     keys = [(i, s) for s in t.sources for i in t.trees[s].row]
     gamma = np.array([t.path_rate(s, i) * t.subtree_rate[i] for i, s in keys])
 
@@ -301,12 +304,34 @@ def test_simulate_runs_count_moments_equal_their_closed_forms():
                 else:
                     lca = next(u for u in above_i if u in above_k)
                     joint[a, b] = gamma[a] * gamma[b] / t.path_rate(s, lca)
-    counts = np.array([[c.count(i, s) for i, s in keys] for c in simulate_runs(t, n, range(reps))], float)
+    counts = np.array([[c.count(i, s) for i, s in keys] for c in runs], float)
+    reps = len(counts)
     mean_z = (counts.mean(axis=0) - n * gamma) / np.sqrt(n * gamma * (1 - gamma) / reps)
     centred = counts - counts.mean(axis=0)
     products = centred[:, :, None] * centred[:, None, :]
     cov_z = ((products.sum(axis=0) / (reps - 1) - n * (joint - np.outer(gamma, gamma)))
              / (products.std(axis=0, ddof=1) / math.sqrt(reps)))
+    return mean_z, cov_z
+
+
+def test_simulate_runs_count_moments_equal_their_closed_forms():
+    # every mean and covariance of the 32 counts must lie within 4.5 standard errors of its
+    # closed form (the band, seeds and replication count were fixed before the first run)
+    t, n, reps, band = parse_topology(with_loss(BIG_NETWORK, 0.2)), 200, 3000, 4.5
+    mean_z, cov_z = _count_moment_zs(t, n, simulate_runs(t, n, range(reps)))
+    assert np.abs(mean_z).max() < band, mean_z
+    assert np.abs(cov_z).max() < band, cov_z
+
+
+@pytest.mark.parametrize("text", [BIG_NETWORK, RECEIVER_JOINTS], ids=["big", "receiver-joints"])
+def test_sample_counts_moments_equal_their_closed_forms(text):
+    # the count-level sampler draws the joint distribution simulate_runs is held to: on
+    # BIG_NETWORK its 32 means and 1,024 covariances, and on the receiver-joint topology its
+    # 8 and 64, lie within the same 4.5 standard errors (the band, seed and replication count
+    # were fixed before the first run)
+    t, n, reps, band = parse_topology(with_loss(text, 0.2)), 200, 3000, 4.5
+    rng = np.random.default_rng(14)
+    mean_z, cov_z = _count_moment_zs(t, n, [sample_counts(t, n, rng) for _ in range(reps)])
     assert np.abs(mean_z).max() < band, mean_z
     assert np.abs(cov_z).max() < band, cov_z
 
