@@ -90,8 +90,7 @@ def cmd_decompose(args) -> int:
         links = sorted((l for n in mt.nodes for l in plan.children[n]), key=lambda l: l.link_ids)
         print(f"  links = {[l.label for l in links]}")
         print(f"  virtual links = {[f'{s}->{mt.joint}' for s in mt.sources]}")
-    solved = {n for mt in plan.msource_trees for n in mt.nodes}
-    walks = {s: plan.path_walk(s, solved) for s in plan.topology.sources}
+    walks = {s: [n for n, _ in w[0]] for s, w in plan.walks.items()}  # mle's walks
     for s, walk in walks.items():
         # a source's fragment: the links out of the source and out of each node its walk solves
         links = sorted((l for n in (s, *walk) for l in plan.children[n]), key=lambda l: l.link_ids)

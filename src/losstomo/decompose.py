@@ -9,6 +9,8 @@ ever be estimated as a product.  A joint nested in another intersection, or
 above a single chain, is rejected.  ``DTreePlan.children`` stores each logical
 link once: an intersection has the links out of its nodes, a source's fragment
 those out of the source and out of its ``path_walk`` nodes in no intersection.
+What the estimators walk of a plan (``intersections``, ``walks``,
+``true_rates``) is built once per plan, on first estimator use.
 """
 
 from __future__ import annotations
@@ -37,6 +39,17 @@ class MultiSourceTree(NamedTuple):
     nodes: tuple[int, ...]  # intersection nodes, joint included; its links are their children
 
 
+@dataclass(frozen=True, eq=False)
+class Intersection:
+    """One multi-source tree as the estimators walk it: each of its nodes with its
+    children, in ``mt.nodes`` order, and the links out of them in the same order.
+    Compared by identity, so it keys a replication's record of it cheaply."""
+
+    mt: MultiSourceTree
+    nodes: tuple[tuple[int, tuple[int, ...]], ...]
+    links: tuple[LogicalLink, ...]
+
+
 @dataclass(frozen=True)
 class DTreePlan:
     topology: Topology
@@ -49,6 +62,36 @@ class DTreePlan:
     def logical_links(self) -> tuple[LogicalLink, ...]:
         return tuple(sorted((l for kids in self.children.values() for l in kids),
                             key=attrgetter("link_ids")))
+
+    @cached_property
+    def intersections(self) -> tuple[Intersection, ...]:
+        """Each multi-source tree's ``Intersection``, in ``msource_trees`` order."""
+        return tuple(Intersection(mt, tuple((n, tuple(l.tail for l in self.children[n])) for n in mt.nodes),
+                                  tuple(l for n in mt.nodes for l in self.children[n]))
+                     for mt in self.msource_trees)
+
+    @cached_property
+    def walks(self) -> dict[int, tuple[tuple[tuple[int, tuple[LogicalLink, ...]], ...], ...]]:
+        """Source -> its ``mle`` and its ``tree-baseline`` path walk, each as (node, its
+        links) steps: ``path_walk`` past every intersection node, with the links into
+        them (joints) first, and ``path_walk`` of the whole tree, links in ``children`` order."""
+        solved = {n for mt in self.msource_trees for n in mt.nodes}
+
+        def joints_first(step):  # the tree-baseline step itself where no link moves
+            ordered = tuple(sorted(step[1], key=lambda l: l.tail not in solved))
+            return step if ordered == step[1] else (step[0], ordered)
+
+        whole = {s: tuple((n, self.children[n]) for n in self.path_walk(s)) for s in self.topology.sources}
+        return {s: (tuple(joints_first(step) for step in steps if step[0] not in solved), steps)
+                for s, steps in whole.items()}
+
+    @cached_property
+    def true_rates(self) -> dict[tuple[int, int], tuple[float, float]]:
+        """(node, source) -> the true beta and A(source, node) at each intersection node
+        with children, for each of its sources: the rates ``mvwa-oracle`` weighs by."""
+        t = self.topology
+        return {(n, s): (t.subtree_rate[n], t.path_rate(s, n))
+                for ix in self.intersections for n, kids in ix.nodes if kids for s in ix.mt.sources}
 
     def path_walk(self, source: int, solved=()) -> list[int]:
         """The source's inner collapsed nodes outside ``solved``, children first (reverse

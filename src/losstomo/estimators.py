@@ -4,31 +4,34 @@ Estimators read only the OR-rule pass counts n_i(s), the sufficient
 statistic, and share two steps.  ``solve_intersection`` sets the subtree
 rate beta at every node of an intersection through a pluggable rule, then
 derives the per-source joint paths and the intersection link rates; the
-pooled MLE plugs in ``solve_multisource_beta`` and the fusion schemes a
-weighted average of per-source estimates.  ``_solve_paths`` is the path MLE
-walk, one per source along ``DTreePlan.path_walk``, for both path methods:
-the pooled MLE skips the intersection nodes it has already solved and embeds
-their joints' path estimates, and the per-tree baseline walks each source's
-whole tree with nothing embedded, so it gives one estimate per covering
-source for shared links.
+pooled MLE plugs in ``solve_multisource_beta``'s solve on pooled counts and
+the fusion schemes a weighted average of per-source estimates.
+``_solve_paths`` is the path MLE walk, one per source along
+``DTreePlan.walks``, for both path methods: the pooled MLE skips the
+intersection nodes it has already solved and embeds their joints' path
+estimates, and the per-tree baseline walks each source's whole tree with
+nothing embedded, so it gives one estimate per covering source for shared
+links.  What the plan fixes (each intersection's nodes, children and links,
+each source's two walks, ``mvwa-oracle``'s true rates) is built once per
+plan, on first use.
 
-Count-only work that methods share is memoised in ``PooledCounts.memo`` under
-its kind and exact inputs: ``_solve_paths`` stores each successful
-``path_root`` return under its rates, as the per-tree baseline repeats every
-path solve of the pooled MLE with no embedded term, and
-``solve_intersection``, after its betas, each source's gamma-hat at the joint
-and each link's ratio n_c/n_head, read by the pooled MLE and the four fusion
-schemes.  Subtree solves are shared only in ``fusion.fuse_node``'s own entry.
-Only the beta rule, the weights and ``ratio * beta_head / beta_tail`` are per
-method, so results are bit-identical.  A failing computation is not stored:
-it runs again and raises afresh.
+Count-only work that methods share is kept in ``PooledCounts.memo``: each
+successful ``path_root`` return under its rates, as the per-tree baseline
+repeats every path solve of the pooled MLE with no embedded term, and one
+``IntersectionRecord`` per intersection under the plan's ``Intersection``:
+pooled counts, each source's gamma-hat at the joint and each link's ratio
+n_c/n_head, read by the pooled MLE and the four fusion schemes, and each
+source's subtree estimate at a node, solved for the first scheme to reach
+it.  Only the beta rule, the weights and ``ratio * beta_head / beta_tail``
+are per method, so results are bit-identical.  A failing computation is not
+stored: it runs again and raises afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .decompose import DTreePlan, MultiSourceTree
+from .decompose import DTreePlan, Intersection
 from .probes import PooledCounts, gamma_hat
 from .solvers import EstimationError, NoDataError, path_root, subtree_root
 
@@ -75,48 +78,71 @@ def beta_sample_mean(counts: PooledCounts, node: int, sources, true_paths) -> fl
     return counts.pooled(node, sources) / n_star
 
 
-def solve_intersection(est: EstimateSet, counts: PooledCounts, plan: DTreePlan,
-                       mt: MultiSourceTree, beta_rule) -> None:
+class IntersectionRecord:
+    """One replication's count-only work on one ``Intersection``, kept in ``PooledCounts.memo``
+    under it and shared by ``mle`` and the fusion schemes.  Each part is filled on its first
+    use and kept only once it has succeeded: ``pooled``, every node's count pooled over the
+    sources; ``gammas``, each source's gamma-hat at the joint, and ``ratios``, each link's
+    n_tail / n_head, in ``ix.links`` order; ``fused``, node -> each source's subtree estimate
+    and gamma there (``fusion.fuse_node``)."""
+
+    __slots__ = ("ix", "pooled", "gammas", "ratios", "fused")
+
+    def __init__(self, ix: Intersection):
+        self.ix, self.pooled, self.gammas, self.ratios, self.fused = ix, None, None, None, {}
+
+    def pool(self, counts: PooledCounts) -> dict[int, int]:
+        if self.pooled is None:
+            self.pooled = {n: counts.pooled(n, self.ix.mt.sources) for n, _ in self.ix.nodes}
+        return self.pooled
+
+
+def _pooled_beta(counts: PooledCounts, rec: IntersectionRecord, node: int, children) -> float:
+    """``mle``'s beta rule: ``solve_multisource_beta`` on the record's pooled counts."""
+    pooled = rec.pool(counts)
+    return subtree_root(pooled[node], tuple(pooled[c] for c in children))
+
+
+def solve_intersection(est: EstimateSet, counts: PooledCounts, ix: Intersection, beta_rule) -> None:
     """Solve one intersection into ``est``: betas, joint paths, link rates.
 
-    ``beta_rule(counts, node, children, sources)`` gives the subtree rate at
-    every internal intersection node (pooled MLE or a fused average).  Link
-    rates follow from the ratio identity
+    ``beta_rule(counts, record, node, children)`` gives the subtree rate at every
+    internal intersection node (pooled MLE or a fused average) from the replication's
+    ``IntersectionRecord`` of ``ix``.  Link rates follow from the ratio identity
     alpha_c = (n_c / n_parent) * beta_parent / beta_c.
     """
+    rec = counts.memo.get(ix)
+    if rec is None:
+        rec = counts.memo[ix] = IntersectionRecord(ix)
     betas: dict[int, float] = {}
     try:
-        for node in mt.nodes:
-            kids = [l.tail for l in plan.children[node]]
-            betas[node] = beta_rule(counts, node, kids, mt.sources) if kids else 1.0
+        for node, kids in ix.nodes:
+            betas[node] = beta_rule(counts, rec, node, kids) if kids else 1.0
     except EstimationError as exc:
         raise type(exc)(f"multi-source subtree solve at node {node}: {exc}") from exc
     est.betas.update(betas)
-    # memoised under mt and its links: each source's gamma-hat at the joint, each link's n_tail / n_head
-    links = tuple(l for node in mt.nodes for l in plan.children[node])
-    key = ("intersection", mt, links)
-    entry = counts.memo.get(key)
-    if entry is None:
-        gammas = tuple((s, gamma_hat(counts, mt.joint, s)) for s in mt.sources)
-        pooled = {node: counts.pooled(node, mt.sources) for node in mt.nodes}
-        entry = counts.memo[key] = gammas, tuple((l, pooled[l.tail] / pooled[l.head]) for l in links)
-    gammas, ratios = entry
+    joint = ix.mt.joint
+    if rec.ratios is None:  # every beta rule has succeeded, so no link's head count is 0
+        gammas = tuple(gamma_hat(counts, joint, s) for s in ix.mt.sources)
+        pooled = rec.pool(counts)
+        rec.gammas, rec.ratios = gammas, tuple(pooled[l.tail] / pooled[l.head] for l in ix.links)
     # A-hat(s, joint) = gamma_joint(s) / beta_joint, clamped to 1; every beta rule gives beta_joint > 0
-    for s, gamma in gammas:
-        est.paths[(s, mt.joint)] = min(gamma / betas[mt.joint], 1.0)
-    for l, ratio in ratios:
+    for s, gamma in zip(ix.mt.sources, rec.gammas):
+        est.paths[(s, joint)] = min(gamma / betas[joint], 1.0)
+    for l, ratio in zip(ix.links, rec.ratios):
         est.add_link(l.label, ratio * betas[l.head] / betas[l.tail])
 
 
-def _solve_paths(est: EstimateSet, counts: PooledCounts, plan: DTreePlan, source: int,
+def _solve_paths(est: EstimateSet, counts: PooledCounts, source: int, walk, children,
                  attribution: int | None) -> None:
-    """Path MLE A-hat(source, node) along ``plan.path_walk(source, est.betas)``, then its link rates.
+    """Path MLE A-hat(source, node) along ``walk``, one of ``DTreePlan.walks``, and the
+    rates of the links out of each node it solves and out of the source.
 
     A child already in ``est.betas`` is an intersection joint: its path
-    estimate stands in for the raw end-to-end rate and comes first among a
-    node's terms.
+    estimate stands in for the raw end-to-end rate.  The walk visits children
+    first, so a child's path rate is known before its parent's links are.
     """
-    paths: dict[int, float] = {source: 1.0}
+    paths: dict[int, float] = {}
 
     def term(child: int) -> float:
         if child in est.betas:
@@ -124,22 +150,18 @@ def _solve_paths(est: EstimateSet, counts: PooledCounts, plan: DTreePlan, source
         return gamma_hat(counts, child, source)
 
     try:
-        for node in plan.path_walk(source, est.betas):
-            links = plan.children[node]
-            if est.betas:  # with none, every key is equal and the stable sort keeps the order
-                links = sorted(links, key=lambda l: l.tail not in est.betas)
-            key = ("path", gamma_hat(counts, node, source), tuple(term(l.tail) for l in links))
+        for node, links in walk:
+            terms = tuple(term(l.tail) for l in links)
+            key = ("path", gamma_hat(counts, node, source), terms)
             if (root := counts.memo.get(key)) is None:  # only a return is stored
                 root = counts.memo[key] = path_root(*key[1:])
-            paths[node] = root
+            paths[node] = est.paths[(source, node)] = root
+            for l, rate in zip(links, terms):
+                est.add_link(l.label, paths.get(l.tail, rate) / root, source=attribution)
     except EstimationError as exc:
         raise type(exc)(f"path solve for source {source} at node {node}: {exc}") from exc
-    for head, a_head in paths.items():
-        if head != source:
-            est.paths[(source, head)] = a_head
-        for l in plan.children[head]:
-            rate = paths[l.tail] if l.tail in paths else term(l.tail)
-            est.add_link(l.label, rate / a_head, source=attribution)
+    for l in children[source]:
+        est.add_link(l.label, paths[l.tail] if l.tail in paths else term(l.tail), source=attribution)
 
 
 def estimate_network(counts: PooledCounts, plan: DTreePlan, method: str) -> EstimateSet:
@@ -152,13 +174,15 @@ def estimate_network(counts: PooledCounts, plan: DTreePlan, method: str) -> Esti
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method in FUSION_METHODS:
-        from .fusion import fused_estimate
-
         return fused_estimate(counts, plan, method)
     est = EstimateSet(method=method)
-    if method == "mle":
-        for mt in plan.msource_trees:
-            solve_intersection(est, counts, plan, mt, solve_multisource_beta)
-    for s in plan.topology.sources:
-        _solve_paths(est, counts, plan, s, s if method == "tree-baseline" else None)
+    baseline = method == "tree-baseline"
+    if not baseline:
+        for ix in plan.intersections:
+            solve_intersection(est, counts, ix, _pooled_beta)
+    for s, walks in plan.walks.items():
+        _solve_paths(est, counts, s, walks[baseline], plan.children, s if baseline else None)
     return est
+
+
+from .fusion import fused_estimate  # noqa: E402  (fusion imports this module's names)

@@ -4,16 +4,18 @@ Fusion is the pooled MLE's walk with another beta rule: at every internal
 intersection node each source's counts alone give a subtree estimate (the
 subtree root on the counts n_i(s) and n_c(s)), kept in source order, and the
 rule returns a convex combination of them.  These estimates and the sources'
-gammas at the node are one memo entry, keyed by the node, its children and
-its sources, that all four schemes read, so each source's solve runs once per
-replication; the schemes differ only in the per-source scores, which one
-normalisation turns into weights.  Both MVWA schemes score by the inverse of
-one per-source variance, beta(1 - A beta)/(nA): ``mvwa-oracle`` takes the true
-beta and A, ``mvwa-plugin`` the source's own estimate beta(s) and A =
-gamma(s)/beta(s) with the miss probability floored at 1/(n+1).  ``rbmvwa``
-scores by end-to-end odds and ``mrbmvwa`` by plain end-to-end proportions.
+gammas at the node are the per-source part of the replication's
+``estimators.IntersectionRecord``, filled for the first scheme to reach the node
+and read by the other three, so each source's solve runs once per replication;
+the schemes differ only in the per-source scores, which one normalisation
+turns into weights.  Both MVWA schemes score by the inverse of one per-source
+variance, beta(1 - A beta)/(nA): ``mvwa-oracle`` takes the true beta and A
+(``DTreePlan.true_rates``), ``mvwa-plugin`` the source's own estimate beta(s)
+and A = gamma(s)/beta(s) with the miss probability floored at 1/(n+1).
+``rbmvwa`` scores by end-to-end odds and ``mrbmvwa`` by plain end-to-end
+proportions.
 Joint paths and link rates then come from ``estimators.solve_intersection``
-exactly as for the pooled MLE, which reads its memoised count-only part.
+exactly as for the pooled MLE, from the same record's count-only part.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import partial
 from .decompose import DTreePlan
 from .probes import PooledCounts
 from .solvers import FusionWeightError, NoDataError, subtree_root
-from .estimators import FUSION_METHODS, EstimateSet, solve_intersection
+from .estimators import FUSION_METHODS, EstimateSet, IntersectionRecord, solve_intersection
 
 
 def _normalised(scores) -> tuple[float, ...]:
@@ -60,22 +62,22 @@ def mrbmvwa_weights(gammas) -> tuple[float, ...]:
     return _normalised([float(v) for v in gammas])
 
 
-def fuse_node(counts, node, children, sources, t, scheme) -> float:
-    """Fused subtree rate at ``node``: the weighted sum of the per-source estimates,
-    held at or below the largest of them, which rounding can carry the sum past.
-    ``mvwa-oracle`` reads its true rates from the topology ``t``."""
-    key = ("fused", node, tuple(children), tuple(sources))
-    entry = counts.memo.get(key)
+def fuse_node(counts: PooledCounts, rec: IntersectionRecord, node: int, children, scheme: str,
+              plan: DTreePlan) -> float:
+    """Fused subtree rate at ``node`` of ``rec``'s intersection: the weighted sum of the
+    per-source estimates, held at or below the largest of them, which rounding can carry
+    the sum past.  ``mvwa-oracle`` reads its true rates from ``plan.true_rates``."""
+    entry = rec.fused.get(node)
     if entry is None:
         per_source, gammas = {}, []
-        for s in sources:
+        for s in rec.ix.mt.sources:
             n_i = counts.count(node, s)
             if n_i:  # a source none of whose probes reached node has no estimate there
                 per_source[s] = subtree_root(n_i, tuple(counts.count(c, s) for c in children))
                 gammas.append(n_i / counts.probes[s])
         if not per_source:
             raise NoDataError(f"no source observed anything below node {node}")
-        entry = counts.memo[key] = per_source, gammas
+        entry = rec.fused[node] = per_source, gammas
     per_source, gammas = entry
     try:
         if scheme == "rbmvwa":
@@ -87,7 +89,7 @@ def fuse_node(counts, node, children, sources, t, scheme) -> float:
             for (s, b), g in zip(per_source.items(), gammas):
                 n = counts.probes[s]
                 if scheme == "mvwa-oracle":
-                    b, a, floor = t.subtree_rate[node], t.path_rate(s, node), 0.0
+                    (b, a), floor = plan.true_rates[node, s], 0.0
                     if a == 0.0:  # observed bits may pass where the declared rates do not
                         raise ValueError(f"source {s} reaches the node at true path rate 0")
                 else:
@@ -112,6 +114,7 @@ def fused_estimate(counts: PooledCounts, plan: DTreePlan, scheme: str) -> Estima
     if scheme not in FUSION_METHODS:
         raise ValueError(f"unknown fusion scheme {scheme!r}")
     est = EstimateSet(method=scheme)
-    for mt in plan.msource_trees:
-        solve_intersection(est, counts, plan, mt, partial(fuse_node, t=plan.topology, scheme=scheme))
+    rule = partial(fuse_node, scheme=scheme, plan=plan)
+    for ix in plan.intersections:
+        solve_intersection(est, counts, ix, rule)
     return est

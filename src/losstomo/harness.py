@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -149,15 +149,15 @@ def run_experiment(cfg: ExperimentConfig) -> ReplicationTable:
                     table.messages.append(f"probes={n} rep={rep} {e}: {exc}")
                     continue
                 runs[e].append([1.0 - est.links[k] for k in keys[e]])
-                clamped[e].update(est.clamped)
+                if est.clamped:  # most replications clamp nothing; Counter.update is slow even when empty
+                    clamped[e].update(est.clamped)
         for e in cfg.estimators:
             ok = len(runs[e])
-            for i, (label, src) in enumerate(keys[e]):
-                vals = [run[i] for run in runs[e]]
+            for (label, src), vals in zip(keys[e], zip(*runs[e]) if ok else repeat(())):
                 mean, var = empirical_moments(vals) if ok >= 2 else (vals[0] if ok else None, None)
                 table.rows.append(TableRow(
                     label, e, src, n, ok, mean, var, true_loss[label],
-                    crlb_var.get(label), clamped[e][label, src], cfg.reps - ok,
+                    crlb_var.get(label), clamped[e].get((label, src), 0), cfg.reps - ok,
                 ))
     return table
 

@@ -50,11 +50,12 @@ def source_stream(seed: int, source: int) -> np.random.Generator:
 class PooledCounts:
     """n_i(s) for every node of every tree, plus the probe totals.
 
-    ``memo`` holds the count-only work the estimators share on these counts, keyed
-    by kind and exact inputs, so the methods run on one replication do it once: path
-    roots, intersection entries (gamma-hats at the joint and link ratios) and
-    fused-node entries (per-source subtree estimates and gammas).  A failing
-    computation is not stored.  The memo takes part in neither equality nor ``repr``."""
+    ``memo`` holds the count-only work the estimators share on these counts, so the
+    methods run on one replication do it once: each path root under its rates, and one
+    ``estimators.IntersectionRecord`` per intersection under the plan's ``Intersection``
+    (pooled counts, gamma-hats at the joint, link ratios, per-source subtree estimates).
+    A failing computation is not stored.  The memo takes part in neither equality nor
+    ``repr``."""
 
     probes: dict[int, int]  # source -> n^s
     counts: dict[tuple[int, int], int]  # (node, source) -> n_i(s)
@@ -101,7 +102,7 @@ def _draw(t: Topology, s: int, seeds: list[int], n: int, c0: int, m: int) -> np.
     to CHUNK // WORKERS probes, one ``random`` call per seed and block; others link by link."""
     tree = t.trees[s]
     streams = [source_stream(seed, s) for seed in seeds]
-    rates = np.array([l.pass_rate for l in tree.links])[:, None]
+    rates = tree.pass_rates
     block = min(len(rates), max(1, CHUNK // WORKERS // (len(seeds) * m)) if m == n else 1)
     draws, passed = np.empty((block, m)), np.empty((len(seeds), block, m), dtype=bool)
     bits = np.empty((len(tree.parent), len(seeds), (m + 7) // 8), dtype=np.uint8)
@@ -139,8 +140,10 @@ def _or_counts(tree: Tree, received: np.ndarray) -> np.ndarray:
 
 def _pooled(t: Topology, probes: dict[int, int], rows: dict[int, np.ndarray]) -> PooledCounts:
     """``PooledCounts`` from each source's per-row counts, keyed children before parents."""
-    return PooledCounts(probes, {(node, s): n for s, c in rows.items()
-                                 for node, n in zip(reversed(t.trees[s].row), reversed(c.tolist()))})
+    counts = {}
+    for s, c in rows.items():
+        counts.update(zip(t.trees[s].count_keys, c[::-1].tolist()))
+    return PooledCounts(probes, counts)
 
 
 def simulate(t: Topology, probes: dict[int, int] | int, seed: int) -> dict[int, np.ndarray]:
@@ -159,7 +162,7 @@ def simulate_runs(t: Topology, probes: dict[int, int] | int, seeds: Iterable[int
     probes = _probe_counts(t, probes)
     trees = t.trees  # cached_properties: build them here, not racing in the workers
     for tree in trees.values():
-        tree.groups
+        tree.groups, tree.pass_rates, tree.count_keys
     width = max(1, CHUNK // WORKERS)
     seeds, k = list(seeds), max(1, width // (max(probes.values()) + 128))
 

@@ -66,6 +66,20 @@ class Tree:
         return tuple((index(rows), index([self.parent[j] for j in rows]))
                      for _, rows in sorted(groups.items()))
 
+    @cached_property
+    def pass_rates(self) -> np.ndarray:
+        """Each link's pass rate, a read-only column in ``links`` order.  Built on first use."""
+        rates = np.array([l.pass_rate for l in self.links])[:, None]
+        rates.flags.writeable = False
+        return rates
+
+    @cached_property
+    def count_keys(self) -> tuple[tuple[int, int], ...]:
+        """(node, source) of each row, last row first: the keys of the tree's counts in
+        ``PooledCounts``, children before parents.  Built on first use."""
+        source = next(iter(self.row))
+        return tuple((node, source) for node in reversed(self.row))
+
 
 @dataclass(frozen=True)
 class Topology:

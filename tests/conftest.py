@@ -165,6 +165,8 @@ def sample_counts(t, n: int, rng) -> PooledCounts:
             p = np.array([l.pass_rate * t.subtree_rate[l.tail] for l in links])
             sets = np.array(list(product((0, 1), repeat=len(links)))[1:])  # every nonempty set
             weights = np.prod(np.where(sets, p, 1.0 - p), axis=1)
+            if not weights.sum():  # every child dead: beta_u = 0, so no probe was seen below u
+                weights[:] = 1.0
             draws = rng.multinomial(counts[(u, s)], weights / weights.sum())
             for l, seen in zip(links, (draws @ sets).tolist()):
                 counts[(l.tail, s)] = seen

@@ -15,6 +15,7 @@ from conftest import (
     path_bisection_oracle,
     random_bits,
     receiver_joint_dags,
+    sample_counts,
 )
 from hypothesis import given, seed, settings, strategies as st
 
@@ -25,6 +26,7 @@ from losstomo.estimators import (
     FUSION_METHODS,
     METHODS,
     EstimateSet,
+    IntersectionRecord,
     beta_sample_mean,
     estimate_network,
     solve_intersection,
@@ -137,7 +139,7 @@ def test_no_root_exactly_when_no_probe_was_seen_below_two_children():
 
 def test_solve_intersection_joint_paths(star22_plan):
     # A-hat(s, joint) = gamma_joint(s) / beta_joint, clamped to 1, under a fixed beta rule
-    mt = star22_plan.msource_trees[0]
+    ix = star22_plan.intersections[0]
     for beta, joint_counts, expected in [
         (0.7 / 0.72, (875, 875), (pytest.approx(0.9, abs=1e-12),) * 2),  # gamma / beta = 0.9
         (0.9, (0, 950), (0.0, 1.0)),  # gamma = 0 gives 0; 0.95 / 0.9 is clamped to 1
@@ -146,8 +148,8 @@ def test_solve_intersection_joint_paths(star22_plan):
         counts = {(2, s): n for s, n in enumerate(joint_counts)}
         counts.update({(c, s): n * 9 // 10 for c in (3, 4) for s, n in enumerate(joint_counts)})
         est = EstimateSet(method="stub")
-        solve_intersection(est, PooledCounts(probes={0: 1000, 1: 1000}, counts=counts), star22_plan,
-                           mt, lambda counts, node, children, sources: beta)
+        solve_intersection(est, PooledCounts(probes={0: 1000, 1: 1000}, counts=counts), ix,
+                           lambda counts, rec, node, children: beta)
         assert est.betas == {2: beta, 3: 1.0, 4: 1.0}
         assert (est.paths[(0, 2)], est.paths[(1, 2)]) == expected
 
@@ -461,8 +463,8 @@ def _methods(plan):
 
 
 def test_shared_counts_give_the_same_outcomes_as_fresh_counts():
-    # every method on one PooledCounts, in either order, equals that method on
-    # fresh counts: the memo changes no bit and no failure
+    # every method on one PooledCounts, in either order, equals that method on fresh
+    # counts: the intersection records and path roots it keeps change no bit and no failure
     failures = set()
     for name, text in SHARED_CASES.items():
         t = parse_topology(text)
@@ -483,7 +485,7 @@ def test_shared_counts_give_the_same_outcomes_as_fresh_counts():
 @settings(max_examples=100, deadline=None)
 @given(text=multi_source_dags(), probes=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
 def test_generated_dags_give_the_same_outcomes_on_shared_counts_in_either_order(text, probes, seed):
-    # the memo's path-root, intersection and fused-node entries change no bit and no failure
+    # the memo's path roots and intersection records change no bit and no failure
     t = parse_topology(text)
     plan = decompose(t)
     counts = simulate_counts(t, probes, seed)
@@ -496,6 +498,10 @@ def test_generated_dags_give_the_same_outcomes_on_shared_counts_in_either_order(
         shared = copy()
         for m in order:
             assert _outcome(shared, plan, m) == fresh[m], f"{m} after {order}"
+
+
+def _records(counts):
+    return [v for v in counts.memo.values() if isinstance(v, IntersectionRecord)]
 
 
 def _counting(monkeypatch, name, owner=estimators):
@@ -521,11 +527,15 @@ def test_fusion_schemes_share_their_per_source_solves(monkeypatch, big_plan):
     for m in FUSION_METHODS:
         estimate_network(counts, big_plan, m)
     assert len(calls) == alone
+    # each inner node's per-source part sits in its intersection's record
+    for ix in big_plan.intersections:
+        assert set(counts.memo[ix].fused) == {n for n, kids in ix.nodes if kids}
 
 
 def test_methods_on_one_counts_pool_each_intersection_once(monkeypatch, big_plan):
     # the four fusion schemes read the counts no more than one scheme, and after mle
-    # they pool nothing: the intersection and fused-node entries are shared
+    # they pool nothing: each intersection's record is shared, and mle pools each of
+    # its nodes once
     calls = {name: _counting(monkeypatch, name, PooledCounts) for name in ("count", "pooled")}
 
     def work(methods):
@@ -539,7 +549,8 @@ def test_methods_on_one_counts_pool_each_intersection_once(monkeypatch, big_plan
     alone = work(("rbmvwa",))
     assert alone["pooled"] > 0
     assert work(FUSION_METHODS) == alone
-    assert work(("mle", *FUSION_METHODS))["pooled"] == work(("mle",))["pooled"]
+    nodes = sum(len(mt.nodes) for mt in big_plan.msource_trees)
+    assert work(("mle", *FUSION_METHODS))["pooled"] == work(("mle",))["pooled"] == nodes
 
 
 def test_tree_baseline_reuses_the_path_solves_of_mle(monkeypatch, big_plan):
@@ -572,6 +583,9 @@ def test_a_failing_solve_runs_again_on_the_next_method(monkeypatch, solver, owne
     assert first == second
     failed = [args for args in calls if args == calls[-1]]
     assert len(failed) == 2
+    # neither a failing path root nor a failing node's per-source part is kept
+    assert ("path", *calls[-1]) not in counts.memo
+    assert not any(rec.fused for rec in _records(counts))
 
 
 def test_root_memo_leaves_counts_equal_and_out_of_repr(big_plan):
@@ -579,12 +593,50 @@ def test_root_memo_leaves_counts_equal_and_out_of_repr(big_plan):
     counts = simulate_counts(t, 400, seed=8)
     for m in METHODS:
         estimate_network(counts, big_plan, m)
-    assert counts.memo
+    # one record per intersection, beside the path roots
+    assert [rec.ix for rec in _records(counts)] == list(big_plan.intersections)
+    assert len(counts.memo) > len(big_plan.intersections)
     fresh = count_pass(simulate(t, 400, seed=8), t)
     assert not fresh.memo
     assert counts == fresh
     assert repr(counts) == repr(fresh)
     assert "memo" not in repr(counts)
+
+
+@seed(46)
+@settings(max_examples=100, deadline=None)
+@given(text=st.one_of(multi_source_dags(), receiver_joint_dags()), probes=st.integers(1, 300),
+       count_seed=st.integers(0, 2**32 - 1))
+def test_method_orders_on_sampled_counts_give_the_same_outcomes_as_fresh_counts(text, probes, count_seed):
+    # counts drawn at the count level, not from probe bits: on one PooledCounts, every
+    # method in each order equals that method on fresh counts, bit for bit or failure
+    # for failure, whichever method first fills each part of a record
+    t = parse_topology(text)
+    plan = decompose(t)
+    counts = sample_counts(t, probes, np.random.default_rng(count_seed))
+
+    def copy():
+        return PooledCounts(probes=dict(counts.probes), counts=dict(counts.counts))
+
+    fresh = {m: _outcome(copy(), plan, m) for m in METHODS}
+    for order in (METHODS, METHODS[::-1], ("mle",), FUSION_METHODS):
+        shared = copy()
+        for m in order:
+            assert _outcome(shared, plan, m) == fresh[m], f"{m} after {order}"
+
+
+def test_only_fusion_solves_per_source_subtrees_once_per_node_and_source_reaching_it(monkeypatch, big_plan):
+    per_source = _counting(monkeypatch, "subtree_root", fusion)
+    counts = simulate_counts(big_plan.topology, 500, seed=3)
+    for m in ("mle", "tree-baseline"):
+        estimate_network(counts, big_plan, m)
+    assert per_source == []
+    for m in FUSION_METHODS:
+        estimate_network(counts, big_plan, m)
+    reached = [(n, s) for ix in big_plan.intersections for n, kids in ix.nodes if kids
+               for s in ix.mt.sources if counts.count(n, s)]
+    assert len(reached) > len(big_plan.intersections)
+    assert len(per_source) == len(reached)
 
 
 @settings(max_examples=100, deadline=None)

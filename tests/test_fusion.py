@@ -3,7 +3,7 @@ from conftest import multi_source_dags
 from hypothesis import given, seed, settings, strategies as st
 
 from losstomo.decompose import decompose
-from losstomo.estimators import FUSION_METHODS, estimate_network, solve_multisource_beta
+from losstomo.estimators import FUSION_METHODS, IntersectionRecord, estimate_network, solve_multisource_beta
 from losstomo.fusion import (
     fuse_node,
     fused_estimate,
@@ -101,6 +101,12 @@ def test_combined_estimate_is_convex_mean(estimates, data):
         assert min(estimates) - 1e-12 <= combined <= max(estimates) + 1e-12
 
 
+def _fuse(counts, plan, node, scheme):
+    """``fuse_node`` at ``node`` of the intersection holding it, on a record of its own."""
+    (ix,) = [ix for ix in plan.intersections if node in ix.mt.nodes]
+    return fuse_node(counts, IntersectionRecord(ix), node, dict(ix.nodes)[node], scheme, plan)
+
+
 def test_fuse_node_star(star22_plan):
     t = star22_plan.topology
     counts = count_pass(simulate(t, 2000, seed=8), t)
@@ -108,7 +114,7 @@ def test_fuse_node_star(star22_plan):
     lo, hi = min(per_source), max(per_source)
     assert lo < hi
     for scheme in FUSION_METHODS:
-        beta = fuse_node(counts, 2, [3, 4], (0, 1), star22_plan.topology, scheme)
+        beta = _fuse(counts, star22_plan, 2, scheme)
         assert lo <= beta <= hi
 
 
@@ -122,7 +128,7 @@ def test_fused_beta_never_exceeds_the_largest_per_source_estimate(star22_plan):
     })
     assert {s: solve_multisource_beta(counts, 2, [3, 4], (s,)) for s in (0, 1)} == {0: 1.0, 1: 1.0}
     for scheme in FUSION_METHODS:
-        assert fuse_node(counts, 2, [3, 4], (0, 1), star22_plan.topology, scheme) <= 1.0
+        assert _fuse(counts, star22_plan, 2, scheme) <= 1.0
         assert all(0.0 <= b <= 1.0 for b in fused_estimate(counts, star22_plan, scheme).betas.values())
 
 
@@ -136,7 +142,7 @@ def test_a_source_whose_children_split_its_probes_fails_every_scheme(star22_plan
         (3, 0): 4, (3, 1): 7, (4, 0): 1, (4, 1): 6,
     })
     with pytest.raises(RootBracketError, match=r"ratios \[0.8, 0.2\]"):
-        fuse_node(counts, 2, [3, 4], (0, 1), star22_plan.topology, scheme)
+        _fuse(counts, star22_plan, 2, scheme)
 
 
 def test_fused_estimate_covers_intersection_links(star22_plan):
@@ -237,7 +243,7 @@ def _reference_fuse(counts, node, kids, sources, t, scheme):
 def test_fuse_node_equals_a_reference_built_from_public_pieces(text, rep_seed, data):
     # 1-30 probes per source and links that drop everything leave some sources without
     # a probe at some nodes; each side solves on its own copy of the counts, so neither
-    # reads a root the other memoised
+    # reads a root the other recorded
     t = parse_topology(text)
     plan = decompose(t)
     counts = simulate_counts(t, {s: data.draw(st.integers(1, 30)) for s in t.sources}, rep_seed)
@@ -247,12 +253,12 @@ def test_fuse_node_equals_a_reference_built_from_public_pieces(text, rep_seed, d
             if not kids:
                 continue
             for scheme in FUSION_METHODS:
-                args = (node, kids, mt.sources, t, scheme)
                 try:
-                    want = _reference_fuse(PooledCounts(counts.probes, counts.counts), *args)
+                    want = _reference_fuse(PooledCounts(counts.probes, counts.counts),
+                                           node, kids, mt.sources, t, scheme)
                 except EstimationError as exc:
                     with pytest.raises(type(exc)) as got:
-                        fuse_node(PooledCounts(counts.probes, counts.counts), *args)
+                        _fuse(PooledCounts(counts.probes, counts.counts), plan, node, scheme)
                     assert (type(got.value), str(got.value)) == (type(exc), str(exc))
                     continue
-                assert fuse_node(PooledCounts(counts.probes, counts.counts), *args) == want, (node, scheme)
+                assert _fuse(PooledCounts(counts.probes, counts.counts), plan, node, scheme) == want, (node, scheme)
