@@ -87,8 +87,7 @@ def cmd_decompose(args) -> int:
         print(f"multi-source tree at node {mt.joint}:")
         print(f"  sources S({mt.joint}) = {list(mt.sources)}")
         print(f"  nodes = {list(mt.nodes)}")
-        links = sorted((l for n in mt.nodes for l in plan.children[n]), key=lambda l: l.link_ids)
-        print(f"  links = {[l.label for l in links]}")
+        print(f"  links = {[l.label for l in sorted(mt.links, key=lambda l: l.link_ids)]}")
         print(f"  virtual links = {[f'{s}->{mt.joint}' for s in mt.sources]}")
     walks = {s: [n for n, _ in w[0]] for s, w in plan.walks.items()}  # mle's walks
     for s, walk in walks.items():

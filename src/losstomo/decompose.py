@@ -9,8 +9,9 @@ ever be estimated as a product.  A joint nested in another intersection, or
 above a single chain, is rejected.  ``DTreePlan.children`` stores each logical
 link once: an intersection has the links out of its nodes, a source's fragment
 those out of the source and out of its ``path_walk`` nodes in no intersection.
-What the estimators walk of a plan (``intersections``, ``walks``,
-``true_rates``) is built once per plan, on first estimator use.
+``decompose`` gives each multi-source tree its nodes' children and links, which
+the estimators walk; each source's path walks (``walks``) are built once per
+plan, on first estimator use.
 """
 
 from __future__ import annotations
@@ -36,39 +37,26 @@ class LogicalLink(NamedTuple):
 class MultiSourceTree(NamedTuple):
     joint: int
     sources: tuple[int, ...]  # S(joint), each joined to the joint by a virtual link of pass rate 1
-    nodes: tuple[int, ...]  # intersection nodes, joint included; its links are their children
-
-
-@dataclass(frozen=True, eq=False)
-class Intersection:
-    """One multi-source tree as the estimators walk it: each of its nodes with its
-    children, in ``mt.nodes`` order, and the links out of them in the same order.
-    Compared by identity, so it keys a replication's record of it cheaply."""
-
-    mt: MultiSourceTree
-    nodes: tuple[tuple[int, tuple[int, ...]], ...]
-    links: tuple[LogicalLink, ...]
+    nodes: tuple[int, ...]  # intersection nodes, joint included
+    kids: tuple[tuple[int, ...], ...]  # each node's children, in ``nodes`` order
+    links: tuple[LogicalLink, ...]  # the links out of ``nodes``, in the same order
 
 
 @dataclass(frozen=True)
 class DTreePlan:
     topology: Topology
-    joint_nodes: tuple[int, ...]
     msource_trees: tuple[MultiSourceTree, ...]
     # collapsed node -> its logical child links, sorted by link ids: each logical link, stored once
     children: dict[int, tuple[LogicalLink, ...]] = field(compare=False, repr=False)
+
+    @property
+    def joint_nodes(self) -> tuple[int, ...]:
+        return tuple(mt.joint for mt in self.msource_trees)
 
     @cached_property
     def logical_links(self) -> tuple[LogicalLink, ...]:
         return tuple(sorted((l for kids in self.children.values() for l in kids),
                             key=attrgetter("link_ids")))
-
-    @cached_property
-    def intersections(self) -> tuple[Intersection, ...]:
-        """Each multi-source tree's ``Intersection``, in ``msource_trees`` order."""
-        return tuple(Intersection(mt, tuple((n, tuple(l.tail for l in self.children[n])) for n in mt.nodes),
-                                  tuple(l for n in mt.nodes for l in self.children[n]))
-                     for mt in self.msource_trees)
 
     @cached_property
     def walks(self) -> dict[int, tuple[tuple[tuple[int, tuple[LogicalLink, ...]], ...], ...]]:
@@ -84,14 +72,6 @@ class DTreePlan:
         whole = {s: tuple((n, self.children[n]) for n in self.path_walk(s)) for s in self.topology.sources}
         return {s: (tuple(joints_first(step) for step in steps if step[0] not in solved), steps)
                 for s, steps in whole.items()}
-
-    @cached_property
-    def true_rates(self) -> dict[tuple[int, int], tuple[float, float]]:
-        """(node, source) -> the true beta and A(source, node) at each intersection node
-        with children, for each of its sources: the rates ``mvwa-oracle`` weighs by."""
-        t = self.topology
-        return {(n, s): (t.subtree_rate[n], t.path_rate(s, n))
-                for ix in self.intersections for n, kids in ix.nodes if kids for s in ix.mt.sources}
 
     def path_walk(self, source: int, solved=()) -> list[int]:
         """The source's inner collapsed nodes outside ``solved``, children first (reverse
@@ -153,13 +133,11 @@ def decompose(t: Topology) -> DTreePlan:
             raise UnsupportedTopologyError(
                 f"joint node {min(nested)} lies inside the intersection rooted at {j}"
             )
-        msource_trees.append(
-            MultiSourceTree(
-                joint=j,
-                sources=tuple(s for s, tree in t.trees.items() if j in tree.row),
-                nodes=tuple(sorted(member_nodes)),
-            )
-        )
+        nodes = tuple(sorted(member_nodes))
+        sources = tuple(s for s, tree in t.trees.items() if j in tree.row)
+        kids = tuple(tuple(l.tail for l in children[n]) for n in nodes)
+        links = tuple(l for n in nodes for l in children[n])
+        msource_trees.append(MultiSourceTree(j, sources, nodes, kids, links))
     for j in joints:
         if len(children[j]) == 1:
             raise UnsupportedTopologyError(
@@ -169,7 +147,6 @@ def decompose(t: Topology) -> DTreePlan:
 
     return DTreePlan(
         topology=t,
-        joint_nodes=tuple(joints),
         msource_trees=tuple(msource_trees),
         children=children,
     )

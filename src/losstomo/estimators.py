@@ -4,21 +4,21 @@ Estimators read only the OR-rule pass counts n_i(s), the sufficient
 statistic, and share two steps.  ``solve_intersection`` sets the subtree
 rate beta at every node of an intersection through a pluggable rule, then
 derives the per-source joint paths and the intersection link rates; the
-pooled MLE plugs in ``solve_multisource_beta``'s solve on pooled counts and
+pooled MLE plugs in the subtree root on counts pooled over the sources and
 the fusion schemes a weighted average of per-source estimates.
 ``_solve_paths`` is the path MLE walk, one per source along
 ``DTreePlan.walks``, for both path methods: the pooled MLE skips the
 intersection nodes it has already solved and embeds their joints' path
 estimates, and the per-tree baseline walks each source's whole tree with
 nothing embedded, so it gives one estimate per covering source for shared
-links.  What the plan fixes (each intersection's nodes, children and links,
-each source's two walks, ``mvwa-oracle``'s true rates) is built once per
-plan, on first use.
+links.  Each intersection's nodes, children and links come with its
+``MultiSourceTree`` from ``decompose``; each source's two walks are built once
+per plan, on first use.
 
 Count-only work that methods share is kept in ``PooledCounts.memo``: each
 successful ``path_root`` return under its rates, as the per-tree baseline
 repeats every path solve of the pooled MLE with no embedded term, and one
-``IntersectionRecord`` per intersection under the plan's ``Intersection``:
+``IntersectionRecord`` per intersection under its joint:
 pooled counts, each source's gamma-hat at the joint and each link's ratio
 n_c/n_head, read by the pooled MLE and the four fusion schemes, and each
 source's subtree estimate at a node, solved for the first scheme to reach
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .decompose import DTreePlan, Intersection
+from .decompose import DTreePlan, MultiSourceTree
 from .probes import PooledCounts, gamma_hat
 from .solvers import EstimationError, NoDataError, path_root, subtree_root
 
@@ -56,15 +56,6 @@ class EstimateSet:
         self.links[(label, source)] = pass_rate
 
 
-def solve_multisource_beta(counts: PooledCounts, node: int, children, sources) -> float:
-    """Pooled-count MLE of the subtree pass rate at ``node``.
-
-    ``children`` are the direct descendants inside the intersection; counts
-    from every source in ``sources`` are pooled before the solve.
-    """
-    return subtree_root(counts.pooled(node, sources), tuple(counts.pooled(c, sources) for c in children))
-
-
 def beta_sample_mean(counts: PooledCounts, node: int, sources, true_paths) -> float:
     """Sample-mean form of the subtree estimate: n_i over the expected
     number of probes reaching the node.
@@ -79,57 +70,57 @@ def beta_sample_mean(counts: PooledCounts, node: int, sources, true_paths) -> fl
 
 
 class IntersectionRecord:
-    """One replication's count-only work on one ``Intersection``, kept in ``PooledCounts.memo``
-    under it and shared by ``mle`` and the fusion schemes.  Each part is filled on its first
-    use and kept only once it has succeeded: ``pooled``, every node's count pooled over the
-    sources; ``gammas``, each source's gamma-hat at the joint, and ``ratios``, each link's
-    n_tail / n_head, in ``ix.links`` order; ``fused``, node -> each source's subtree estimate
-    and gamma there (``fusion.fuse_node``)."""
+    """One replication's count-only work on one ``MultiSourceTree``, kept in
+    ``PooledCounts.memo`` under its joint and shared by ``mle`` and the fusion schemes.  Each
+    part is filled on its first use and kept only once it has succeeded: ``pooled``, every
+    node's count pooled over the sources; ``gammas``, each source's gamma-hat at the joint,
+    and ``ratios``, each link's n_tail / n_head, in ``mt.links`` order; ``fused``, node ->
+    each source's subtree estimate and gamma there (``fusion.fuse_node``)."""
 
-    __slots__ = ("ix", "pooled", "gammas", "ratios", "fused")
+    __slots__ = ("mt", "pooled", "gammas", "ratios", "fused")
 
-    def __init__(self, ix: Intersection):
-        self.ix, self.pooled, self.gammas, self.ratios, self.fused = ix, None, None, None, {}
+    def __init__(self, mt: MultiSourceTree):
+        self.mt, self.pooled, self.gammas, self.ratios, self.fused = mt, None, None, None, {}
 
     def pool(self, counts: PooledCounts) -> dict[int, int]:
         if self.pooled is None:
-            self.pooled = {n: counts.pooled(n, self.ix.mt.sources) for n, _ in self.ix.nodes}
+            self.pooled = {n: counts.pooled(n, self.mt.sources) for n in self.mt.nodes}
         return self.pooled
 
 
 def _pooled_beta(counts: PooledCounts, rec: IntersectionRecord, node: int, children) -> float:
-    """``mle``'s beta rule: ``solve_multisource_beta`` on the record's pooled counts."""
+    """``mle``'s beta rule: the subtree root on the record's pooled counts."""
     pooled = rec.pool(counts)
     return subtree_root(pooled[node], tuple(pooled[c] for c in children))
 
 
-def solve_intersection(est: EstimateSet, counts: PooledCounts, ix: Intersection, beta_rule) -> None:
+def solve_intersection(est: EstimateSet, counts: PooledCounts, mt: MultiSourceTree, beta_rule) -> None:
     """Solve one intersection into ``est``: betas, joint paths, link rates.
 
     ``beta_rule(counts, record, node, children)`` gives the subtree rate at every
     internal intersection node (pooled MLE or a fused average) from the replication's
-    ``IntersectionRecord`` of ``ix``.  Link rates follow from the ratio identity
+    ``IntersectionRecord`` of ``mt``.  Link rates follow from the ratio identity
     alpha_c = (n_c / n_parent) * beta_parent / beta_c.
     """
-    rec = counts.memo.get(ix)
+    joint = mt.joint
+    rec = counts.memo.get(joint)
     if rec is None:
-        rec = counts.memo[ix] = IntersectionRecord(ix)
+        rec = counts.memo[joint] = IntersectionRecord(mt)
     betas: dict[int, float] = {}
     try:
-        for node, kids in ix.nodes:
+        for node, kids in zip(mt.nodes, mt.kids):
             betas[node] = beta_rule(counts, rec, node, kids) if kids else 1.0
     except EstimationError as exc:
         raise type(exc)(f"multi-source subtree solve at node {node}: {exc}") from exc
     est.betas.update(betas)
-    joint = ix.mt.joint
     if rec.ratios is None:  # every beta rule has succeeded, so no link's head count is 0
-        gammas = tuple(gamma_hat(counts, joint, s) for s in ix.mt.sources)
+        gammas = tuple(gamma_hat(counts, joint, s) for s in mt.sources)
         pooled = rec.pool(counts)
-        rec.gammas, rec.ratios = gammas, tuple(pooled[l.tail] / pooled[l.head] for l in ix.links)
+        rec.gammas, rec.ratios = gammas, tuple(pooled[l.tail] / pooled[l.head] for l in mt.links)
     # A-hat(s, joint) = gamma_joint(s) / beta_joint, clamped to 1; every beta rule gives beta_joint > 0
-    for s, gamma in zip(ix.mt.sources, rec.gammas):
+    for s, gamma in zip(mt.sources, rec.gammas):
         est.paths[(s, joint)] = min(gamma / betas[joint], 1.0)
-    for l, ratio in zip(ix.links, rec.ratios):
+    for l, ratio in zip(mt.links, rec.ratios):
         est.add_link(l.label, ratio * betas[l.head] / betas[l.tail])
 
 
@@ -178,8 +169,8 @@ def estimate_network(counts: PooledCounts, plan: DTreePlan, method: str) -> Esti
     est = EstimateSet(method=method)
     baseline = method == "tree-baseline"
     if not baseline:
-        for ix in plan.intersections:
-            solve_intersection(est, counts, ix, _pooled_beta)
+        for mt in plan.msource_trees:
+            solve_intersection(est, counts, mt, _pooled_beta)
     for s, walks in plan.walks.items():
         _solve_paths(est, counts, s, walks[baseline], plan.children, s if baseline else None)
     return est

@@ -10,10 +10,10 @@ and read by the other three, so each source's solve runs once per replication;
 the schemes differ only in the per-source scores, which one normalisation
 turns into weights.  Both MVWA schemes score by the inverse of one per-source
 variance, beta(1 - A beta)/(nA): ``mvwa-oracle`` takes the true beta and A
-(``DTreePlan.true_rates``), ``mvwa-plugin`` the source's own estimate beta(s)
-and A = gamma(s)/beta(s) with the miss probability floored at 1/(n+1).
-``rbmvwa`` scores by end-to-end odds and ``mrbmvwa`` by plain end-to-end
-proportions.
+(the topology's ``subtree_rate`` and ``path_rate``), ``mvwa-plugin`` the
+source's own estimate beta(s) and A = gamma(s)/beta(s) with the miss
+probability floored at 1/(n+1).  ``rbmvwa`` scores by end-to-end odds and
+``mrbmvwa`` by plain end-to-end proportions.
 Joint paths and link rates then come from ``estimators.solve_intersection``
 exactly as for the pooled MLE, from the same record's count-only part.
 """
@@ -66,11 +66,11 @@ def fuse_node(counts: PooledCounts, rec: IntersectionRecord, node: int, children
               plan: DTreePlan) -> float:
     """Fused subtree rate at ``node`` of ``rec``'s intersection: the weighted sum of the
     per-source estimates, held at or below the largest of them, which rounding can carry
-    the sum past.  ``mvwa-oracle`` reads its true rates from ``plan.true_rates``."""
+    the sum past.  ``mvwa-oracle`` reads its true rates from ``plan.topology``."""
     entry = rec.fused.get(node)
     if entry is None:
         per_source, gammas = {}, []
-        for s in rec.ix.mt.sources:
+        for s in rec.mt.sources:
             n_i = counts.count(node, s)
             if n_i:  # a source none of whose probes reached node has no estimate there
                 per_source[s] = subtree_root(n_i, tuple(counts.count(c, s) for c in children))
@@ -85,11 +85,11 @@ def fuse_node(counts: PooledCounts, rec: IntersectionRecord, node: int, children
         elif scheme == "mrbmvwa":
             weights = mrbmvwa_weights(gammas)
         else:  # MVWA: each source's variance b(1 - ab)/(na), at the true rates or at plug-in ones
-            variances = []
+            variances, t = [], plan.topology
             for (s, b), g in zip(per_source.items(), gammas):
                 n = counts.probes[s]
                 if scheme == "mvwa-oracle":
-                    (b, a), floor = plan.true_rates[node, s], 0.0
+                    b, a, floor = t.subtree_rate[node], t.path_rate(s, node), 0.0
                     if a == 0.0:  # observed bits may pass where the declared rates do not
                         raise ValueError(f"source {s} reaches the node at true path rate 0")
                 else:
@@ -115,6 +115,6 @@ def fused_estimate(counts: PooledCounts, plan: DTreePlan, scheme: str) -> Estima
         raise ValueError(f"unknown fusion scheme {scheme!r}")
     est = EstimateSet(method=scheme)
     rule = partial(fuse_node, scheme=scheme, plan=plan)
-    for ix in plan.intersections:
-        solve_intersection(est, counts, ix, rule)
+    for mt in plan.msource_trees:
+        solve_intersection(est, counts, mt, rule)
     return est

@@ -116,7 +116,7 @@ def _expected_keys(plan: DTreePlan, estimator: str):
         return [(l.label, s) for s, tree in plan.topology.trees.items()
                 for n in tree.row for l in plan.children.get(n, ())]
     if estimator in FUSION_METHODS:
-        return [(l.label, None) for mt in plan.msource_trees for n in mt.nodes for l in plan.children[n]]
+        return [(l.label, None) for mt in plan.msource_trees for l in mt.links]
     return [(l.label, None) for l in plan.logical_links]
 
 

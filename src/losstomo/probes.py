@@ -51,15 +51,15 @@ class PooledCounts:
     """n_i(s) for every node of every tree, plus the probe totals.
 
     ``memo`` holds the count-only work the estimators share on these counts, so the
-    methods run on one replication do it once: each path root under its rates, and one
-    ``estimators.IntersectionRecord`` per intersection under the plan's ``Intersection``
-    (pooled counts, gamma-hats at the joint, link ratios, per-source subtree estimates).
+    methods run on one replication do it once: each path root under a ("path", ...) key
+    of its rates, and one ``estimators.IntersectionRecord`` per intersection under its
+    joint (pooled counts, gamma-hats at the joint, link ratios, per-source subtree estimates).
     A failing computation is not stored.  The memo takes part in neither equality nor
     ``repr``."""
 
     probes: dict[int, int]  # source -> n^s
     counts: dict[tuple[int, int], int]  # (node, source) -> n_i(s)
-    memo: dict[tuple, object] = field(default_factory=dict, compare=False, repr=False)
+    memo: dict[tuple | int, object] = field(default_factory=dict, compare=False, repr=False)
 
     def count(self, node: int, source: int) -> int:
         try:

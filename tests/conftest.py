@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from losstomo.decompose import decompose
 from losstomo.harness import SETTINGS
 from losstomo.probes import PooledCounts
+from losstomo.solvers import subtree_root
 from losstomo.topology import parse_topology
 
 # the 25-node two-source network used throughout: two binary trees whose
@@ -171,6 +172,12 @@ def sample_counts(t, n: int, rng) -> PooledCounts:
             for l, seen in zip(links, (draws @ sets).tolist()):
                 counts[(l.tail, s)] = seen
     return PooledCounts(probes={s: n for s in t.sources}, counts=counts)
+
+
+def pooled_beta(counts: PooledCounts, node: int, kids, sources) -> float:
+    """The subtree root at ``node`` on the counts of ``node`` and of its ``kids``, each
+    pooled over ``sources``: the pooled MLE of beta, or one source's estimate."""
+    return subtree_root(counts.pooled(node, sources), tuple(counts.pooled(c, sources) for c in kids))
 
 
 def path_bisection_oracle(g, terms):

@@ -7,15 +7,11 @@ and asserts the same condition, so the suite doubles as a go/no-go report.
 import time
 
 import numpy as np
-from conftest import path_bisection_oracle
+from conftest import path_bisection_oracle, pooled_beta
 
 from losstomo.analysis import crlb_beta
 from losstomo.decompose import decompose
-from losstomo.estimators import (
-    beta_sample_mean,
-    estimate_network,
-    solve_multisource_beta,
-)
+from losstomo.estimators import beta_sample_mean, estimate_network
 from losstomo.harness import (
     SETTINGS,
     ExperimentConfig,
@@ -140,7 +136,7 @@ def test_accept_04_single_source_route_agreement():
             probes={0: n},
             counts={(1, 0): n_i, **{(10 + j, 0): c for j, c in enumerate(kids)}},
         )
-        beta = solve_multisource_beta(counts, 1, [10 + j for j in range(k)], [0])
+        beta = pooled_beta(counts, 1, [10 + j for j in range(k)], [0])
         a_ms = (n_i / n) / beta
         terms = [c / n for c in kids]
         a_tree = path_root(n_i / n, terms)

@@ -154,7 +154,8 @@ def test_receiver_joints_are_accepted(tmp_path, capsys):
     p.write_text(RECEIVER_JOINTS)
     plan = decompose(parse_topology(RECEIVER_JOINTS))
     assert plan.joint_nodes == (4, 5)
-    assert [tuple(mt) for mt in plan.msource_trees] == [(4, (0, 1), (4,)), (5, (0, 1), (5,))]
+    assert [mt[:3] for mt in plan.msource_trees] == [(4, (0, 1), (4,)), (5, (0, 1), (5,))]
+    assert all(mt.kids == ((),) and mt.links == () for mt in plan.msource_trees)
     assert not plan.children[4] and not plan.children[5]
     for argv in (["decompose"], ["run", "--probes", "100", "--reps", "3"], ["analyze"]):
         assert main([*argv, "--topology", str(p)]) == 0, argv

@@ -13,6 +13,7 @@ from conftest import (
     lossy_multi_source_dags,
     multi_source_dags,
     path_bisection_oracle,
+    pooled_beta,
     random_bits,
     receiver_joint_dags,
     sample_counts,
@@ -30,7 +31,6 @@ from losstomo.estimators import (
     beta_sample_mean,
     estimate_network,
     solve_intersection,
-    solve_multisource_beta,
 )
 from losstomo.harness import SETTINGS, _expected_keys, _star_setting
 from losstomo.probes import (
@@ -67,14 +67,14 @@ def test_solve_multisource_beta_example():
         {(3, 0): 450, (3, 1): 450, (4, 0): 400, (4, 1): 400},
         {0: 520, 1: 520},
     )
-    beta = solve_multisource_beta(counts, 2, [3, 4], [0, 1])
+    beta = pooled_beta(counts, 2, [3, 4], [0, 1])
     assert beta == pytest.approx(0.7 / 0.72, abs=1e-12)
 
 
 def test_solve_multisource_beta_no_data():
     counts = make_counts({(2, 0): 0}, {(3, 0): 0, (4, 0): 0}, {0: 100})
     with pytest.raises(NoDataError):
-        solve_multisource_beta(counts, 2, [3, 4], [0])
+        pooled_beta(counts, 2, [3, 4], [0])
 
 
 def test_zero_count_child_dropped():
@@ -83,11 +83,11 @@ def test_zero_count_child_dropped():
         {(3, 0): 450, (4, 0): 400, (5, 0): 0},
         {0: 520},
     )
-    beta = solve_multisource_beta(counts, 2, [3, 4, 5], [0])
+    beta = pooled_beta(counts, 2, [3, 4, 5], [0])
     assert beta == pytest.approx(0.7 / 0.72, abs=1e-12)
     counts2 = make_counts({(2, 0): 500}, {(3, 0): 450, (4, 0): 0}, {0: 520})
     with pytest.raises(UnidentifiableError):
-        solve_multisource_beta(counts2, 2, [3, 4], [0])
+        pooled_beta(counts2, 2, [3, 4], [0])
 
 
 def test_children_splitting_the_parent_count_have_no_root():
@@ -95,7 +95,7 @@ def test_children_splitting_the_parent_count_have_no_root():
     # likelihood has no root in (0, 1], though the ratios 0.8 + 0.2 round above 1
     counts = make_counts({(2, 0): 5}, {(3, 0): 4, (4, 0): 1}, {0: 10})
     with pytest.raises(RootBracketError, match=r"ratios \[0.8, 0.2\]"):
-        solve_multisource_beta(counts, 2, [3, 4], [0])
+        pooled_beta(counts, 2, [3, 4], [0])
 
 
 def _splits(n, k, top=None):
@@ -127,7 +127,7 @@ def test_no_root_exactly_when_no_probe_was_seen_below_two_children():
                 for more in (0, 1):
                     counts.counts[(3, 0)] = kids[0] + more
                     try:
-                        solve_multisource_beta(counts, 2, children, [0])
+                        pooled_beta(counts, 2, children, [0])
                     except RootBracketError:
                         failed = True
                     else:
@@ -139,7 +139,7 @@ def test_no_root_exactly_when_no_probe_was_seen_below_two_children():
 
 def test_solve_intersection_joint_paths(star22_plan):
     # A-hat(s, joint) = gamma_joint(s) / beta_joint, clamped to 1, under a fixed beta rule
-    ix = star22_plan.intersections[0]
+    (mt,) = star22_plan.msource_trees
     for beta, joint_counts, expected in [
         (0.7 / 0.72, (875, 875), (pytest.approx(0.9, abs=1e-12),) * 2),  # gamma / beta = 0.9
         (0.9, (0, 950), (0.0, 1.0)),  # gamma = 0 gives 0; 0.95 / 0.9 is clamped to 1
@@ -148,7 +148,7 @@ def test_solve_intersection_joint_paths(star22_plan):
         counts = {(2, s): n for s, n in enumerate(joint_counts)}
         counts.update({(c, s): n * 9 // 10 for c in (3, 4) for s, n in enumerate(joint_counts)})
         est = EstimateSet(method="stub")
-        solve_intersection(est, PooledCounts(probes={0: 1000, 1: 1000}, counts=counts), ix,
+        solve_intersection(est, PooledCounts(probes={0: 1000, 1: 1000}, counts=counts), mt,
                            lambda counts, rec, node, children: beta)
         assert est.betas == {2: beta, 3: 1.0, 4: 1.0}
         assert (est.paths[(0, 2)], est.paths[(1, 2)]) == expected
@@ -218,7 +218,7 @@ def test_single_source_route_reduction(n, data):
         {(10 + j, 0): c for j, c in enumerate(kids)},
         {0: n},
     )
-    beta = solve_multisource_beta(counts, 1, [10 + j for j in range(k)], [0])
+    beta = pooled_beta(counts, 1, [10 + j for j in range(k)], [0])
     a_ms = (n_i / n) / beta
     a_tree = path_root(n_i / n, [c / n for c in kids])
     assert abs(a_ms - a_tree) <= 1e-12
@@ -527,9 +527,10 @@ def test_fusion_schemes_share_their_per_source_solves(monkeypatch, big_plan):
     for m in FUSION_METHODS:
         estimate_network(counts, big_plan, m)
     assert len(calls) == alone
-    # each inner node's per-source part sits in its intersection's record
-    for ix in big_plan.intersections:
-        assert set(counts.memo[ix].fused) == {n for n, kids in ix.nodes if kids}
+    # each inner node's per-source part sits in its intersection's record, kept under its joint
+    for mt in big_plan.msource_trees:
+        assert counts.memo[mt.joint].mt is mt
+        assert set(counts.memo[mt.joint].fused) == {n for n, kids in zip(mt.nodes, mt.kids) if kids}
 
 
 def test_methods_on_one_counts_pool_each_intersection_once(monkeypatch, big_plan):
@@ -593,9 +594,10 @@ def test_root_memo_leaves_counts_equal_and_out_of_repr(big_plan):
     counts = simulate_counts(t, 400, seed=8)
     for m in METHODS:
         estimate_network(counts, big_plan, m)
-    # one record per intersection, beside the path roots
-    assert [rec.ix for rec in _records(counts)] == list(big_plan.intersections)
-    assert len(counts.memo) > len(big_plan.intersections)
+    # one record per intersection, under its joint, beside the path roots
+    assert [rec.mt for rec in _records(counts)] == list(big_plan.msource_trees)
+    assert all(counts.memo[rec.mt.joint] is rec for rec in _records(counts))
+    assert len(counts.memo) > len(big_plan.msource_trees)
     fresh = count_pass(simulate(t, 400, seed=8), t)
     assert not fresh.memo
     assert counts == fresh
@@ -625,6 +627,30 @@ def test_method_orders_on_sampled_counts_give_the_same_outcomes_as_fresh_counts(
             assert _outcome(shared, plan, m) == fresh[m], f"{m} after {order}"
 
 
+@seed(47)
+@settings(max_examples=100, deadline=None)
+@given(text=st.one_of(multi_source_dags(), receiver_joint_dags()), probes=st.integers(1, 300),
+       count_seed=st.integers(0, 2**32 - 1))
+def test_each_multi_source_tree_holds_its_children_and_links_and_one_record(text, probes, count_seed):
+    # decompose gives each multi-source tree the children and links that plan.children
+    # gives its nodes, the fusion schemes' row keys are those links, and the methods keep
+    # one record per intersection they reach, each under its joint
+    t = parse_topology(text)
+    plan = decompose(t)
+    for mt in plan.msource_trees:
+        assert mt.kids == tuple(tuple(l.tail for l in plan.children[n]) for n in mt.nodes)
+        assert mt.links == tuple(l for n in mt.nodes for l in plan.children[n])
+    assert _expected_keys(plan, "rbmvwa") == [(l.label, None) for mt in plan.msource_trees for l in mt.links]
+    counts = sample_counts(t, probes, np.random.default_rng(count_seed))
+    failed = [isinstance(_outcome(counts, plan, m)[0], type) for m in METHODS]
+    records = _records(counts)
+    # each method makes the records in plan order up to the intersection it fails at
+    assert [rec.mt for rec in records] == list(plan.msource_trees[:len(records)])
+    assert all(counts.memo[rec.mt.joint] is rec for rec in records)
+    if not failed[0]:  # mle reached every intersection
+        assert len(records) == len(plan.msource_trees)
+
+
 def test_only_fusion_solves_per_source_subtrees_once_per_node_and_source_reaching_it(monkeypatch, big_plan):
     per_source = _counting(monkeypatch, "subtree_root", fusion)
     counts = simulate_counts(big_plan.topology, 500, seed=3)
@@ -633,9 +659,9 @@ def test_only_fusion_solves_per_source_subtrees_once_per_node_and_source_reachin
     assert per_source == []
     for m in FUSION_METHODS:
         estimate_network(counts, big_plan, m)
-    reached = [(n, s) for ix in big_plan.intersections for n, kids in ix.nodes if kids
-               for s in ix.mt.sources if counts.count(n, s)]
-    assert len(reached) > len(big_plan.intersections)
+    reached = [(n, s) for mt in big_plan.msource_trees for n, kids in zip(mt.nodes, mt.kids) if kids
+               for s in mt.sources if counts.count(n, s)]
+    assert len(reached) > len(big_plan.msource_trees)
     assert len(per_source) == len(reached)
 
 

@@ -1,9 +1,9 @@
 import pytest
-from conftest import multi_source_dags
+from conftest import multi_source_dags, pooled_beta
 from hypothesis import given, seed, settings, strategies as st
 
 from losstomo.decompose import decompose
-from losstomo.estimators import FUSION_METHODS, IntersectionRecord, estimate_network, solve_multisource_beta
+from losstomo.estimators import FUSION_METHODS, IntersectionRecord, estimate_network
 from losstomo.fusion import (
     fuse_node,
     fused_estimate,
@@ -103,14 +103,14 @@ def test_combined_estimate_is_convex_mean(estimates, data):
 
 def _fuse(counts, plan, node, scheme):
     """``fuse_node`` at ``node`` of the intersection holding it, on a record of its own."""
-    (ix,) = [ix for ix in plan.intersections if node in ix.mt.nodes]
-    return fuse_node(counts, IntersectionRecord(ix), node, dict(ix.nodes)[node], scheme, plan)
+    (mt,) = [mt for mt in plan.msource_trees if node in mt.nodes]
+    return fuse_node(counts, IntersectionRecord(mt), node, mt.kids[mt.nodes.index(node)], scheme, plan)
 
 
 def test_fuse_node_star(star22_plan):
     t = star22_plan.topology
     counts = count_pass(simulate(t, 2000, seed=8), t)
-    per_source = [solve_multisource_beta(counts, 2, [3, 4], (s,)) for s in (0, 1)]
+    per_source = [pooled_beta(counts, 2, [3, 4], (s,)) for s in (0, 1)]
     lo, hi = min(per_source), max(per_source)
     assert lo < hi
     for scheme in FUSION_METHODS:
@@ -126,7 +126,7 @@ def test_fused_beta_never_exceeds_the_largest_per_source_estimate(star22_plan):
         (0, 0): 500, (1, 1): 500, (2, 0): 264, (2, 1): 327,
         (3, 0): 264, (3, 1): 327, (4, 0): 200, (4, 1): 250,
     })
-    assert {s: solve_multisource_beta(counts, 2, [3, 4], (s,)) for s in (0, 1)} == {0: 1.0, 1: 1.0}
+    assert {s: pooled_beta(counts, 2, [3, 4], (s,)) for s in (0, 1)} == {0: 1.0, 1: 1.0}
     for scheme in FUSION_METHODS:
         assert _fuse(counts, star22_plan, 2, scheme) <= 1.0
         assert all(0.0 <= b <= 1.0 for b in fused_estimate(counts, star22_plan, scheme).betas.values())
@@ -209,7 +209,7 @@ def test_oracle_weight_at_a_zero_true_path_rate_is_a_fusion_weight_error():
 
 def _reference_fuse(counts, node, kids, sources, t, scheme):
     """fuse_node as the README and the module docstring describe it, from public pieces."""
-    per_source = {s: solve_multisource_beta(counts, node, kids, (s,)) for s in sources if counts.count(node, s)}
+    per_source = {s: pooled_beta(counts, node, kids, (s,)) for s in sources if counts.count(node, s)}
     if not per_source:
         raise NoDataError(f"no source observed anything below node {node}")
     gammas = [gamma_hat(counts, node, s) for s in per_source]

@@ -9,13 +9,13 @@ seeds and the tolerances were fixed before any result was looked at."""
 import math
 
 from conftest import (
-    multi_source_dags, receiver_joint_dags, relabelled_counts, relabelled_topology, scaled_counts, split_counts,
-    split_link,
+    multi_source_dags, pooled_beta, receiver_joint_dags, relabelled_counts, relabelled_topology, scaled_counts,
+    split_counts, split_link,
 )
 from hypothesis import given, seed, settings, strategies as st
 
 from losstomo.decompose import decompose
-from losstomo.estimators import METHODS, EstimateSet, estimate_network, solve_multisource_beta
+from losstomo.estimators import METHODS, EstimateSet, estimate_network
 from losstomo.probes import gamma_hat, simulate_counts
 from losstomo.solvers import EstimationError
 from losstomo.topology import parse_topology
@@ -46,7 +46,7 @@ def _plugin_floor_binds(counts, plan) -> bool:
             if not kids:
                 continue
             try:
-                per_source = {s: solve_multisource_beta(counts, node, kids, (s,))
+                per_source = {s: pooled_beta(counts, node, kids, (s,))
                               for s in mt.sources if counts.count(node, s)}
             except EstimationError:
                 continue
@@ -149,7 +149,8 @@ def test_splitting_a_link_in_two_moves_no_estimate(text, rep_seed, data):
         return l._replace(link_ids=ids, label="+".join(map(str, ids)))
 
     assert split.joint_nodes == plan.joint_nodes
-    assert split.msource_trees == plan.msource_trees
+    assert [mt[:4] for mt in split.msource_trees] == [mt[:4] for mt in plan.msource_trees]
+    assert [mt.links for mt in split.msource_trees] == [tuple(map(relabel, mt.links)) for mt in plan.msource_trees]
     for method in ("mle", "tree-baseline"):
         assert list(map(sorted, _walk(split, method))) == list(map(sorted, _walk(plan, method))), method
     assert split.children == {n: tuple(map(relabel, kids)) for n, kids in plan.children.items()}
